@@ -4,7 +4,7 @@ use crate::args::{Command, CriterionName, EngineName, GenModeName, USAGE};
 use duop_core::online::OnlineChecker;
 use duop_core::snapshot::{
     self, CheckSnapshot, CheckableCriterion, CompletedCriterion, InFlight, MonitorSnapshot,
-    ResumableCheck, Snapshot, WitnessSnap,
+    ResumableCheck, Snapshot,
 };
 use duop_core::tms2_automaton::{check_tms2_automaton, Tms2Verdict};
 use duop_core::{
@@ -1405,7 +1405,7 @@ fn monitor_snapshot(
         events: h.events().to_vec(),
         done,
         violated_at,
-        witness: mon.witness().map(WitnessSnap::from_witness),
+        witness: mon.witness().cloned(),
         stats: mon.stats(),
         fragments: mon
             .export_fragments()
@@ -1482,7 +1482,7 @@ fn resume_monitor(ms: MonitorSnapshot, file: &str, out: &mut dyn Write) -> CmdRe
         .then(|| DuOpacity::new().check(&prefix))
         .filter(|v| v.is_violated());
     let violated_at = violated.is_some().then(|| ms.violated_at.unwrap_or(0));
-    let witness = ms.witness.clone().map(WitnessSnap::into_witness);
+    let witness = ms.witness.clone();
     let mut mon = OnlineChecker::resume(
         prefix,
         witness,

@@ -114,7 +114,9 @@ pub enum Rule {
     /// is a committed writer of the read's object whose final write
     /// differs from the read's value. `to` cannot be serialized between
     /// `w` and `r` (it would overwrite the value `r` observed), and it
-    /// comes after `w`, so it must come after `r`: `from = r → to`.
+    /// comes after `w`, so it must come after `r`: `from = r → to`. Under
+    /// du-opacity `to` must also be `tryC`-eligible for the read, unless
+    /// `w` is the only committable writer of the value.
     InterferenceAfter {
         /// Step index of the grounding [`Rule::ReadFrom`] edge `w → r`.
         read_from: usize,
@@ -126,7 +128,8 @@ pub enum Rule {
     /// `from` is a committed writer of the read's object whose final
     /// write differs from the read's value. `from` cannot sit between `w`
     /// and `r`, and it precedes `r`, so it must precede `w`:
-    /// `from → to = w`.
+    /// `from → to = w`. The du-opacity eligibility condition of
+    /// [`Rule::InterferenceAfter`] applies to `from`.
     InterferenceBefore {
         /// Step index of the grounding [`Rule::ReadFrom`] edge `w → r`.
         read_from: usize,
@@ -429,16 +432,30 @@ fn premise(cert: &Certificate, i: usize, p: usize) -> Result<&Step, CertificateE
     Ok(&cert.steps[p])
 }
 
-/// The (`w`, `r`, `obj`, `value`) quadruple of a [`Rule::ReadFrom`]
-/// premise, or a mismatch error.
+/// A [`Rule::ReadFrom`] premise: supplier `w`, reader `r`, and the read.
+struct ReadFromPremise {
+    w: TxnId,
+    r: TxnId,
+    obj: ObjId,
+    value: Value,
+    read: usize,
+}
+
+/// The [`Rule::ReadFrom`] premise `p` of step `i`, or a mismatch error.
 fn read_from_premise(
     cert: &Certificate,
     i: usize,
     p: usize,
-) -> Result<(TxnId, TxnId, ObjId, Value), CertificateError> {
+) -> Result<ReadFromPremise, CertificateError> {
     let rf = premise(cert, i, p)?;
     match rf.rule {
-        Rule::ReadFrom { obj, value, .. } => Ok((rf.from, rf.to, obj, value)),
+        Rule::ReadFrom { obj, value, read } => Ok(ReadFromPremise {
+            w: rf.from,
+            r: rf.to,
+            obj,
+            value,
+            read,
+        }),
         _ => Err(CertificateError::PremiseMismatch {
             step: i,
             detail: format!("premise {p} is not a read-from step"),
@@ -583,58 +600,72 @@ fn check_step(h: &History, cert: &Certificate, i: usize, du: bool) -> Result<(),
             }
         }
         Rule::InterferenceAfter { read_from, before } => {
-            let (w, r, obj, value) = read_from_premise(cert, i, read_from)?;
+            let rf = read_from_premise(cert, i, read_from)?;
             let b = premise(cert, i, before)?;
-            if step.from != r || b.from != w || b.to != step.to {
+            if step.from != rf.r || b.from != rf.w || b.to != step.to {
                 return Err(CertificateError::PremiseMismatch {
                     step: i,
                     detail: "premises do not anchor r and w -> to".into(),
                 });
             }
-            check_interferer(h, i, step.to, obj, value)?;
+            check_interferer(h, i, step.to, &rf, du)?;
         }
         Rule::InterferenceBefore { read_from, after } => {
-            let (w, r, obj, value) = read_from_premise(cert, i, read_from)?;
+            let rf = read_from_premise(cert, i, read_from)?;
             let a = premise(cert, i, after)?;
-            if step.to != w || a.from != step.from || a.to != r {
+            if step.to != rf.w || a.from != step.from || a.to != rf.r {
                 return Err(CertificateError::PremiseMismatch {
                     step: i,
                     detail: "premises do not anchor w and from -> r".into(),
                 });
             }
-            check_interferer(h, i, step.from, obj, value)?;
+            check_interferer(h, i, step.from, &rf, du)?;
         }
     }
     Ok(())
 }
 
-/// An interference rule's third party must be a *committed* writer of
-/// `obj` whose final write differs from the read's `value` — only then is
-/// "cannot sit between supplier and reader" forced.
+/// An interference rule's third party must be a *committed* writer of the
+/// read's object whose final write differs from the read's value — only
+/// then is "cannot sit between supplier and reader" forced. Under
+/// du-opacity it must also be `tryC`-eligible for the read, unless the
+/// supplier is the only committable writer of the value: otherwise a
+/// non-eligible writer could restore the global value after it, and the
+/// read stays legal.
 fn check_interferer(
     h: &History,
     i: usize,
     txn: TxnId,
-    obj: ObjId,
-    value: Value,
+    rf: &ReadFromPremise,
+    du: bool,
 ) -> Result<(), CertificateError> {
+    let unsupported = |detail: String| CertificateError::AxiomUnsupported { step: i, detail };
     let view = h.txn(txn).expect("participation checked");
     if view.commit_capability() != CommitCapability::Committed {
-        return Err(CertificateError::AxiomUnsupported {
-            step: i,
-            detail: format!("{txn} is not committed"),
-        });
+        return Err(unsupported(format!("{txn} is not committed")));
     }
+    let obj = rf.obj;
     match view.last_write_to(obj) {
-        Some(v) if v != value => Ok(()),
-        Some(_) => Err(CertificateError::AxiomUnsupported {
-            step: i,
-            detail: format!("{txn}'s final write to {obj} re-supplies the read value"),
-        }),
-        None => Err(CertificateError::AxiomUnsupported {
-            step: i,
-            detail: format!("{txn} does not write {obj}"),
-        }),
+        Some(v) if v != rf.value => {}
+        Some(_) => {
+            return Err(unsupported(format!(
+                "{txn}'s final write to {obj} re-supplies the read value"
+            )))
+        }
+        None => return Err(unsupported(format!("{txn} does not write {obj}"))),
+    }
+    if !du || h.try_commit_inv_index(txn).is_some_and(|inv| inv < rf.read) {
+        return Ok(());
+    }
+    let restorer = h
+        .txn_ids()
+        .find(|&k| k != rf.w && k != rf.r && is_supplier(h, k, obj, rf.value, rf.read, false));
+    match restorer {
+        None => Ok(()),
+        Some(k) => Err(unsupported(format!(
+            "{txn} is not tryC-eligible for the read at event {} and {k} can restore {:?} to {obj}",
+            rf.read, rf.value
+        ))),
     }
 }
 

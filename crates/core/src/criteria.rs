@@ -9,9 +9,8 @@
 //! | [`Tms2`] | Doherty–Groves–Luchangco–Moir, as rendered informally in Section 4.2 |
 //! | [`StrictSerializability`] | baseline: final-state opacity of the committed projection |
 
-use crate::search::{
-    search_serialization, search_serialization_with_stats, Query, SearchConfig, SearchStats,
-};
+use crate::plan::{check_planned, PlanCriterion};
+use crate::search::{SearchConfig, SearchStats};
 use crate::{Verdict, Violation};
 use duop_history::{EventKind, History, TxnId};
 
@@ -91,17 +90,7 @@ impl FinalStateOpacity {
     /// As [`Criterion::check`], additionally returning the search
     /// counters.
     pub fn check_with_stats(&self, h: &History) -> (Verdict, SearchStats) {
-        search_serialization_with_stats(
-            h,
-            &Query {
-                name: "final-state opacity",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Plain,
-            },
-            &self.cfg,
-        )
+        check_planned(h, PlanCriterion::FinalState, &self.cfg, None)
     }
 }
 
@@ -248,17 +237,7 @@ impl DuOpacity {
     /// counters — the quantitative basis for the pruning/memoization
     /// ablations.
     pub fn check_with_stats(&self, h: &History) -> (Verdict, SearchStats) {
-        search_serialization_with_stats(
-            h,
-            &Query {
-                name: "du-opacity",
-                deferred_update: true,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Du,
-            },
-            &self.cfg,
-        )
+        check_planned(h, PlanCriterion::Du, &self.cfg, None)
     }
 }
 
@@ -289,21 +268,7 @@ impl Criterion for ReadCommitOrderOpacity {
     }
 
     fn check(&self, h: &History) -> Verdict {
-        search_serialization(
-            h,
-            &Query {
-                name: "read-commit-order opacity",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                // The order constraint only binds writers the chosen
-                // completion actually *commits* — a commit-pending writer
-                // may instead be aborted, making the edge vacuous — so
-                // these are commit-conditional.
-                commit_edges: rco_edges(h),
-                lint_scope: crate::lint::LintScope::Rco,
-            },
-            &self.cfg,
-        )
+        check_planned(h, PlanCriterion::Rco, &self.cfg, None).0
     }
 }
 
@@ -325,17 +290,7 @@ impl Criterion for Tms2 {
     }
 
     fn check(&self, h: &History) -> Verdict {
-        search_serialization(
-            h,
-            &Query {
-                name: "TMS2",
-                deferred_update: false,
-                extra_edges: tms2_edges(h),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Tms2,
-            },
-            &self.cfg,
-        )
+        check_planned(h, PlanCriterion::Tms2, &self.cfg, None).0
     }
 }
 
@@ -364,26 +319,7 @@ impl Criterion for StrictSerializability {
     }
 
     fn check(&self, h: &History) -> Verdict {
-        let committed: Vec<TxnId> = h
-            .txns()
-            .filter(|t| t.commit_capability() != duop_history::CommitCapability::NeverCommitted)
-            .map(|t| t.id())
-            .collect();
-        let projection = h.filter_txns(|id| committed.contains(&id));
-        search_serialization(
-            &projection,
-            &Query {
-                name: "strict serializability",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                // Sound for the committed projection: the query runs over
-                // `projection`, and Plain rules only use constraints every
-                // scope shares.
-                lint_scope: crate::lint::LintScope::Plain,
-            },
-            &self.cfg,
-        )
+        check_planned(h, PlanCriterion::Strict, &self.cfg, None).0
     }
 }
 

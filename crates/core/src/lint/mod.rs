@@ -49,7 +49,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warning => "warning",
@@ -112,7 +112,7 @@ impl Applicability {
         }
     }
 
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Applicability::AllCriteria => "all-criteria",
             Applicability::DuOpacityOnly => "du-opacity-only",
@@ -173,34 +173,6 @@ pub struct Diagnostic {
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}[{}]: {}", self.severity, self.rule, self.message)
-    }
-}
-
-impl serde::Serialize for Diagnostic {
-    fn to_content(&self) -> serde::Content {
-        let span = |s: &Span| {
-            serde::Content::Map(vec![
-                ("event".into(), serde::Content::U64(s.event as u64)),
-                ("label".into(), serde::Content::Str(s.label.clone())),
-            ])
-        };
-        serde::Content::Map(vec![
-            ("rule".into(), serde::Content::Str(self.rule.into())),
-            (
-                "severity".into(),
-                serde::Content::Str(self.severity.as_str().into()),
-            ),
-            (
-                "applicability".into(),
-                serde::Content::Str(self.applicability.as_str().into()),
-            ),
-            ("message".into(), serde::Content::Str(self.message.clone())),
-            ("primary".into(), span(&self.primary)),
-            (
-                "secondary".into(),
-                serde::Content::Seq(self.secondary.iter().map(span).collect()),
-            ),
-        ])
     }
 }
 

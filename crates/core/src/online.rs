@@ -21,8 +21,8 @@
 //! rules (so reuse is validated, never trusted) and only the touched
 //! component is actually re-searched.
 
-use crate::plan::ComponentCache;
-use crate::search::{decide_spec, Query};
+use crate::plan::{ComponentCache, PlanCriterion};
+use crate::search::decide_spec;
 use crate::spec::Spec;
 use crate::{check_witness, CriterionKind, SearchConfig, Verdict, Witness};
 use duop_history::{Event, History, MalformedHistoryError, ObjId, Op, Ret, TxnId, Value};
@@ -237,13 +237,7 @@ impl OnlineChecker {
         // previous search's fragments for components the event left alone.
         self.stats.full_searches += 1;
         self.cache.begin_generation();
-        let query = Query {
-            name: "du-opacity",
-            deferred_update: true,
-            extra_edges: Vec::new(),
-            commit_edges: Vec::new(),
-            lint_scope: crate::lint::LintScope::Du,
-        };
+        let query = PlanCriterion::Du.query(&self.history);
         let verdict = match Spec::build(&self.history) {
             Err(v) => Verdict::Violated(v),
             Ok(spec) => decide_spec(&spec, &query, &self.cfg, Some(&mut self.cache)).0,

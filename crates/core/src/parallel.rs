@@ -240,7 +240,7 @@ pub(crate) fn par_search_components(
             Err(v) => return (CompOutcome::Violated(v), SearchStats::default()),
         };
         s.restrict(comp);
-        let outcome = match s.dfs() {
+        let outcome = match s.search() {
             Outcome::Found => CompOutcome::Found(s.path.clone()),
             Outcome::Exhausted => CompOutcome::Exhausted,
             Outcome::Budget => CompOutcome::Budget(s.unknown_reason()),
@@ -319,170 +319,181 @@ pub(crate) fn par_search_spec(
     }
     let target = threads * TASKS_PER_THREAD;
 
-    let mut tasks: Vec<Vec<(usize, bool)>> = Vec::new();
-    let mut scratch: Vec<Vec<(usize, bool)>> = Vec::new();
-    let mut enum_explored = 0u64;
-    let mut enum_dead_ends = 0u64;
-    let mut depth = 1;
-    while depth <= max_depth {
-        tasks.clear();
-        enum_explored = 0;
-        enum_dead_ends = 0;
-        enumerate_prefixes(
-            &mut enumerator,
-            depth,
-            &mut scratch,
-            &mut tasks,
-            &mut enum_explored,
-            &mut enum_dead_ends,
-        );
-        if tasks.len() >= target || tasks.is_empty() {
-            break;
+    // Under du-opacity the search runs in the two passes of
+    // `Searcher::search`; each pass is a complete parallel search and the
+    // second runs only when the first finds nothing, so the lowest-indexed
+    // winning task is the sequential engine's witness in either pass.
+    let passes: &[bool] = if query.deferred_update {
+        &[true, false]
+    } else {
+        &[false]
+    };
+    let mut carried = SearchStats::default();
+    for &eligible_global in passes {
+        enumerator.eligible_global = eligible_global;
+        let mut tasks: Vec<Vec<(usize, bool)>> = Vec::new();
+        let mut scratch: Vec<Vec<(usize, bool)>> = Vec::new();
+        let mut enum_explored = 0u64;
+        let mut enum_dead_ends = 0u64;
+        let mut depth = 1;
+        while depth <= max_depth {
+            tasks.clear();
+            enum_explored = 0;
+            enum_dead_ends = 0;
+            enumerate_prefixes(
+                &mut enumerator,
+                depth,
+                &mut scratch,
+                &mut tasks,
+                &mut enum_explored,
+                &mut enum_dead_ends,
+            );
+            if tasks.len() >= target || tasks.is_empty() {
+                break;
+            }
+            depth += 1;
         }
-        depth += 1;
-    }
 
-    if tasks.is_empty() {
-        // Every prefix dead-ends before the split depth: the whole tree is
-        // exhausted and there is no witness.
-        let stats = SearchStats {
-            explored: enum_explored,
-            dead_ends: enum_dead_ends,
-            ..SearchStats::default()
-        };
-        let verdict = Verdict::Violated(Violation::NoSerialization {
-            criterion: query.name.to_owned(),
-            explored: enum_explored,
-        });
-        return (verdict, stats);
-    }
-    if tasks.len() == 1 || n <= depth {
-        // Nothing to parallelize (tiny history or a single viable
-        // subtree); the sequential engine is strictly cheaper.
-        return seq_search_spec(spec, query, &seq_cfg, forced);
-    }
+        if tasks.is_empty() {
+            // Every prefix dead-ends before the split depth: this pass's tree
+            // is exhausted and holds no witness.
+            carried.explored += enum_explored;
+            carried.dead_ends += enum_dead_ends;
+            continue;
+        }
+        if tasks.len() == 1 || n <= depth {
+            // Nothing to parallelize (tiny history or a single viable
+            // subtree); the sequential engine is strictly cheaper.
+            return seq_search_spec(spec, query, &seq_cfg, forced);
+        }
 
-    let shared = SharedSearch::new(cfg);
-    let next = AtomicUsize::new(0);
-    let budget_reason: Mutex<Option<UnknownReason>> = Mutex::new(None);
-    // Winning candidates keyed by task index; the reduction takes the
-    // lowest, which is the witness sequential DFS finds first.
-    let found: Mutex<BTreeMap<u64, Vec<(usize, bool)>>> = Mutex::new(BTreeMap::new());
-    let totals: Mutex<SearchStats> = Mutex::new(SearchStats::default());
+        let shared = SharedSearch::new(cfg);
+        let next = AtomicUsize::new(0);
+        let budget_reason: Mutex<Option<UnknownReason>> = Mutex::new(None);
+        // Winning candidates keyed by task index; the reduction takes the
+        // lowest, which is the witness sequential DFS finds first.
+        let found: Mutex<BTreeMap<u64, Vec<(usize, bool)>>> = Mutex::new(BTreeMap::new());
+        let totals: Mutex<SearchStats> = Mutex::new(SearchStats::default());
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut s = Searcher::new(spec, &seq_cfg, query, forced)
-                    .expect("constraints validated before workers started");
-                s.attach_shared(&shared);
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() || shared.panicked.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if shared.winner.load(Ordering::Relaxed) < t as u64 {
-                        // Claims are monotone, so every remaining task is
-                        // also higher-indexed than the winner.
-                        break;
-                    }
-                    s.task_index = t as u64;
-                    let prefix = &tasks[t];
-                    // Contain a panicking subtree (a criterion bug, or the
-                    // test hook): the searcher's placement state is
-                    // unusable afterwards, so the worker retires and peers
-                    // cancel via `shared.panicked`. `true` = keep looping.
-                    let task = catch_unwind(AssertUnwindSafe(|| {
-                        if PANIC_ON_TASK
-                            .compare_exchange(
-                                t as u64,
-                                u64::MAX,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            panic!("injected worker panic (test hook)");
-                        }
-                        let mut undos = Vec::with_capacity(prefix.len());
-                        for &(i, committed) in prefix {
-                            undos.push(s.place(i, committed));
-                        }
-                        match s.dfs() {
-                            Outcome::Found => {
-                                shared.winner.fetch_min(t as u64, Ordering::Relaxed);
-                                found.lock().unwrap().insert(t as u64, s.path.clone());
-                                // `dfs` does not unwind on Found; this
-                                // searcher's state is spent, and every
-                                // unclaimed task is higher-indexed anyway.
-                                false
-                            }
-                            Outcome::Budget => {
-                                let reason = s.unknown_reason();
-                                let mut slot = budget_reason.lock().unwrap();
-                                slot.get_or_insert(reason);
-                                drop(slot);
-                                unwind_prefix(&mut s, prefix, undos);
-                                false
-                            }
-                            Outcome::Exhausted | Outcome::Cancelled => {
-                                unwind_prefix(&mut s, prefix, undos);
-                                true
-                            }
-                        }
-                    }));
-                    match task {
-                        Ok(true) => {}
-                        Ok(false) => break,
-                        Err(_) => {
-                            shared.panicked.store(true, Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    let mut s = Searcher::new(spec, &seq_cfg, query, forced)
+                        .expect("constraints validated before workers started");
+                    s.attach_shared(&shared);
+                    s.eligible_global = eligible_global;
+                    loop {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= tasks.len() || shared.panicked.load(Ordering::Relaxed) {
                             break;
                         }
+                        if shared.winner.load(Ordering::Relaxed) < t as u64 {
+                            // Claims are monotone, so every remaining task is
+                            // also higher-indexed than the winner.
+                            break;
+                        }
+                        s.task_index = t as u64;
+                        let prefix = &tasks[t];
+                        // Contain a panicking subtree (a criterion bug, or the
+                        // test hook): the searcher's placement state is
+                        // unusable afterwards, so the worker retires and peers
+                        // cancel via `shared.panicked`. `true` = keep looping.
+                        let task = catch_unwind(AssertUnwindSafe(|| {
+                            if PANIC_ON_TASK
+                                .compare_exchange(
+                                    t as u64,
+                                    u64::MAX,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                )
+                                .is_ok()
+                            {
+                                panic!("injected worker panic (test hook)");
+                            }
+                            let mut undos = Vec::with_capacity(prefix.len());
+                            for &(i, committed) in prefix {
+                                undos.push(s.place(i, committed));
+                            }
+                            match s.dfs() {
+                                Outcome::Found => {
+                                    shared.winner.fetch_min(t as u64, Ordering::Relaxed);
+                                    found.lock().unwrap().insert(t as u64, s.path.clone());
+                                    // `dfs` does not unwind on Found; this
+                                    // searcher's state is spent, and every
+                                    // unclaimed task is higher-indexed anyway.
+                                    false
+                                }
+                                Outcome::Budget => {
+                                    let reason = s.unknown_reason();
+                                    let mut slot = budget_reason.lock().unwrap();
+                                    slot.get_or_insert(reason);
+                                    drop(slot);
+                                    unwind_prefix(&mut s, prefix, undos);
+                                    false
+                                }
+                                Outcome::Exhausted | Outcome::Cancelled => {
+                                    unwind_prefix(&mut s, prefix, undos);
+                                    true
+                                }
+                            }
+                        }));
+                        match task {
+                            Ok(true) => {}
+                            Ok(false) => break,
+                            Err(_) => {
+                                shared.panicked.store(true, Ordering::Relaxed);
+                                break;
+                            }
+                        }
                     }
-                }
-                let local = SearchStats {
-                    explored: s.explored,
-                    memo_hits: s.memo_hits,
-                    dead_ends: s.dead_ends,
-                    ..SearchStats::default()
-                };
-                totals.lock().unwrap().absorb(&local);
-            });
-        }
+                    let local = SearchStats {
+                        explored: s.explored,
+                        memo_hits: s.memo_hits,
+                        dead_ends: s.dead_ends,
+                        ..SearchStats::default()
+                    };
+                    totals.lock().unwrap().absorb(&local);
+                });
+            }
+        });
+
+        let mut stats = totals.into_inner().unwrap();
+        stats.explored += enum_explored;
+        stats.dead_ends += enum_dead_ends;
+        stats.peak_memo_entries = shared.memo_len() as u64;
+        stats.subtree_tasks = tasks.len() as u64;
+        stats.absorb(&carried);
+
+        // Reduction precedence: a witness is a definite answer regardless of
+        // anything else; otherwise a panicked subtree (unexplored, so "no
+        // witness elsewhere" proves nothing) forces Unknown ahead of a budget
+        // trip; only a fully explored, witness-free tree is a violation.
+        let found = found.into_inner().unwrap();
+        let verdict = if let Some((_, path)) = found.into_iter().next() {
+            Verdict::Satisfied(witness_from_path(spec, &path))
+        } else if shared.panicked.load(Ordering::Relaxed) {
+            Verdict::Unknown {
+                explored: stats.explored,
+                reason: UnknownReason::WorkerPanic,
+                partial: Some(crate::PartialProgress::components(0, 1)),
+            }
+        } else if let Some(reason) = budget_reason.into_inner().unwrap() {
+            Verdict::Unknown {
+                explored: stats.explored,
+                reason,
+                partial: Some(crate::PartialProgress::components(0, 1)),
+            }
+        } else {
+            carried = stats;
+            continue;
+        };
+        return (verdict, stats);
+    }
+    let verdict = Verdict::Violated(Violation::NoSerialization {
+        criterion: query.name.to_owned(),
+        explored: carried.explored,
     });
-
-    let mut stats = totals.into_inner().unwrap();
-    stats.explored += enum_explored;
-    stats.dead_ends += enum_dead_ends;
-    stats.peak_memo_entries = shared.memo_len() as u64;
-    stats.subtree_tasks = tasks.len() as u64;
-
-    // Reduction precedence: a witness is a definite answer regardless of
-    // anything else; otherwise a panicked subtree (unexplored, so "no
-    // witness elsewhere" proves nothing) forces Unknown ahead of a budget
-    // trip; only a fully explored, witness-free tree is a violation.
-    let found = found.into_inner().unwrap();
-    let verdict = if let Some((_, path)) = found.into_iter().next() {
-        Verdict::Satisfied(witness_from_path(spec, &path))
-    } else if shared.panicked.load(Ordering::Relaxed) {
-        Verdict::Unknown {
-            explored: stats.explored,
-            reason: UnknownReason::WorkerPanic,
-            partial: Some(crate::PartialProgress::components(0, 1)),
-        }
-    } else if let Some(reason) = budget_reason.into_inner().unwrap() {
-        Verdict::Unknown {
-            explored: stats.explored,
-            reason,
-            partial: Some(crate::PartialProgress::components(0, 1)),
-        }
-    } else {
-        Verdict::Violated(Violation::NoSerialization {
-            criterion: query.name.to_owned(),
-            explored: stats.explored,
-        })
-    };
-    (verdict, stats)
+    (verdict, carried)
 }
 
 /// Number of hardware threads, for `--threads 0` / default sizing.

@@ -473,44 +473,36 @@ impl PlanCriterion {
     ///
     /// [`prepare`]: PlanCriterion::prepare
     pub(crate) fn query(self, h: &History) -> Query {
-        match self {
-            PlanCriterion::FinalState => Query {
-                name: "final-state opacity",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Plain,
-            },
-            PlanCriterion::Du => Query {
-                name: "du-opacity",
-                deferred_update: true,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Du,
-            },
-            PlanCriterion::Rco => Query {
-                name: "read-commit-order opacity",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: crate::criteria::rco_edges(h),
-                lint_scope: crate::lint::LintScope::Rco,
-            },
-            PlanCriterion::Tms2 => Query {
-                name: "TMS2",
-                deferred_update: false,
-                extra_edges: crate::criteria::tms2_edges(h),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Tms2,
-            },
-            PlanCriterion::Strict => Query {
-                name: "strict serializability",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Plain,
-            },
+        let (extra_edges, commit_edges) = match self {
+            PlanCriterion::Rco => (Vec::new(), crate::criteria::rco_edges(h)),
+            PlanCriterion::Tms2 => (crate::criteria::tms2_edges(h), Vec::new()),
+            _ => (Vec::new(), Vec::new()),
+        };
+        Query {
+            name: self.display_name(),
+            deferred_update: self == PlanCriterion::Du,
+            extra_edges,
+            commit_edges,
+            lint_scope: self.lint_scope(),
+            criterion: Some(self),
         }
     }
+}
+
+/// Checks `h` against `criterion`: prepares the history, builds the
+/// criterion's query, and runs the check pipeline
+/// ([`crate::search::search_serialization_with_stats`]), optionally
+/// through a persistent component cache. Every criterion struct, the
+/// shard worker and [`crate::snapshot::ResumableCheck`] come through here.
+pub(crate) fn check_planned(
+    h: &History,
+    criterion: PlanCriterion,
+    cfg: &SearchConfig,
+    cache: Option<&mut ComponentCache>,
+) -> (Verdict, SearchStats) {
+    let prepared = criterion.prepare(h);
+    let hh = prepared.as_ref().unwrap_or(h);
+    crate::search::search_serialization_with_stats(hh, &criterion.query(hh), cfg, cache)
 }
 
 /// Outcome of standalone component extraction ([`plan_components`]).
@@ -594,10 +586,7 @@ pub fn check_criterion_with_stats(
     criterion: PlanCriterion,
     cfg: &SearchConfig,
 ) -> (Verdict, u64) {
-    let prepared = criterion.prepare(h);
-    let hh = prepared.as_ref().unwrap_or(h);
-    let (verdict, stats) =
-        crate::search::search_serialization_with_stats(hh, &criterion.query(hh), cfg);
+    let (verdict, stats) = check_planned(h, criterion, cfg, None);
     (verdict, stats.explored)
 }
 
@@ -778,7 +767,7 @@ fn seq_planned(
             }
             continue;
         }
-        let outcome = s.dfs();
+        let outcome = s.search();
         match outcome {
             Outcome::Found => {
                 decided += 1;
@@ -840,6 +829,7 @@ mod tests {
             extra_edges: Vec::new(),
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Du,
+            criterion: Some(PlanCriterion::Du),
         }
     }
 
@@ -951,6 +941,7 @@ mod tests {
             extra_edges: vec![(t(1), t(2)), (t(2), t(1))],
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: None,
         };
         let err = Plan::build(&spec, &q).unwrap_err();
         assert!(matches!(err, Violation::ConstraintCycle { .. }));

@@ -100,6 +100,13 @@ struct RfSlot {
     obj: usize,
     /// The value read.
     value: Value,
+    /// Whether every committed overwriter of the object interferes. True
+    /// outside du mode, and in du mode when `supplier` is the only
+    /// committable writer of the value at all. Otherwise only overwriters
+    /// that are `tryC`-eligible for the read interfere: a non-eligible one
+    /// can be followed by a non-eligible writer restoring the global value
+    /// without entering the read's local serialization.
+    any_interferer: bool,
 }
 
 struct Saturator<'a> {
@@ -113,6 +120,8 @@ struct Saturator<'a> {
     prov: Vec<Option<Prov>>,
     /// Read slots with singleton suppliers, indexed by slot.
     rf: Vec<Option<RfSlot>>,
+    /// Du mode only: `tryC`-eligible transactions per read slot.
+    elig: Vec<BitSet>,
 }
 
 impl<'a> Saturator<'a> {
@@ -125,6 +134,7 @@ impl<'a> Saturator<'a> {
             reach: (0..n).map(|_| BitSet::new(n)).collect(),
             prov: vec![None; n * n],
             rf: vec![None; spec.reads.len()],
+            elig: Vec::new(),
         }
     }
 
@@ -146,7 +156,12 @@ impl<'a> Saturator<'a> {
         }
 
         let du = self.criterion == PlanCriterion::Du;
-        let (_, suppliers) = supplier_sets(self.spec, du);
+        let (elig, suppliers) = supplier_sets(self.spec, du);
+        let writers = if du {
+            supplier_sets(self.spec, false).1
+        } else {
+            Vec::new()
+        };
         for (slot, r) in self.spec.reads.iter().enumerate() {
             if r.value == Value::INITIAL || suppliers[slot].count_ones() != 1 {
                 continue;
@@ -157,9 +172,11 @@ impl<'a> Saturator<'a> {
                 reader: r.txn,
                 obj: r.obj,
                 value: r.value,
+                any_interferer: !du || writers[slot].count_ones() == 1,
             });
             self.add(w, r.txn, Prov::ReadFrom { slot });
         }
+        self.elig = elig;
 
         // Initial-value anti-dependencies, exactly as the lint pipeline
         // derives them (rule CY004's edge source).
@@ -312,7 +329,8 @@ impl<'a> Saturator<'a> {
 
     /// One interference pass over the closed relation; `true` if any edge
     /// was added. For each singleton-supplier slot `(w, r, X, v)` and
-    /// committed writer `j` of `X` with final value `≠ v`: `w → j` forces
+    /// committed writer `j` of `X` with final value `≠ v` (in du mode, one
+    /// the slot admits per [`RfSlot::any_interferer`]): `w → j` forces
     /// `r → j`, and `j → r` forces `j → w`.
     fn interfere(&mut self) -> bool {
         let mut changed = false;
@@ -323,6 +341,9 @@ impl<'a> Saturator<'a> {
             for (j, t) in self.spec.txns.iter().enumerate() {
                 if j == rf.reader || j == rf.supplier || t.capability != CommitCapability::Committed
                 {
+                    continue;
+                }
+                if !rf.any_interferer && !self.elig[slot].contains(j) {
                     continue;
                 }
                 if !t.writes.iter().any(|&(o, v)| o == rf.obj && v != rf.value) {

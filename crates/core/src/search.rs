@@ -294,6 +294,13 @@ pub(crate) struct Query {
     /// The criterion family the lint prefilter treats this query as (which
     /// `Error`-severity rules may refute it).
     pub lint_scope: crate::lint::LintScope,
+    /// The criterion this query renders when built by
+    /// [`PlanCriterion::query`](crate::PlanCriterion); `None` for queries a
+    /// caller assembles with extra constraints (e.g. the unique-writes
+    /// fallback's seeded edges). Saturation runs only on the former: it
+    /// derives its own seeds from the history, which is verdict-equivalent
+    /// only for the canonical query shapes.
+    pub criterion: Option<crate::plan::PlanCriterion>,
 }
 
 /// Sentinel encoding of `Value` for memo keys: 0 = don't-care.
@@ -318,6 +325,14 @@ pub(crate) struct Searcher<'a> {
     /// feasibility pruning: once a slot's value is gone from the state and
     /// every candidate writer is placed, no extension can serve the read.
     suppliers: Vec<BitSet>,
+    /// Du mode only: every committable writer of each read slot's value,
+    /// eligible or not — the writers that can still restore the *global*
+    /// value. Outside du mode this equals `suppliers` and is left empty.
+    writers: Vec<BitSet>,
+    /// Du mode: prune as if only eligible writers could restore a read's
+    /// global value — the first pass of [`Self::search`], which finds
+    /// exactly the witnesses whose global writers are all eligible.
+    pub(crate) eligible_global: bool,
     /// Fail-first candidate order over *all* transactions: most successors
     /// in the precedence closure first, `priority` then index as
     /// tie-breakers (deterministic).
@@ -440,6 +455,11 @@ impl<'a> Searcher<'a> {
         });
 
         let (elig, suppliers) = crate::plan::supplier_sets(spec, query.deferred_update);
+        let writers = if query.deferred_update {
+            crate::plan::supplier_sets(spec, false).1
+        } else {
+            Vec::new()
+        };
 
         let mut pending_reads = vec![0usize; spec.objs.len()];
         for r in &spec.reads {
@@ -454,6 +474,8 @@ impl<'a> Searcher<'a> {
             commit_preds,
             elig,
             suppliers,
+            writers,
+            eligible_global: false,
             active: order.clone(),
             order,
             scope: BitSet::full(n),
@@ -551,24 +573,60 @@ impl<'a> Searcher<'a> {
 
     /// Forward feasibility: returns `true` if some unplaced in-scope
     /// transaction's external read can no longer be satisfied in any
-    /// extension of the current state — its value is not in the state and
-    /// every committable (and, for du-opacity, eligible) writer of that
-    /// value is already placed.
+    /// extension of the current state. The global value is lost once it
+    /// differs from the read's and every committable writer of it is
+    /// placed; for du-opacity the local value is lost once it differs and
+    /// every *eligible* writer is placed. The two writer sets differ: a
+    /// non-eligible writer can still restore the global value even though
+    /// it never enters the read's local serialization — unless
+    /// [`Self::eligible_global`] asks to ignore such witnesses.
     pub(crate) fn dead_end(&self) -> bool {
         for (slot, r) in self.spec.reads.iter().enumerate() {
             if self.placed.contains(r.txn) || !self.scope.contains(r.txn) {
                 continue;
             }
-            let state_ok = self.global_last[r.obj] == r.value
-                && (!self.du || self.local_last[slot] == r.value);
-            if state_ok {
-                continue;
+            let writers = if self.du && !self.eligible_global {
+                &self.writers[slot]
+            } else {
+                &self.suppliers[slot]
+            };
+            if self.global_last[r.obj] != r.value && writers.is_subset_of(&self.placed) {
+                return true;
             }
-            if self.suppliers[slot].is_subset_of(&self.placed) {
+            if self.du
+                && self.local_last[slot] != r.value
+                && self.suppliers[slot].is_subset_of(&self.placed)
+            {
                 return true;
             }
         }
         false
+    }
+
+    /// Searches the current scope for a serialization. Under du-opacity
+    /// this takes two passes. The first prunes with
+    /// [`Self::eligible_global`] set, so it explores only serializations
+    /// whose reads all take their global value from a `tryC`-eligible
+    /// writer; that pruning is strong, and typical histories are decided
+    /// there. Only if it exhausts does the exact second pass run, which
+    /// also finds witnesses where a read's global writer is not eligible
+    /// (DESIGN.md §12). Either pass's witness is valid, so the verdict is
+    /// exact, and the first witness found is the first-pass one whenever
+    /// one exists.
+    pub(crate) fn search(&mut self) -> Outcome {
+        if !self.du {
+            return self.dfs();
+        }
+        self.eligible_global = true;
+        let first = self.dfs();
+        self.eligible_global = false;
+        if !matches!(first, Outcome::Exhausted) {
+            return first;
+        }
+        // First-pass failures are not exact failures.
+        self.memo_peak = self.memo_peak.max(self.memo.len());
+        self.memo.clear();
+        self.dfs()
     }
 
     /// Checks whether transaction `i` can be placed now; its external reads
@@ -868,7 +926,7 @@ pub(crate) fn seq_search_spec(
         Ok(s) => s,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
-    let outcome = searcher.dfs();
+    let outcome = searcher.search();
     let stats = searcher.stats();
     let verdict = match outcome {
         Outcome::Found => Verdict::Satisfied(witness_from_path(spec, &searcher.path)),
@@ -910,44 +968,51 @@ pub(crate) fn decide_spec(
 
 /// Decides whether `h` has a serialization satisfying `query`.
 pub(crate) fn search_serialization(h: &History, query: &Query, cfg: &SearchConfig) -> Verdict {
-    search_serialization_with_stats(h, query, cfg).0
+    search_serialization_with_stats(h, query, cfg, None).0
 }
 
-/// As [`search_serialization`], also returning the search counters.
+/// The check pipeline every serialization query goes through: lint
+/// prefilter, saturation, spec prechecks, the planned or monolithic
+/// search, and the degradation ladder — each per `cfg`. `cache` carries a
+/// persistent component cache across calls (the anytime driver
+/// [`crate::snapshot::ResumableCheck`]); it is advanced to a new
+/// generation only when the search itself runs.
 pub(crate) fn search_serialization_with_stats(
     h: &History,
     query: &Query,
     cfg: &SearchConfig,
+    mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
     if cfg.prelint {
         if let Some(v) = crate::lint::prelint(h, query.lint_scope, query.name) {
             return (Verdict::Violated(v), SearchStats::default());
         }
     }
-    if cfg.saturate {
-        if let Some(criterion) = saturable_criterion(query) {
-            match crate::saturate::saturate_prepared(h, criterion) {
-                crate::saturate::SaturationOutcome::Refuted(cert) => {
-                    return (
-                        Verdict::Violated(Violation::Certified {
-                            criterion: query.name.into(),
-                            certificate: Box::new(cert),
-                        }),
-                        SearchStats::default(),
-                    );
-                }
-                crate::saturate::SaturationOutcome::Decided(w) => {
-                    return (Verdict::Satisfied(w), SearchStats::default());
-                }
-                crate::saturate::SaturationOutcome::Inconclusive => {}
+    if let Some(criterion) = query.criterion.filter(|_| cfg.saturate) {
+        match crate::saturate::saturate_prepared(h, criterion) {
+            crate::saturate::SaturationOutcome::Refuted(cert) => {
+                return (
+                    Verdict::Violated(Violation::Certified {
+                        criterion: query.name.into(),
+                        certificate: Box::new(cert),
+                    }),
+                    SearchStats::default(),
+                );
             }
+            crate::saturate::SaturationOutcome::Decided(w) => {
+                return (Verdict::Satisfied(w), SearchStats::default());
+            }
+            crate::saturate::SaturationOutcome::Inconclusive => {}
         }
     }
     let spec = match Spec::build(h) {
         Ok(s) => s,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
-    let (verdict, stats) = decide_spec(&spec, query, cfg, None);
+    if let Some(c) = cache.as_deref_mut() {
+        c.begin_generation();
+    }
+    let (verdict, stats) = decide_spec(&spec, query, cfg, cache);
     if cfg.ladder {
         if let Verdict::Unknown {
             explored,
@@ -962,39 +1027,6 @@ pub(crate) fn search_serialization_with_stats(
         }
     }
     (verdict, stats)
-}
-
-/// Maps a query to the saturable criterion it renders, or `None` when the
-/// query carries caller-supplied edges the saturation engine would not
-/// re-derive (e.g. the unique-writes fallback's seeded constraints) — the
-/// pass only runs on the canonical per-scope query shapes, where deriving
-/// its own seeds from the history is verdict-equivalent.
-fn saturable_criterion(query: &Query) -> Option<crate::plan::PlanCriterion> {
-    use crate::lint::LintScope;
-    use crate::plan::PlanCriterion;
-    match query.lint_scope {
-        LintScope::Plain
-            if !query.deferred_update
-                && query.extra_edges.is_empty()
-                && query.commit_edges.is_empty() =>
-        {
-            Some(PlanCriterion::FinalState)
-        }
-        LintScope::Du
-            if query.deferred_update
-                && query.extra_edges.is_empty()
-                && query.commit_edges.is_empty() =>
-        {
-            Some(PlanCriterion::Du)
-        }
-        LintScope::Rco if !query.deferred_update && query.extra_edges.is_empty() => {
-            Some(PlanCriterion::Rco)
-        }
-        LintScope::Tms2 if !query.deferred_update && query.commit_edges.is_empty() => {
-            Some(PlanCriterion::Tms2)
-        }
-        _ => None,
-    }
 }
 
 /// The verdict-degradation ladder: on budget exhaustion, fall back through
@@ -1074,6 +1106,7 @@ mod tests {
             extra_edges: Vec::new(),
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: Some(crate::plan::PlanCriterion::FinalState),
         }
     }
 
@@ -1084,6 +1117,7 @@ mod tests {
             extra_edges: Vec::new(),
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Du,
+            criterion: Some(crate::plan::PlanCriterion::Du),
         }
     }
 
@@ -1164,7 +1198,7 @@ mod tests {
             max_memo_entries: Some(2),
             ..SearchConfig::default()
         };
-        let (capped, stats) = search_serialization_with_stats(&h, &du_query(), &capped_cfg);
+        let (capped, stats) = search_serialization_with_stats(&h, &du_query(), &capped_cfg, None);
         assert_eq!(baseline.is_satisfied(), capped.is_satisfied());
         assert!(stats.peak_memo_entries <= 2, "cap exceeded: {stats:?}");
     }
@@ -1351,6 +1385,7 @@ mod tests {
             extra_edges: vec![(t(1), t(2))],
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: None,
         };
         for cfg in both_modes() {
             let verdict = search_serialization(&h, &constrained, &cfg);
@@ -1374,6 +1409,7 @@ mod tests {
             extra_edges: vec![(t(1), t(2)), (t(2), t(1))],
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: None,
         };
         for cfg in both_modes() {
             let verdict = search_serialization(&h, &q, &cfg);
@@ -1401,6 +1437,7 @@ mod tests {
             extra_edges: Vec::new(),
             commit_edges: vec![(t(2), t(1))],
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: None,
         };
         for cfg in both_modes() {
             let verdict = search_serialization(&h, &q, &cfg);
@@ -1433,6 +1470,7 @@ mod tests {
             extra_edges: vec![(t(1), t(2))],
             commit_edges: vec![(t(2), t(1))],
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: None,
         };
         for cfg in both_modes() {
             let verdict = search_serialization(&h, &q, &cfg);
@@ -1460,6 +1498,7 @@ mod tests {
             extra_edges: Vec::new(),
             commit_edges: vec![(t(1), t(2))],
             lint_scope: crate::lint::LintScope::Plain,
+            criterion: None,
         };
         for cfg in both_modes() {
             assert!(search_serialization(&h, &q, &cfg).is_violated());

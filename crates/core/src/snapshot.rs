@@ -27,15 +27,14 @@
 //! snapshot therefore costs wasted replay time, never a wrong verdict —
 //! and an actually corrupted file is rejected by the integrity hash first.
 
+use crate::json::{field, fields, s};
 use crate::online::OnlineStats;
 use crate::plan::ComponentCache;
-use crate::search::{decide_spec, Query, SearchConfig, SearchStats};
-use crate::spec::Spec;
+use crate::search::{SearchConfig, SearchStats};
 use crate::{Verdict, Witness};
 use duop_history::{Event, History, TxnId};
 use serde::{Content, DeError, Deserialize as _};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -162,32 +161,6 @@ fn export_cache(cache: &ComponentCache) -> Vec<Fragment> {
 // Snapshot data model
 // ---------------------------------------------------------------------------
 
-/// A serializable witness: the order plus the commit choices, in a shape
-/// the hand-written JSON layer round-trips exactly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WitnessSnap {
-    /// The serialization order.
-    pub order: Vec<TxnId>,
-    /// Commit decisions for commit-pending transactions.
-    pub choices: Vec<(TxnId, bool)>,
-}
-
-impl WitnessSnap {
-    /// Snapshots a witness.
-    pub fn from_witness(w: &Witness) -> Self {
-        WitnessSnap {
-            order: w.order().to_vec(),
-            choices: w.commit_choices().iter().map(|(&t, &c)| (t, c)).collect(),
-        }
-    }
-
-    /// Reconstructs the witness (revalidate before trusting it).
-    pub fn into_witness(self) -> Witness {
-        let choices: BTreeMap<TxnId, bool> = self.choices.into_iter().collect();
-        Witness::new(self.order, choices)
-    }
-}
-
 /// A criterion the enclosing `duop check` already finished: its CLI name,
 /// whether it passed, and the exact output line to re-emit on resume.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -260,7 +233,7 @@ pub struct MonitorSnapshot {
     /// only cause a recheck, not a wrong verdict.
     pub violated_at: Option<u64>,
     /// The last certified witness, revalidated on resume.
-    pub witness: Option<WitnessSnap>,
+    pub witness: Option<Witness>,
     /// Monitor work counters at flush time.
     pub stats: OnlineStats,
     /// Component fragments from the monitor's cache.
@@ -291,7 +264,7 @@ pub struct SessionSnapshot {
     /// Events counted but not retained after degradation set in.
     pub discarded: u64,
     /// The last certified witness, revalidated on resume.
-    pub witness: Option<WitnessSnap>,
+    pub witness: Option<Witness>,
     /// Monitor work counters at flush time.
     pub stats: OnlineStats,
     /// Component fragments from the session checker's cache.
@@ -313,12 +286,8 @@ pub enum Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (hand-written, core/json.rs style)
+// Serialization (hand-written, through core/json.rs's helpers)
 // ---------------------------------------------------------------------------
-
-fn s(text: impl Into<String>) -> Content {
-    Content::Str(text.into())
-}
 
 fn pair_seq(pairs: &[(TxnId, bool)]) -> Content {
     Content::Seq(
@@ -346,21 +315,6 @@ fn pairs_from(content: &Content) -> Result<Vec<(TxnId, bool)>, DeError> {
         .collect()
 }
 
-fn fields(content: &Content, what: &str) -> Result<Vec<(String, Content)>, DeError> {
-    match content {
-        Content::Map(entries) => Ok(entries.clone()),
-        _ => Err(DeError::custom(format!("{what}: expected object"))),
-    }
-}
-
-fn field<'a>(entries: &'a [(String, Content)], name: &str) -> Result<&'a Content, DeError> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError::custom(format!("missing field `{name}`")))
-}
-
 impl serde::Serialize for Fragment {
     fn to_content(&self) -> Content {
         Content::Map(vec![
@@ -374,29 +328,26 @@ impl serde::Deserialize for Fragment {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "fragment")?;
         Ok(Fragment {
-            members: Vec::<TxnId>::from_content(field(&m, "members")?)?,
-            placements: pairs_from(field(&m, "placements")?)?,
+            members: Vec::<TxnId>::from_content(field(m, "members")?)?,
+            placements: pairs_from(field(m, "placements")?)?,
         })
     }
 }
 
-impl serde::Serialize for WitnessSnap {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("order".into(), self.order.to_content()),
-            ("choices".into(), pair_seq(&self.choices)),
-        ])
+/// Decodes a checkpointed witness: `null`, the verdict codec's shape, or
+/// the legacy `{"order":[1,2],"choices":[[1,true]]}` shape older
+/// checkpoints carry.
+fn checkpoint_witness(content: &Content) -> Result<Option<Witness>, DeError> {
+    if matches!(content, Content::Null) {
+        return Ok(None);
     }
-}
-
-impl serde::Deserialize for WitnessSnap {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let m = fields(content, "witness")?;
-        Ok(WitnessSnap {
-            order: Vec::<TxnId>::from_content(field(&m, "order")?)?,
-            choices: pairs_from(field(&m, "choices")?)?,
-        })
+    let m = fields(content, "witness")?;
+    if field(m, "commit_choices").is_ok() {
+        return Witness::from_content(content).map(Some);
     }
+    let order = Vec::<TxnId>::from_content(field(m, "order")?)?;
+    let choices = pairs_from(field(m, "choices")?)?;
+    Ok(Some(Witness::new(order, choices.into_iter().collect())))
 }
 
 impl serde::Serialize for CompletedCriterion {
@@ -413,9 +364,9 @@ impl serde::Deserialize for CompletedCriterion {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "completed criterion")?;
         Ok(CompletedCriterion {
-            name: String::from_content(field(&m, "name")?)?,
-            ok: bool::from_content(field(&m, "ok")?)?,
-            line: String::from_content(field(&m, "line")?)?,
+            name: String::from_content(field(m, "name")?)?,
+            ok: bool::from_content(field(m, "ok")?)?,
+            line: String::from_content(field(m, "line")?)?,
         })
     }
 }
@@ -434,9 +385,9 @@ impl serde::Deserialize for InFlight {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "in-flight criterion")?;
         Ok(InFlight {
-            name: String::from_content(field(&m, "name")?)?,
-            explored: u64::from_content(field(&m, "explored")?)?,
-            fragments: Vec::<Fragment>::from_content(field(&m, "fragments")?)?,
+            name: String::from_content(field(m, "name")?)?,
+            explored: u64::from_content(field(m, "explored")?)?,
+            fragments: Vec::<Fragment>::from_content(field(m, "fragments")?)?,
         })
     }
 }
@@ -482,19 +433,19 @@ impl serde::Deserialize for OnlineStats {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "monitor stats")?;
         Ok(OnlineStats {
-            events: usize::from_content(field(&m, "events")?)?,
-            incremental_hits: usize::from_content(field(&m, "incremental_hits")?)?,
-            full_searches: usize::from_content(field(&m, "full_searches")?)?,
-            component_reuses: u64::from_content(field(&m, "component_reuses")?)?,
-            lint_refutations: u64::from_content(field(&m, "lint_refutations")?)?,
-            retained_events: usize::from_content(field(&m, "retained_events")?)?,
-            peak_resident_events: usize::from_content(field(&m, "peak_resident_events")?)?,
+            events: usize::from_content(field(m, "events")?)?,
+            incremental_hits: usize::from_content(field(m, "incremental_hits")?)?,
+            full_searches: usize::from_content(field(m, "full_searches")?)?,
+            component_reuses: u64::from_content(field(m, "component_reuses")?)?,
+            lint_refutations: u64::from_content(field(m, "lint_refutations")?)?,
+            retained_events: usize::from_content(field(m, "retained_events")?)?,
+            peak_resident_events: usize::from_content(field(m, "peak_resident_events")?)?,
             // Absent in checkpoints written before compaction existed.
-            compactions: match field(&m, "compactions") {
+            compactions: match field(m, "compactions") {
                 Ok(v) => u64::from_content(v)?,
                 Err(_) => 0,
             },
-            compacted_events: match field(&m, "compacted_events") {
+            compacted_events: match field(m, "compacted_events") {
                 Ok(v) => u64::from_content(v)?,
                 Err(_) => 0,
             },
@@ -529,25 +480,25 @@ impl serde::Deserialize for CheckSnapshot {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "check snapshot")?;
         Ok(CheckSnapshot {
-            events: Vec::<Event>::from_content(field(&m, "events")?)?,
-            criteria: Vec::<String>::from_content(field(&m, "criteria")?)?,
-            format: String::from_content(field(&m, "format")?)?,
-            threads: u64::from_content(field(&m, "threads")?)?,
-            decompose: bool::from_content(field(&m, "decompose")?)?,
-            prelint: bool::from_content(field(&m, "prelint")?)?,
+            events: Vec::<Event>::from_content(field(m, "events")?)?,
+            criteria: Vec::<String>::from_content(field(m, "criteria")?)?,
+            format: String::from_content(field(m, "format")?)?,
+            threads: u64::from_content(field(m, "threads")?)?,
+            decompose: bool::from_content(field(m, "decompose")?)?,
+            prelint: bool::from_content(field(m, "prelint")?)?,
             // Absent in checkpoints written before the saturation pass.
-            saturate: match field(&m, "saturate") {
+            saturate: match field(m, "saturate") {
                 Ok(v) => bool::from_content(v)?,
                 Err(_) => true,
             },
-            ladder: bool::from_content(field(&m, "ladder")?)?,
-            deadline_ms: u64::from_content(field(&m, "deadline_ms")?)?,
-            max_states: u64::from_content(field(&m, "max_states")?)?,
-            retry: u64::from_content(field(&m, "retry")?)?,
-            escalate_milli: u64::from_content(field(&m, "escalate_milli")?)?,
-            attempt: u64::from_content(field(&m, "attempt")?)?,
-            completed: Vec::<CompletedCriterion>::from_content(field(&m, "completed")?)?,
-            current: Option::<InFlight>::from_content(field(&m, "current")?)?,
+            ladder: bool::from_content(field(m, "ladder")?)?,
+            deadline_ms: u64::from_content(field(m, "deadline_ms")?)?,
+            max_states: u64::from_content(field(m, "max_states")?)?,
+            retry: u64::from_content(field(m, "retry")?)?,
+            escalate_milli: u64::from_content(field(m, "escalate_milli")?)?,
+            attempt: u64::from_content(field(m, "attempt")?)?,
+            completed: Vec::<CompletedCriterion>::from_content(field(m, "completed")?)?,
+            current: Option::<InFlight>::from_content(field(m, "current")?)?,
         })
     }
 }
@@ -575,14 +526,14 @@ impl serde::Deserialize for MonitorSnapshot {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "monitor snapshot")?;
         Ok(MonitorSnapshot {
-            events: Vec::<Event>::from_content(field(&m, "events")?)?,
-            done: u64::from_content(field(&m, "done")?)?,
-            violated_at: Option::<u64>::from_content(field(&m, "violated_at")?)?,
-            witness: Option::<WitnessSnap>::from_content(field(&m, "witness")?)?,
-            stats: OnlineStats::from_content(field(&m, "stats")?)?,
-            fragments: Vec::<Fragment>::from_content(field(&m, "fragments")?)?,
-            status_every: u64::from_content(field(&m, "status_every")?)?,
-            checkpoint_every: u64::from_content(field(&m, "checkpoint_every")?)?,
+            events: Vec::<Event>::from_content(field(m, "events")?)?,
+            done: u64::from_content(field(m, "done")?)?,
+            violated_at: Option::<u64>::from_content(field(m, "violated_at")?)?,
+            witness: checkpoint_witness(field(m, "witness")?)?,
+            stats: OnlineStats::from_content(field(m, "stats")?)?,
+            fragments: Vec::<Fragment>::from_content(field(m, "fragments")?)?,
+            status_every: u64::from_content(field(m, "status_every")?)?,
+            checkpoint_every: u64::from_content(field(m, "checkpoint_every")?)?,
         })
     }
 }
@@ -608,15 +559,15 @@ impl serde::Deserialize for SessionSnapshot {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "session snapshot")?;
         Ok(SessionSnapshot {
-            session: u64::from_content(field(&m, "session")?)?,
-            ingested: u64::from_content(field(&m, "ingested")?)?,
-            events: Vec::<Event>::from_content(field(&m, "events")?)?,
-            degraded: bool::from_content(field(&m, "degraded")?)?,
-            discarded: u64::from_content(field(&m, "discarded")?)?,
-            witness: Option::<WitnessSnap>::from_content(field(&m, "witness")?)?,
-            stats: OnlineStats::from_content(field(&m, "stats")?)?,
-            fragments: Vec::<Fragment>::from_content(field(&m, "fragments")?)?,
-            budget: u64::from_content(field(&m, "budget")?)?,
+            session: u64::from_content(field(m, "session")?)?,
+            ingested: u64::from_content(field(m, "ingested")?)?,
+            events: Vec::<Event>::from_content(field(m, "events")?)?,
+            degraded: bool::from_content(field(m, "degraded")?)?,
+            discarded: u64::from_content(field(m, "discarded")?)?,
+            witness: checkpoint_witness(field(m, "witness")?)?,
+            stats: OnlineStats::from_content(field(m, "stats")?)?,
+            fragments: Vec::<Fragment>::from_content(field(m, "fragments")?)?,
+            budget: u64::from_content(field(m, "budget")?)?,
         })
     }
 }
@@ -634,7 +585,7 @@ impl serde::Serialize for Snapshot {
 impl serde::Deserialize for Snapshot {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "snapshot payload")?;
-        match String::from_content(field(&m, "kind")?)?.as_str() {
+        match String::from_content(field(m, "kind")?)?.as_str() {
             "check" => CheckSnapshot::from_content(content).map(Snapshot::Check),
             "monitor" => MonitorSnapshot::from_content(content).map(Snapshot::Monitor),
             "session" => SessionSnapshot::from_content(content).map(Snapshot::Session),
@@ -746,19 +697,19 @@ pub fn load(path: &str) -> Result<Snapshot, SnapshotError> {
     let Raw(outer) =
         serde_json::from_str::<Raw>(&text).map_err(|e| SnapshotError::Syntax(e.to_string()))?;
     let entries = fields(&outer, "snapshot file").map_err(|e| SnapshotError::Shape(e.0))?;
-    let version = field(&entries, "version")
+    let version = field(entries, "version")
         .map_err(|e| SnapshotError::Shape(e.0))?
         .as_u64()
         .ok_or_else(|| SnapshotError::Shape("`version` must be an integer".into()))?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::WrongVersion { found: version });
     }
-    let recorded = field(&entries, "hash")
+    let recorded = field(entries, "hash")
         .map_err(|e| SnapshotError::Shape(e.0))?
         .as_str()
         .ok_or_else(|| SnapshotError::Shape("`hash` must be a string".into()))?
         .to_owned();
-    let payload = field(&entries, "payload").map_err(|e| SnapshotError::Shape(e.0))?;
+    let payload = field(entries, "payload").map_err(|e| SnapshotError::Shape(e.0))?;
     // The payload was written by our own serializer, whose output the
     // parser round-trips exactly, so re-serializing the parsed tree
     // reproduces the hashed bytes.
@@ -799,46 +750,6 @@ impl CheckableCriterion {
             CheckableCriterion::ReadCommitOrder => crate::plan::PlanCriterion::Rco,
             CheckableCriterion::Tms2 => crate::plan::PlanCriterion::Tms2,
             CheckableCriterion::StrictSerializability => crate::plan::PlanCriterion::Strict,
-        }
-    }
-
-    fn query(self, h: &History) -> Query {
-        match self {
-            CheckableCriterion::FinalStateOpacity => Query {
-                name: "final-state opacity",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Plain,
-            },
-            CheckableCriterion::DuOpacity => Query {
-                name: "du-opacity",
-                deferred_update: true,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Du,
-            },
-            CheckableCriterion::ReadCommitOrder => Query {
-                name: "read-commit-order opacity",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: crate::criteria::rco_edges(h),
-                lint_scope: crate::lint::LintScope::Rco,
-            },
-            CheckableCriterion::Tms2 => Query {
-                name: "TMS2",
-                deferred_update: false,
-                extra_edges: crate::criteria::tms2_edges(h),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Tms2,
-            },
-            CheckableCriterion::StrictSerializability => Query {
-                name: "strict serializability",
-                deferred_update: false,
-                extra_edges: Vec::new(),
-                commit_edges: Vec::new(),
-                lint_scope: crate::lint::LintScope::Plain,
-            },
         }
     }
 }
@@ -882,76 +793,16 @@ impl ResumableCheck {
         export_cache(&self.cache)
     }
 
-    /// Checks `h` against `criterion` under `cfg`, going through the
-    /// persistent cache. Verdict-equivalent to the corresponding
-    /// [`Criterion::check`](crate::Criterion) call.
+    /// Checks `h` against `criterion` under `cfg`: the same pipeline as
+    /// the corresponding [`Criterion::check`](crate::Criterion) call, run
+    /// through the persistent cache.
     pub fn check(
         &mut self,
         h: &History,
         criterion: CheckableCriterion,
         cfg: &SearchConfig,
     ) -> (Verdict, SearchStats) {
-        let projection;
-        let h_eff: &History = match criterion {
-            CheckableCriterion::StrictSerializability => {
-                let committed: Vec<TxnId> = h
-                    .txns()
-                    .filter(|t| {
-                        t.commit_capability() != duop_history::CommitCapability::NeverCommitted
-                    })
-                    .map(|t| t.id())
-                    .collect();
-                projection = h.filter_txns(|id| committed.contains(&id));
-                &projection
-            }
-            _ => h,
-        };
-        let query = criterion.query(h_eff);
-        if cfg.prelint {
-            if let Some(v) = crate::lint::prelint(h_eff, query.lint_scope, query.name) {
-                return (Verdict::Violated(v), SearchStats::default());
-            }
-        }
-        // The same certifying saturation prefilter the criterion structs
-        // run (h_eff is already the prepared history, so `strict` works
-        // on its committed projection here too).
-        if cfg.saturate {
-            match crate::saturate::saturate_prepared(h_eff, criterion.plan_criterion()) {
-                crate::saturate::SaturationOutcome::Refuted(cert) => {
-                    return (
-                        Verdict::Violated(crate::Violation::Certified {
-                            criterion: query.name.into(),
-                            certificate: Box::new(cert),
-                        }),
-                        SearchStats::default(),
-                    );
-                }
-                crate::saturate::SaturationOutcome::Decided(w) => {
-                    return (Verdict::Satisfied(w), SearchStats::default());
-                }
-                crate::saturate::SaturationOutcome::Inconclusive => {}
-            }
-        }
-        let spec = match Spec::build(h_eff) {
-            Ok(s) => s,
-            Err(v) => return (Verdict::Violated(v), SearchStats::default()),
-        };
-        self.cache.begin_generation();
-        let (verdict, stats) = decide_spec(&spec, &query, cfg, Some(&mut self.cache));
-        if cfg.ladder {
-            if let Verdict::Unknown {
-                explored,
-                reason,
-                partial,
-            } = verdict
-            {
-                return (
-                    crate::search::ladder_fallback(h_eff, &query, cfg, explored, reason, partial),
-                    stats,
-                );
-            }
-        }
-        (verdict, stats)
+        crate::plan::check_planned(h, criterion.plan_criterion(), cfg, Some(&mut self.cache))
     }
 }
 
@@ -959,6 +810,7 @@ impl ResumableCheck {
 mod tests {
     use super::*;
     use duop_history::{HistoryBuilder, ObjId, Value};
+    use std::collections::BTreeMap;
 
     fn t(k: u32) -> TxnId {
         TxnId::new(k)
@@ -1034,10 +886,7 @@ mod tests {
             events: h.events().to_vec(),
             done: 4,
             violated_at: None,
-            witness: Some(WitnessSnap {
-                order: vec![t(1)],
-                choices: vec![(t(1), true)],
-            }),
+            witness: Some(Witness::new(vec![t(1)], BTreeMap::from([(t(1), true)]))),
             stats,
             fragments: Vec::new(),
             status_every: 2,
@@ -1053,6 +902,58 @@ mod tests {
         let loaded = load(path.to_str().unwrap()).unwrap();
         assert_eq!(loaded, snap);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A session checkpoint in the format written before witnesses moved
+    /// to the verdict codec (`{"order":[1,2],"choices":[[2,false]]}`)
+    /// still loads, into the same snapshot the current writer produces.
+    #[test]
+    fn legacy_witness_checkpoint_loads() {
+        let legacy = r#"{"version":1,"hash":"8138669b2dc570796d64dff7fb9c5a05","payload":{"kind":"session","session":7,"ingested":9,"events":[{"txn":1,"kind":{"Inv":{"Write":[0,1]}}},{"txn":1,"kind":{"Resp":"Ok"}},{"txn":1,"kind":{"Inv":"TryCommit"}},{"txn":1,"kind":{"Resp":"Committed"}},{"txn":2,"kind":{"Inv":{"Write":[0,2]}}},{"txn":2,"kind":{"Resp":"Ok"}},{"txn":2,"kind":{"Inv":"TryCommit"}}],"degraded":false,"discarded":0,"witness":{"order":[1,2],"choices":[[2,false]]},"stats":{"events":9,"incremental_hits":5,"full_searches":2,"component_reuses":1,"lint_refutations":0,"retained_events":7,"peak_resident_events":7,"compactions":0,"compacted_events":0},"fragments":[{"members":[1,2],"placements":[[1,true],[2,false]]}],"budget":64}}"#;
+        let h = HistoryBuilder::new()
+            .committed_writer(t(1), ObjId::new(0), Value::new(1))
+            .write(t(2), ObjId::new(0), Value::new(2))
+            .inv_try_commit(t(2))
+            .build();
+        let expected = Snapshot::Session(SessionSnapshot {
+            session: 7,
+            ingested: 9,
+            events: h.events().to_vec(),
+            degraded: false,
+            discarded: 0,
+            witness: Some(Witness::new(
+                vec![t(1), t(2)],
+                BTreeMap::from([(t(2), false)]),
+            )),
+            stats: OnlineStats {
+                events: 9,
+                incremental_hits: 5,
+                full_searches: 2,
+                component_reuses: 1,
+                lint_refutations: 0,
+                retained_events: 7,
+                peak_resident_events: 7,
+                compactions: 0,
+                compacted_events: 0,
+            },
+            fragments: vec![Fragment {
+                members: vec![t(1), t(2)],
+                placements: vec![(t(1), true), (t(2), false)],
+            }],
+            budget: 64,
+        });
+        let path = std::env::temp_dir().join(format!(
+            "duop-snap-legacy-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, legacy).unwrap();
+        let loaded = load(path.to_str().unwrap());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded, Ok(expected.clone()));
+        // Re-saving writes the verdict codec's witness shape.
+        assert!(to_file_string(&expected)
+            .contains(r#""witness":{"order":["T1","T2"],"commit_choices":{"T2":false}}"#));
     }
 
     #[test]
@@ -1078,10 +979,10 @@ mod tests {
             events: h.events().to_vec(),
             degraded: true,
             discarded: 4,
-            witness: Some(WitnessSnap {
-                order: vec![t(1), t(2)],
-                choices: vec![(t(1), true), (t(2), true)],
-            }),
+            witness: Some(Witness::new(
+                vec![t(1), t(2)],
+                BTreeMap::from([(t(1), true), (t(2), false)]),
+            )),
             stats,
             fragments: vec![Fragment {
                 members: vec![t(1), t(2)],

@@ -108,6 +108,9 @@ pub fn check_unique_writes_fast(h: &History) -> (Verdict, FastPathStats) {
     // Finish with the general search, seeded with the inferred edges
     // (each is implied, so this is sound and complete).
     stats.fell_back = true;
+    // Without seeded edges this is the plain du-opacity query, which the
+    // saturation prefilter may decide.
+    let criterion = edges.is_empty().then_some(crate::PlanCriterion::Du);
     let verdict = crate::search::search_serialization(
         h,
         &crate::search::Query {
@@ -116,6 +119,7 @@ pub fn check_unique_writes_fast(h: &History) -> (Verdict, FastPathStats) {
             extra_edges: edges,
             commit_edges: Vec::new(),
             lint_scope: crate::lint::LintScope::Du,
+            criterion,
         },
         &SearchConfig::default(),
     );

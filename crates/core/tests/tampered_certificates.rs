@@ -393,6 +393,75 @@ fn hand_built_cross_criterion_scope_confusion_is_rejected() {
 }
 
 #[test]
+fn du_interference_through_a_non_eligible_writer_is_rejected() {
+    // Seed 303 of the six-transaction hotspot corpus is du-opaque
+    // (T1 < T3 < T2 < T4 < T6 < T5): T5's read of X0 = 3 has the local
+    // writer T2 and the global writer T6. This certificate treats T5 as
+    // an interferer for T4's read, but T5 is not tryC-eligible for it and
+    // T6 can restore X0 = 3 after it, so step 2 does not hold.
+    use duop_gen::KeyDist;
+    let cfg = HistoryGenConfig::small_adversarial()
+        .with_txns(6)
+        .with_key_dist(KeyDist::Hotspot {
+            hot_fraction: 0.25,
+            hot_prob: 0.9,
+        });
+    let h = HistoryGen::new(cfg, 303).generate();
+    let (x0, three) = (ObjId::new(0), Value::new(3));
+    let step = |from: u32, to: u32, rule: Rule| Step {
+        from: TxnId::new(from),
+        to: TxnId::new(to),
+        rule,
+    };
+    let read_from = |read: usize| Rule::ReadFrom {
+        obj: x0,
+        value: three,
+        read,
+    };
+    let cert = Certificate {
+        criterion: PlanCriterion::Du,
+        steps: vec![
+            step(2, 5, Rule::RealTime),
+            step(2, 4, read_from(13)),
+            step(
+                4,
+                5,
+                Rule::InterferenceAfter {
+                    read_from: 1,
+                    before: 0,
+                },
+            ),
+            step(2, 5, read_from(16)),
+            step(
+                4,
+                2,
+                Rule::InterferenceBefore {
+                    read_from: 3,
+                    after: 2,
+                },
+            ),
+            step(2, 4, read_from(13)),
+        ],
+        cycle: vec![5, 4],
+    };
+    assert!(
+        matches!(
+            check_certificate(&h, &cert),
+            Err(CertificateError::AxiomUnsupported { step: 2, .. })
+        ),
+        "non-eligible interferer accepted: {:?}",
+        check_certificate(&h, &cert)
+    );
+    assert!(
+        !matches!(
+            saturate(&h, PlanCriterion::Du),
+            SaturationOutcome::Refuted(_)
+        ),
+        "saturation still refutes a du-opaque history:\n{h}"
+    );
+}
+
+#[test]
 fn fabricated_real_time_cycle_is_rejected_on_every_history() {
     // Real-time order is a strict partial order, so a two-step real-time
     // cycle can never re-derive — on any history whatsoever. A forger

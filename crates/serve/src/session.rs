@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use duop_core::online::{OnlineChecker, OnlineStats};
-use duop_core::snapshot::{Fragment, SessionSnapshot, WitnessSnap};
+use duop_core::snapshot::{Fragment, SessionSnapshot};
 use duop_core::{Criterion, DuOpacity, PartialProgress, SearchConfig, UnknownReason, Verdict};
 use duop_history::{Event, History, MalformedHistoryError};
 
@@ -187,7 +187,7 @@ impl Session {
             events: self.checker.history().events().to_vec(),
             degraded: self.degraded,
             discarded: self.discarded,
-            witness: self.checker.witness().map(WitnessSnap::from_witness),
+            witness: self.checker.witness().cloned(),
             stats: self.checker.stats(),
             fragments: self
                 .checker
@@ -216,7 +216,7 @@ impl Session {
         let history = History::new(snap.events)?;
         let violated = Some(DuOpacity::with_config(SearchConfig::default()).check(&history))
             .filter(|v| v.is_violated());
-        let witness = snap.witness.map(WitnessSnap::into_witness);
+        let witness = snap.witness;
         let budget = match snap.budget {
             0 => None,
             b => Some(b as usize),

@@ -2,7 +2,9 @@
 //!
 //! Messages travel as length-prefixed frames reusing the `.duob`
 //! primitives from `duop_history::binary` — LEB128 varints for every
-//! integer and a CRC-32 guard per frame:
+//! integer and a CRC-32 guard per frame. Verdicts inside `V` frames use
+//! `duop_core`'s JSON codec, the same one `duop check --format json`
+//! prints:
 //!
 //! ```text
 //! frame := type:u8  len:varint  payload:[u8; len]  crc32:u32-le
@@ -15,7 +17,7 @@
 //! |------|-----------|---------|
 //! | `H`  | both      | `DUOS` magic + version varint (handshake) |
 //! | `T`  | coord → worker | task id, attempt, criterion token, flags, budgets, `.duob` sub-history |
-//! | `V`  | worker → coord | task id, explored counter, encoded verdict |
+//! | `V`  | worker → coord | task id, explored counter, JSON verdict |
 //! | `S`  | coord → worker | empty (orderly shutdown) |
 //! | `C`  | daemon → coord | magic + version + per-connection nonce (TCP auth challenge) |
 //! | `A`  | coord → daemon | keyed SipHash-2-4 tag over the nonce (TCP auth response) |
@@ -25,20 +27,17 @@
 //! structured [`ProtocolError`] the worker turns into exit code 2,
 //! mirroring the `.duob` ingestion contract.
 
-use duop_core::certificate::{Certificate, Rule, Step};
-use duop_core::lint::{self, Applicability, Diagnostic, Severity, Span};
-use duop_core::{PartialProgress, PlanCriterion, UnknownReason, Verdict, Violation, Witness};
+use duop_core::Verdict;
 use duop_history::binary::{crc32, decode_varint, write_varint, Crc32};
-use duop_history::{ObjId, TxnId, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 
 /// Handshake magic, distinguishing the shard protocol from a stray
 /// `.duob` file (`DUOB`).
 pub const MAGIC: &[u8; 4] = b"DUOS";
-/// Protocol version sent (and required) in the handshake.
-pub const VERSION: u64 = 1;
+/// Protocol version sent (and required) in the handshake. Version 2
+/// carries verdicts as JSON; a version-1 peer fails at the handshake.
+pub const VERSION: u64 = 2;
 
 /// Frame type: handshake.
 pub const FRAME_HELLO: u8 = b'H';
@@ -532,441 +531,16 @@ pub struct VerdictMsg {
     pub verdict: Verdict,
 }
 
-const VERDICT_SATISFIED: u8 = 0;
-const VERDICT_VIOLATED: u8 = 1;
-const VERDICT_UNKNOWN: u8 = 2;
-
-const VIOLATION_INTERNAL_READ: u8 = 0;
-const VIOLATION_MISSING_WRITER: u8 = 1;
-const VIOLATION_CONSTRAINT_CYCLE: u8 = 2;
-const VIOLATION_NO_SERIALIZATION: u8 = 3;
-const VIOLATION_PREFIX: u8 = 4;
-const VIOLATION_LINT_REFUTED: u8 = 5;
-const VIOLATION_CERTIFIED: u8 = 6;
-
-const RULE_REAL_TIME: u8 = 0;
-const RULE_READ_FROM: u8 = 1;
-const RULE_ANTI_DEPENDENCY: u8 = 2;
-const RULE_READ_COMMIT_ORDER: u8 = 3;
-const RULE_TMS2_COMMIT_ORDER: u8 = 4;
-const RULE_TRANSITIVE: u8 = 5;
-const RULE_INTERFERENCE_AFTER: u8 = 6;
-const RULE_INTERFERENCE_BEFORE: u8 = 7;
-
-const SEVERITY_TAGS: [(Severity, u8); 3] = [
-    (Severity::Error, 0),
-    (Severity::Warning, 1),
-    (Severity::Note, 2),
-];
-
-const APPLICABILITY_TAGS: [(Applicability, u8); 4] = [
-    (Applicability::AllCriteria, 0),
-    (Applicability::DuOpacityOnly, 1),
-    (Applicability::ReadCommitOrderOnly, 2),
-    (Applicability::Tms2Only, 3),
-];
-
-const REASON_TAGS: [(UnknownReason, u8); 5] = [
-    (UnknownReason::StateBudget, 0),
-    (UnknownReason::Deadline, 1),
-    (UnknownReason::WorkerPanic, 2),
-    (UnknownReason::Interrupted, 3),
-    (UnknownReason::WorkerDeath, 4),
-];
-
-/// The ladder tiers a partial-progress payload may name. Tiers are
-/// `&'static str` in core, so decoding maps bytes back to this closed
-/// set.
-const KNOWN_TIERS: [&str; 3] = ["exact-search", "lint", "unique-writes"];
-
-fn put_violation(out: &mut Vec<u8>, v: &Violation) -> Result<(), ProtocolError> {
-    match v {
-        Violation::InternalReadInconsistency {
-            txn,
-            obj,
-            got,
-            expected,
-        } => {
-            out.push(VIOLATION_INTERNAL_READ);
-            write_varint(out, u64::from(txn.index()));
-            write_varint(out, u64::from(obj.index()));
-            write_varint(out, got.get());
-            write_varint(out, expected.get());
-        }
-        Violation::MissingWriter { txn, obj, value } => {
-            out.push(VIOLATION_MISSING_WRITER);
-            write_varint(out, u64::from(txn.index()));
-            write_varint(out, u64::from(obj.index()));
-            write_varint(out, value.get());
-        }
-        Violation::ConstraintCycle { txns } => {
-            out.push(VIOLATION_CONSTRAINT_CYCLE);
-            write_varint(out, txns.len() as u64);
-            for t in txns {
-                write_varint(out, u64::from(t.index()));
-            }
-        }
-        Violation::NoSerialization {
-            criterion,
-            explored,
-        } => {
-            out.push(VIOLATION_NO_SERIALIZATION);
-            put_bytes(out, criterion.as_bytes());
-            write_varint(out, *explored);
-        }
-        Violation::PrefixNotFinalStateOpaque { prefix_len, cause } => {
-            out.push(VIOLATION_PREFIX);
-            write_varint(out, *prefix_len as u64);
-            put_violation(out, cause)?;
-        }
-        // Component tasks never produce this (their prelint runs in the
-        // coordinator), but whole-history tasks do — opacity in
-        // particular embeds lint refutations inside prefix causes.
-        Violation::LintRefuted {
-            criterion,
-            diagnostic,
-        } => {
-            out.push(VIOLATION_LINT_REFUTED);
-            put_bytes(out, criterion.as_bytes());
-            put_diagnostic(out, diagnostic);
-        }
-        // Saturation refutations travel with their full certificate so the
-        // coordinator's verdict is byte-identical to a local run's and the
-        // user can re-validate it with `check_certificate`.
-        Violation::Certified {
-            criterion,
-            certificate,
-        } => {
-            out.push(VIOLATION_CERTIFIED);
-            put_bytes(out, criterion.as_bytes());
-            put_certificate(out, certificate);
-        }
-    }
-    Ok(())
-}
-
-fn put_rule(out: &mut Vec<u8>, rule: &Rule) {
-    match *rule {
-        Rule::RealTime => out.push(RULE_REAL_TIME),
-        Rule::ReadFrom { obj, value, read } => {
-            out.push(RULE_READ_FROM);
-            write_varint(out, u64::from(obj.index()));
-            write_varint(out, value.get());
-            write_varint(out, read as u64);
-        }
-        Rule::AntiDependency { obj, read } => {
-            out.push(RULE_ANTI_DEPENDENCY);
-            write_varint(out, u64::from(obj.index()));
-            write_varint(out, read as u64);
-        }
-        Rule::ReadCommitOrder { obj, read, tryc } => {
-            out.push(RULE_READ_COMMIT_ORDER);
-            write_varint(out, u64::from(obj.index()));
-            write_varint(out, read as u64);
-            write_varint(out, tryc as u64);
-        }
-        Rule::Tms2CommitOrder { obj, resp, tryc } => {
-            out.push(RULE_TMS2_COMMIT_ORDER);
-            write_varint(out, u64::from(obj.index()));
-            write_varint(out, resp as u64);
-            write_varint(out, tryc as u64);
-        }
-        Rule::Transitive { first, second } => {
-            out.push(RULE_TRANSITIVE);
-            write_varint(out, first as u64);
-            write_varint(out, second as u64);
-        }
-        Rule::InterferenceAfter { read_from, before } => {
-            out.push(RULE_INTERFERENCE_AFTER);
-            write_varint(out, read_from as u64);
-            write_varint(out, before as u64);
-        }
-        Rule::InterferenceBefore { read_from, after } => {
-            out.push(RULE_INTERFERENCE_BEFORE);
-            write_varint(out, read_from as u64);
-            write_varint(out, after as u64);
-        }
-    }
-}
-
-fn put_certificate(out: &mut Vec<u8>, cert: &Certificate) {
-    put_bytes(out, cert.criterion.token().as_bytes());
-    write_varint(out, cert.steps.len() as u64);
-    for step in &cert.steps {
-        write_varint(out, u64::from(step.from.index()));
-        write_varint(out, u64::from(step.to.index()));
-        put_rule(out, &step.rule);
-    }
-    write_varint(out, cert.cycle.len() as u64);
-    for &s in &cert.cycle {
-        write_varint(out, s as u64);
-    }
-}
-
-fn put_span(out: &mut Vec<u8>, span: &Span) {
-    write_varint(out, span.event as u64);
-    put_bytes(out, span.label.as_bytes());
-}
-
-fn put_diagnostic(out: &mut Vec<u8>, d: &Diagnostic) {
-    put_bytes(out, d.rule.as_bytes());
-    let severity = SEVERITY_TAGS
-        .iter()
-        .find(|(s, _)| *s == d.severity)
-        .map(|&(_, t)| t)
-        .expect("every severity is in the table");
-    out.push(severity);
-    let applicability = APPLICABILITY_TAGS
-        .iter()
-        .find(|(a, _)| *a == d.applicability)
-        .map(|&(_, t)| t)
-        .expect("every applicability is in the table");
-    out.push(applicability);
-    put_bytes(out, d.message.as_bytes());
-    put_span(out, &d.primary);
-    write_varint(out, d.secondary.len() as u64);
-    for span in &d.secondary {
-        put_span(out, span);
-    }
-}
-
-fn get_span(bytes: &[u8], pos: &mut usize) -> Result<Span, ProtocolError> {
-    Ok(Span {
-        event: get_varint(bytes, pos, "span event")? as usize,
-        label: get_str(bytes, pos, "span label")?,
-    })
-}
-
-fn get_diagnostic(bytes: &[u8], pos: &mut usize) -> Result<Diagnostic, ProtocolError> {
-    let rule_raw = get_str(bytes, pos, "diagnostic rule")?;
-    // Rule ids are `&'static str` in core: map back through the registry.
-    let rule = lint::rules()
-        .iter()
-        .find(|r| r.id == rule_raw)
-        .map(|r| r.id)
-        .ok_or_else(|| malformed("diagnostic rule", format!("unknown rule {rule_raw:?}")))?;
-    let severity_tag = get_u8(bytes, pos, "diagnostic severity")?;
-    let severity = SEVERITY_TAGS
-        .iter()
-        .find(|&&(_, t)| t == severity_tag)
-        .map(|&(s, _)| s)
-        .ok_or_else(|| malformed("diagnostic severity", format!("unknown tag {severity_tag}")))?;
-    let applicability_tag = get_u8(bytes, pos, "diagnostic applicability")?;
-    let applicability = APPLICABILITY_TAGS
-        .iter()
-        .find(|&&(_, t)| t == applicability_tag)
-        .map(|&(a, _)| a)
-        .ok_or_else(|| {
-            malformed(
-                "diagnostic applicability",
-                format!("unknown tag {applicability_tag}"),
-            )
-        })?;
-    let message = get_str(bytes, pos, "diagnostic message")?;
-    let primary = get_span(bytes, pos)?;
-    let n = get_varint(bytes, pos, "diagnostic secondary")? as usize;
-    if n > bytes.len() {
-        return Err(malformed("diagnostic secondary", "count exceeds payload"));
-    }
-    let mut secondary = Vec::with_capacity(n);
-    for _ in 0..n {
-        secondary.push(get_span(bytes, pos)?);
-    }
-    Ok(Diagnostic {
-        rule,
-        severity,
-        applicability,
-        message,
-        primary,
-        secondary,
-    })
-}
-
-fn get_violation(bytes: &[u8], pos: &mut usize, depth: u8) -> Result<Violation, ProtocolError> {
-    if depth > 32 {
-        return Err(malformed("violation", "nesting too deep"));
-    }
-    let tag = get_u8(bytes, pos, "violation tag")?;
-    Ok(match tag {
-        VIOLATION_INTERNAL_READ => Violation::InternalReadInconsistency {
-            txn: txn_id(get_varint(bytes, pos, "violation txn")?)?,
-            obj: obj_id(get_varint(bytes, pos, "violation obj")?)?,
-            got: Value::new(get_varint(bytes, pos, "violation value")?),
-            expected: Value::new(get_varint(bytes, pos, "violation value")?),
-        },
-        VIOLATION_MISSING_WRITER => Violation::MissingWriter {
-            txn: txn_id(get_varint(bytes, pos, "violation txn")?)?,
-            obj: obj_id(get_varint(bytes, pos, "violation obj")?)?,
-            value: Value::new(get_varint(bytes, pos, "violation value")?),
-        },
-        VIOLATION_CONSTRAINT_CYCLE => {
-            let n = get_varint(bytes, pos, "violation cycle")? as usize;
-            if n > bytes.len() {
-                return Err(malformed("violation cycle", "count exceeds payload"));
-            }
-            let mut txns = Vec::with_capacity(n);
-            for _ in 0..n {
-                txns.push(txn_id(get_varint(bytes, pos, "violation txn")?)?);
-            }
-            Violation::ConstraintCycle { txns }
-        }
-        VIOLATION_NO_SERIALIZATION => Violation::NoSerialization {
-            criterion: get_str(bytes, pos, "violation criterion")?,
-            explored: get_varint(bytes, pos, "violation explored")?,
-        },
-        VIOLATION_PREFIX => Violation::PrefixNotFinalStateOpaque {
-            prefix_len: get_varint(bytes, pos, "violation prefix")? as usize,
-            cause: Box::new(get_violation(bytes, pos, depth + 1)?),
-        },
-        VIOLATION_LINT_REFUTED => Violation::LintRefuted {
-            criterion: get_str(bytes, pos, "violation criterion")?,
-            diagnostic: Box::new(get_diagnostic(bytes, pos)?),
-        },
-        VIOLATION_CERTIFIED => Violation::Certified {
-            criterion: get_str(bytes, pos, "violation criterion")?,
-            certificate: Box::new(get_certificate(bytes, pos)?),
-        },
-        other => return Err(malformed("violation tag", format!("unknown tag {other}"))),
-    })
-}
-
-fn event_index(raw: u64, context: &'static str) -> Result<usize, ProtocolError> {
-    usize::try_from(raw).map_err(|_| malformed(context, format!("{raw} exceeds usize")))
-}
-
-fn get_rule(bytes: &[u8], pos: &mut usize) -> Result<Rule, ProtocolError> {
-    let tag = get_u8(bytes, pos, "rule tag")?;
-    Ok(match tag {
-        RULE_REAL_TIME => Rule::RealTime,
-        RULE_READ_FROM => Rule::ReadFrom {
-            obj: obj_id(get_varint(bytes, pos, "rule obj")?)?,
-            value: Value::new(get_varint(bytes, pos, "rule value")?),
-            read: event_index(get_varint(bytes, pos, "rule read")?, "rule read")?,
-        },
-        RULE_ANTI_DEPENDENCY => Rule::AntiDependency {
-            obj: obj_id(get_varint(bytes, pos, "rule obj")?)?,
-            read: event_index(get_varint(bytes, pos, "rule read")?, "rule read")?,
-        },
-        RULE_READ_COMMIT_ORDER => Rule::ReadCommitOrder {
-            obj: obj_id(get_varint(bytes, pos, "rule obj")?)?,
-            read: event_index(get_varint(bytes, pos, "rule read")?, "rule read")?,
-            tryc: event_index(get_varint(bytes, pos, "rule tryc")?, "rule tryc")?,
-        },
-        RULE_TMS2_COMMIT_ORDER => Rule::Tms2CommitOrder {
-            obj: obj_id(get_varint(bytes, pos, "rule obj")?)?,
-            resp: event_index(get_varint(bytes, pos, "rule resp")?, "rule resp")?,
-            tryc: event_index(get_varint(bytes, pos, "rule tryc")?, "rule tryc")?,
-        },
-        RULE_TRANSITIVE => Rule::Transitive {
-            first: event_index(get_varint(bytes, pos, "rule premise")?, "rule premise")?,
-            second: event_index(get_varint(bytes, pos, "rule premise")?, "rule premise")?,
-        },
-        RULE_INTERFERENCE_AFTER => Rule::InterferenceAfter {
-            read_from: event_index(get_varint(bytes, pos, "rule premise")?, "rule premise")?,
-            before: event_index(get_varint(bytes, pos, "rule premise")?, "rule premise")?,
-        },
-        RULE_INTERFERENCE_BEFORE => Rule::InterferenceBefore {
-            read_from: event_index(get_varint(bytes, pos, "rule premise")?, "rule premise")?,
-            after: event_index(get_varint(bytes, pos, "rule premise")?, "rule premise")?,
-        },
-        other => return Err(malformed("rule tag", format!("unknown tag {other}"))),
-    })
-}
-
-fn get_certificate(bytes: &[u8], pos: &mut usize) -> Result<Certificate, ProtocolError> {
-    let token = get_str(bytes, pos, "certificate criterion")?;
-    let criterion = PlanCriterion::parse(&token)
-        .ok_or_else(|| malformed("certificate criterion", format!("unknown token {token:?}")))?;
-    let n = get_varint(bytes, pos, "certificate steps")? as usize;
-    if n > bytes.len() {
-        return Err(malformed("certificate steps", "count exceeds payload"));
-    }
-    let mut steps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let from = txn_id(get_varint(bytes, pos, "step txn")?)?;
-        let to = txn_id(get_varint(bytes, pos, "step txn")?)?;
-        let rule = get_rule(bytes, pos)?;
-        steps.push(Step { from, to, rule });
-    }
-    let k = get_varint(bytes, pos, "certificate cycle")? as usize;
-    if k > bytes.len() {
-        return Err(malformed("certificate cycle", "count exceeds payload"));
-    }
-    let mut cycle = Vec::with_capacity(k);
-    for _ in 0..k {
-        cycle.push(event_index(
-            get_varint(bytes, pos, "cycle step")?,
-            "cycle step",
-        )?);
-    }
-    Ok(Certificate {
-        criterion,
-        steps,
-        cycle,
-    })
-}
-
-fn txn_id(raw: u64) -> Result<TxnId, ProtocolError> {
-    u32::try_from(raw)
-        .map(TxnId::new)
-        .map_err(|_| malformed("transaction id", format!("{raw} exceeds u32")))
-}
-
-fn obj_id(raw: u64) -> Result<ObjId, ProtocolError> {
-    u32::try_from(raw)
-        .map(ObjId::new)
-        .map_err(|_| malformed("object id", format!("{raw} exceeds u32")))
-}
-
-/// Encodes a verdict payload.
+/// Encodes a verdict payload: the task id and explored counter as
+/// varints, then the verdict in its JSON form (the same codec as `duop
+/// check --format json`).
 pub fn encode_verdict_msg(msg: &VerdictMsg) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = Vec::with_capacity(64);
+    let json =
+        serde_json::to_string(&msg.verdict).map_err(|e| malformed("verdict", e.to_string()))?;
+    let mut out = Vec::with_capacity(json.len() + 20);
     write_varint(&mut out, msg.task_id);
     write_varint(&mut out, msg.explored);
-    match &msg.verdict {
-        Verdict::Satisfied(w) => {
-            out.push(VERDICT_SATISFIED);
-            write_varint(&mut out, w.order().len() as u64);
-            for t in w.order() {
-                write_varint(&mut out, u64::from(t.index()));
-            }
-            write_varint(&mut out, w.commit_choices().len() as u64);
-            for (t, &committed) in w.commit_choices() {
-                write_varint(&mut out, u64::from(t.index()));
-                out.push(u8::from(committed));
-            }
-        }
-        Verdict::Violated(v) => {
-            out.push(VERDICT_VIOLATED);
-            put_violation(&mut out, v)?;
-        }
-        Verdict::Unknown {
-            explored,
-            reason,
-            partial,
-        } => {
-            out.push(VERDICT_UNKNOWN);
-            write_varint(&mut out, *explored);
-            let tag = REASON_TAGS
-                .iter()
-                .find(|(r, _)| r == reason)
-                .map(|&(_, t)| t)
-                .expect("every reason is in the table");
-            out.push(tag);
-            match partial {
-                None => out.push(0),
-                Some(p) => {
-                    out.push(1);
-                    write_varint(&mut out, p.components_decided);
-                    write_varint(&mut out, p.components_total);
-                    write_varint(&mut out, p.tiers.len() as u64);
-                    for t in &p.tiers {
-                        put_bytes(&mut out, t.as_bytes());
-                    }
-                }
-            }
-        }
-    }
+    out.extend_from_slice(json.as_bytes());
     Ok(out)
 }
 
@@ -975,78 +549,10 @@ pub fn decode_verdict_msg(payload: &[u8]) -> Result<VerdictMsg, ProtocolError> {
     let mut pos = 0;
     let task_id = get_varint(payload, &mut pos, "verdict")?;
     let explored = get_varint(payload, &mut pos, "verdict")?;
-    let tag = get_u8(payload, &mut pos, "verdict tag")?;
-    let verdict = match tag {
-        VERDICT_SATISFIED => {
-            let n = get_varint(payload, &mut pos, "witness order")? as usize;
-            if n > payload.len() {
-                return Err(malformed("witness order", "count exceeds payload"));
-            }
-            let mut order = Vec::with_capacity(n);
-            for _ in 0..n {
-                order.push(txn_id(get_varint(payload, &mut pos, "witness txn")?)?);
-            }
-            let m = get_varint(payload, &mut pos, "witness choices")? as usize;
-            if m > payload.len() {
-                return Err(malformed("witness choices", "count exceeds payload"));
-            }
-            let mut choices = BTreeMap::new();
-            for _ in 0..m {
-                let t = txn_id(get_varint(payload, &mut pos, "witness txn")?)?;
-                let c = get_u8(payload, &mut pos, "witness choice")?;
-                if c > 1 {
-                    return Err(malformed("witness choice", format!("bool byte {c}")));
-                }
-                choices.insert(t, c == 1);
-            }
-            Verdict::Satisfied(Witness::new(order, choices))
-        }
-        VERDICT_VIOLATED => Verdict::Violated(get_violation(payload, &mut pos, 0)?),
-        VERDICT_UNKNOWN => {
-            let explored = get_varint(payload, &mut pos, "unknown explored")?;
-            let reason_tag = get_u8(payload, &mut pos, "unknown reason")?;
-            let reason = REASON_TAGS
-                .iter()
-                .find(|&&(_, t)| t == reason_tag)
-                .map(|&(r, _)| r)
-                .ok_or_else(|| malformed("unknown reason", format!("unknown tag {reason_tag}")))?;
-            let partial = match get_u8(payload, &mut pos, "unknown partial")? {
-                0 => None,
-                1 => {
-                    let decided = get_varint(payload, &mut pos, "partial decided")?;
-                    let total = get_varint(payload, &mut pos, "partial total")?;
-                    let k = get_varint(payload, &mut pos, "partial tiers")? as usize;
-                    if k > payload.len() {
-                        return Err(malformed("partial tiers", "count exceeds payload"));
-                    }
-                    let mut p = PartialProgress::components(decided, total);
-                    for _ in 0..k {
-                        let raw = get_bytes(payload, &mut pos, "partial tier")?;
-                        let tier = KNOWN_TIERS
-                            .iter()
-                            .find(|t| t.as_bytes() == raw)
-                            .copied()
-                            .ok_or_else(|| {
-                                malformed(
-                                    "partial tier",
-                                    format!("unknown tier {:?}", String::from_utf8_lossy(raw)),
-                                )
-                            })?;
-                        p.tiers.push(tier);
-                    }
-                    Some(p)
-                }
-                other => return Err(malformed("unknown partial", format!("flag byte {other}"))),
-            };
-            Verdict::Unknown {
-                explored,
-                reason,
-                partial,
-            }
-        }
-        other => return Err(malformed("verdict tag", format!("unknown tag {other}"))),
-    };
-    expect_end(payload, pos, "verdict")?;
+    let json =
+        std::str::from_utf8(&payload[pos..]).map_err(|_| malformed("verdict", "invalid utf-8"))?;
+    let verdict =
+        serde_json::from_str::<Verdict>(json).map_err(|e| malformed("verdict", e.to_string()))?;
     Ok(VerdictMsg {
         task_id,
         explored,
@@ -1057,6 +563,11 @@ pub fn decode_verdict_msg(payload: &[u8]) -> Result<VerdictMsg, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duop_core::certificate::{Certificate, Rule, Step};
+    use duop_core::lint::{self, Applicability, Diagnostic, Severity, Span};
+    use duop_core::{PartialProgress, PlanCriterion, UnknownReason, Violation, Witness};
+    use duop_history::{ObjId, TxnId, Value};
+    use std::collections::BTreeMap;
 
     fn t(k: u32) -> TxnId {
         TxnId::new(k)
@@ -1123,6 +634,9 @@ mod tests {
         bad[4] = 99;
         assert!(decode_hello(&bad).is_err());
         assert!(decode_hello(b"DUOB\x01").is_err());
+        // A version-1 peer speaks the binary verdict codec: rejected at
+        // the hello instead of misreading verdict frames.
+        assert!(decode_hello(b"DUOS\x01").is_err());
     }
 
     #[test]
@@ -1305,21 +819,57 @@ mod tests {
     #[test]
     fn verdict_fuzz_decode_never_panics() {
         // Deterministic xorshift byte soup: the decoder must always return
-        // a structured result on arbitrary input.
+        // a structured result on arbitrary input — raw bytes, JSON-alphabet
+        // soup behind a valid varint prefix, and truncations and byte
+        // flips of a real verdict payload.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        const JSON_ALPHABET: &[u8] = b"{}[],:\"\\0123456789-.eE truefalsnullTXstatuskindcause";
         for len in 0..256usize {
-            let mut bytes = Vec::with_capacity(len);
-            for _ in 0..len {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                bytes.push(state as u8);
-            }
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             let _ = decode_verdict_msg(&bytes);
             let _ = decode_task(&bytes);
             let _ = decode_hello(&bytes);
             let _ = decode_challenge(&bytes);
             let _ = decode_auth(&bytes);
+            let mut soup = vec![7, 0];
+            soup.extend((0..len).map(|_| JSON_ALPHABET[next() as usize % JSON_ALPHABET.len()]));
+            let _ = decode_verdict_msg(&soup);
+        }
+        let real = encode_verdict_msg(&VerdictMsg {
+            task_id: 3,
+            explored: 9,
+            verdict: Verdict::Violated(Violation::PrefixNotFinalStateOpaque {
+                prefix_len: 4,
+                cause: Box::new(Violation::LintRefuted {
+                    criterion: "final-state opacity".to_owned(),
+                    diagnostic: Box::new(Diagnostic {
+                        rule: lint::rules()[1].id,
+                        severity: Severity::Error,
+                        applicability: Applicability::DuOpacityOnly,
+                        message: "dirty read".to_owned(),
+                        primary: Span {
+                            event: 2,
+                            label: "T2->1".to_owned(),
+                        },
+                        secondary: Vec::new(),
+                    }),
+                }),
+            }),
+        })
+        .unwrap();
+        for cut in 0..real.len() {
+            assert!(decode_verdict_msg(&real[..cut]).is_err(), "cut at {cut}");
+        }
+        for i in 0..real.len() {
+            let mut bad = real.clone();
+            bad[i] ^= (next() as u8) | 1;
+            let _ = decode_verdict_msg(&bad);
         }
     }
 
