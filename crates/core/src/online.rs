@@ -12,6 +12,23 @@
 //!   monitor first tries cheap adaptations of it and only falls back to a
 //!   full search when they all fail.
 //!
+//! The adaptations are tried in a fixed order: the same order, the
+//! event's transaction moved to the end, and its commit choice set to
+//! true, then to false. While the stored witness certifies exactly the
+//! previous prefix, each is *delta-validated*: coverage, equivalence to a
+//! completion and real-time order hold by construction, so only the reads
+//! the event can affect are re-checked for global and local (Definition
+//! 3(3)) legality — the read the event answers, the moved transaction's
+//! own reads, and reads of a transaction's write set placed after it when
+//! its membership among their committed predecessors changes. Each costs
+//! a backward scan from the reader over the witness order, found through
+//! a position table, so a push costs about the transactions it can
+//! affect, not the retained history. It accepts exactly the candidate
+//! [`check_witness`] would (DESIGN.md §10, "Delta validation"). A witness
+//! an `Unknown` push left behind certifies only an older prefix; the next
+//! push re-checks its adaptations with the full [`check_witness`], as do
+//! [`OnlineChecker::resume`] and [`OnlineChecker::try_compact`].
+//!
 //! Even the fallback searches are incremental: the search planner
 //! ([`crate::plan`]) decomposes each prefix into conflict-graph
 //! components, and the monitor caches each component's serialization
@@ -24,8 +41,10 @@
 use crate::plan::{ComponentCache, PlanCriterion};
 use crate::search::decide_spec;
 use crate::spec::Spec;
+use crate::verdict::committed_in_s;
+use crate::witness_check::{latest_writes, own_write_before, positions};
 use crate::{check_witness, CriterionKind, SearchConfig, Verdict, Witness};
-use duop_history::{Event, History, MalformedHistoryError, ObjId, Op, Ret, TxnId, Value};
+use duop_history::{Event, History, MalformedHistoryError, ObjId, Op, OpRecord, Ret, TxnId, Value};
 use std::collections::BTreeMap;
 
 /// Counters describing how much work the monitor has done.
@@ -78,6 +97,14 @@ pub struct OnlineStats {
 pub struct OnlineChecker {
     history: History,
     witness: Option<Witness>,
+    /// Length of the prefix `witness` was certified for (`None` certifies
+    /// only the empty history). Delta validation needs it to equal the
+    /// history's length before a push; an `Unknown` push leaves an older
+    /// prefix's witness behind, and the next push re-checks in full.
+    certified_len: usize,
+    /// `witness`'s positions by history transaction slot
+    /// ([`History::txn_slot`]), kept in step with it while it is certified.
+    positions: Vec<u32>,
     violated: Option<Verdict>,
     cfg: SearchConfig,
     stats: OnlineStats,
@@ -126,15 +153,17 @@ impl OnlineChecker {
         let mut stats = stats;
         stats.retained_events = history.len();
         stats.peak_resident_events = stats.peak_resident_events.max(history.len());
-        OnlineChecker {
+        let mut mon = OnlineChecker {
             history,
-            witness,
             violated,
             cfg,
             stats,
-            cache: ComponentCache::default(),
-            compact_every: None,
+            ..OnlineChecker::default()
+        };
+        if let Some(w) = witness {
+            mon.certify(w);
         }
+        mon
     }
 
     /// Enables (or disables, with `None`) automatic history compaction
@@ -209,13 +238,27 @@ impl OnlineChecker {
             return Ok(v.clone());
         }
 
-        // Candidate witnesses adapted from the previous prefix's witness.
-        for candidate in self.candidates(event) {
-            if check_witness(&self.history, &candidate, CriterionKind::DuOpacity).is_ok() {
-                self.stats.incremental_hits += 1;
-                self.witness = Some(candidate.clone());
-                self.maybe_auto_compact();
-                return Ok(Verdict::Satisfied(candidate));
+        // Candidate witnesses adapted from the previous prefix's witness:
+        // delta-validated when that witness certifies exactly the previous
+        // prefix, re-checked in full when it is stale.
+        let tries = if self.witness.is_some() {
+            &ADAPTATIONS[..]
+        } else {
+            // First event of the history: the single-transaction witness.
+            &ADAPTATIONS[..1]
+        };
+        if self.certified_len == self.history.len() - 1 {
+            if let Some(&a) = tries.iter().find(|&&a| self.delta_accepts(event, a)) {
+                self.adapt(a, event.txn);
+                return Ok(self.incremental_hit());
+            }
+        } else {
+            for &a in tries {
+                let candidate = a.candidate(self.witness.as_ref(), event.txn);
+                if check_witness(&self.history, &candidate, CriterionKind::DuOpacity).is_ok() {
+                    self.certify(candidate);
+                    return Ok(self.incremental_hit());
+                }
             }
         }
 
@@ -245,13 +288,180 @@ impl OnlineChecker {
         self.stats.component_reuses = self.cache.reuses;
         match &verdict {
             Verdict::Satisfied(w) => {
-                self.witness = Some(w.clone());
+                self.certify(w.clone());
                 self.maybe_auto_compact();
             }
             Verdict::Violated(_) => self.violated = Some(verdict.clone()),
             Verdict::Unknown { .. } => {}
         }
         Ok(verdict)
+    }
+
+    /// Counts a prefix certified by an adapted witness and reports it.
+    fn incremental_hit(&mut self) -> Verdict {
+        self.stats.incremental_hits += 1;
+        let w = self
+            .witness
+            .clone()
+            .expect("an adapted witness was adopted");
+        self.maybe_auto_compact();
+        Verdict::Satisfied(w)
+    }
+
+    /// Adopts `w` as the witness certified for the current history.
+    fn certify(&mut self, w: Witness) {
+        self.certified_len = match positions(&self.history, w.order()) {
+            Some(p) => {
+                self.positions = p;
+                self.history.len()
+            }
+            // A witness that does not cover the history cannot seed delta
+            // validation; the next push re-checks its candidates in full.
+            None => usize::MAX,
+        };
+        self.witness = Some(w);
+    }
+
+    /// Applies adaptation `a` for the event's transaction `txn` to the
+    /// certified witness in place, keeping the position table in step.
+    fn adapt(&mut self, a: Adaptation, txn: TxnId) {
+        let slot = self.history.txn_slot(txn).expect("the event was pushed");
+        let old = self.positions.get(slot).map(|&p| p as usize);
+        let w = self
+            .witness
+            .get_or_insert_with(|| Witness::new(Vec::new(), BTreeMap::new()));
+        a.apply(w, txn, old);
+        match old {
+            // A new transaction takes the next slot and the last position.
+            None => {
+                debug_assert_eq!(slot, self.positions.len());
+                self.positions.push((w.order.len() - 1) as u32);
+            }
+            Some(from) if a == Adaptation::MoveToEnd => {
+                for (p, &m) in w.order.iter().enumerate().skip(from) {
+                    let s = self
+                        .history
+                        .txn_slot(m)
+                        .expect("witness covers the history");
+                    self.positions[s] = p as u32;
+                }
+            }
+            Some(_) => {}
+        }
+        self.certified_len = self.history.len();
+    }
+
+    /// Whether adaptation `a` of the witness certified for the previous
+    /// prefix certifies the history `event` (already pushed) extends it
+    /// to, by re-checking only the reads whose legality the event or the
+    /// adaptation can change (DESIGN.md §10, "Delta validation"):
+    ///
+    /// * the read `event` answers, if it is one;
+    /// * the event's transaction's own reads, if `a` moves it;
+    /// * reads of its write set by transactions placed after it, if its
+    ///   membership among their committed predecessors in `S` changes —
+    ///   its commit status flips (a `tryC` invocation under a true choice,
+    ///   a commit or abort response, a choice flip), or it moves away
+    ///   while committed.
+    ///
+    /// Coverage, equivalence to a completion and real-time order hold by
+    /// construction for every adaptation, and every other read keeps its
+    /// predecessors, so this accepts exactly when [`check_witness`] does.
+    fn delta_accepts(&self, event: Event, a: Adaptation) -> bool {
+        let h = &self.history;
+        let t = event.txn;
+        let view = h.txn(t).expect("the event was pushed");
+        let empty = Witness::new(Vec::new(), BTreeMap::new());
+        let w = self.witness.as_ref().unwrap_or(&empty);
+        let order = w.order();
+        let old = h
+            .txn_slot(t)
+            .and_then(|slot| self.positions.get(slot))
+            .map(|&p| p as usize);
+        let moved = a == Adaptation::MoveToEnd && old.is_some_and(|p| p + 1 != order.len());
+
+        // The event's transaction's commit status in S, before the event
+        // (only a resolved `tryC` was commit-pending then) and under `a`.
+        let tryc_resolved =
+            event.kind.is_resp() && view.ops().last().is_some_and(|o| o.op.is_try_commit());
+        let committed_before = tryc_resolved && w.commit_choice(t) == Some(true);
+        let choice = match a {
+            Adaptation::Choose(c) => Some(c),
+            _ => w.commit_choice(t),
+        };
+        let committed_after = committed_in_s(&view, choice);
+
+        // A read is legal under `a` if it returns the latest value written
+        // before it in S, globally and in its local serialization; `end`
+        // bounds its predecessors in the previous order (the moved
+        // transaction is skipped: it now sits after everything).
+        let legal = |op: &OpRecord, end: usize| -> bool {
+            let (Op::Read(x), Some(Ret::Value(got))) = (op.op, op.resp) else {
+                return true;
+            };
+            let before = order[..end]
+                .iter()
+                .rev()
+                .filter(|&&m| !(moved && m == t))
+                .map(|&m| {
+                    let v = h.txn(m).expect("certified witness covers the history");
+                    let c = if m == t {
+                        committed_after
+                    } else {
+                        committed_in_s(&v, w.commit_choice(m))
+                    };
+                    (v, c)
+                });
+            let resp = op.resp_index.expect("complete read has a response index");
+            let (global, local) = latest_writes(before, x, resp);
+            got == global && got == local
+        };
+
+        // The event's transaction's reads: the one the event answers, and
+        // every other one if `a` moved it.
+        let own_end = if moved {
+            order.len()
+        } else {
+            old.unwrap_or(order.len())
+        };
+        for op in view.ops() {
+            let new = op.resp_index == Some(h.len() - 1);
+            if !new && !moved {
+                continue;
+            }
+            let ok = match own_write_before(view, op) {
+                // Fixed by the own write: order-independent, so only the
+                // new read needs it.
+                Some(v) => !new || op.resp.and_then(Ret::value) == Some(v),
+                None => legal(op, own_end),
+            };
+            if !ok {
+                return false;
+            }
+        }
+
+        // Reads of its write set by transactions placed after it.
+        let Some(old) = old else {
+            return true;
+        };
+        if committed_before == (committed_after && !moved) {
+            return true;
+        }
+        for (p, &k) in order.iter().enumerate().skip(old + 1) {
+            let reader = h.txn(k).expect("certified witness covers the history");
+            for op in reader.ops() {
+                let Op::Read(x) = op.op else {
+                    continue;
+                };
+                if view.last_write_to(x).is_some()
+                    && own_write_before(reader, op).is_none()
+                    && !legal(op, p)
+                {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     fn maybe_auto_compact(&mut self) {
@@ -322,15 +532,16 @@ impl OnlineChecker {
         }
         let dropped = self.history.len();
         let baseline = History::new(events).expect("baseline history is well-formed");
-        self.witness = if finals.is_empty() {
-            None
-        } else {
-            Some(Witness::new(vec![TxnId::BASELINE], BTreeMap::new()))
-        };
         self.stats.compactions += 1;
         self.stats.compacted_events += dropped as u64;
         self.stats.retained_events = baseline.len();
         self.history = baseline;
+        self.witness = None;
+        self.positions.clear();
+        self.certified_len = 0;
+        if !finals.is_empty() {
+            self.certify(Witness::new(vec![TxnId::BASELINE], BTreeMap::new()));
+        }
         // Cached fragments serialize transactions that no longer exist.
         self.cache = ComponentCache::default();
         true
@@ -369,41 +580,57 @@ impl OnlineChecker {
         }
         Some(finals)
     }
+}
 
-    /// Cheap adaptations of the previous witness to the extended history.
-    fn candidates(&self, event: Event) -> Vec<Witness> {
-        let Some(prev) = &self.witness else {
-            // First event of the history: the single-transaction witness.
-            return vec![Witness::new(vec![event.txn], BTreeMap::new())];
-        };
-        let mut out = Vec::new();
+/// A cheap adaptation of the previous prefix's witness to the extended
+/// history. The monitor tries [`ADAPTATIONS`] in order and adopts the
+/// first that certifies the new prefix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Adaptation {
+    /// Same order, same choices (a new transaction joins at the end).
+    Same,
+    /// The event's transaction moved to the end: a response often pushes
+    /// a transaction later in the order, e.g. when it read a newly
+    /// committed value.
+    MoveToEnd,
+    /// Same order with the event's transaction's pending-commit choice
+    /// set: a new tryC invocation opens the choice; a read from it may
+    /// require commit.
+    Choose(bool),
+}
 
-        let mut base_order = prev.order().to_vec();
-        if !base_order.contains(&event.txn) {
-            base_order.push(event.txn);
+const ADAPTATIONS: [Adaptation; 4] = [
+    Adaptation::Same,
+    Adaptation::MoveToEnd,
+    Adaptation::Choose(true),
+    Adaptation::Choose(false),
+];
+
+impl Adaptation {
+    /// Applies the adaptation for `txn` to `w` in place; `old` is `txn`'s
+    /// position in `w`, `None` if it is new (it then joins at the end).
+    fn apply(self, w: &mut Witness, txn: TxnId, old: Option<usize>) {
+        match (self, old) {
+            (_, None) => w.order.push(txn),
+            (Adaptation::MoveToEnd, Some(p)) => {
+                w.order.remove(p);
+                w.order.push(txn);
+            }
+            _ => {}
         }
-        let choices = prev.commit_choices().clone();
-
-        // 1. Same order, same choices.
-        out.push(Witness::new(base_order.clone(), choices.clone()));
-
-        // 2. The affected transaction moved to the end (a response often
-        //    pushes a transaction later in the order, e.g. when it read a
-        //    newly committed value).
-        let mut moved = base_order.clone();
-        moved.retain(|t| *t != event.txn);
-        moved.push(event.txn);
-        out.push(Witness::new(moved, choices.clone()));
-
-        // 3. Same order with the affected transaction's pending-commit
-        //    choice flipped both ways (a new tryC invocation opens the
-        //    choice; a read from it may require commit).
-        for decide in [true, false] {
-            let mut flipped = choices.clone();
-            flipped.insert(event.txn, decide);
-            out.push(Witness::new(base_order.clone(), flipped));
+        if let Adaptation::Choose(c) = self {
+            w.commit_choices.insert(txn, c);
         }
-        out
+    }
+
+    /// The adapted copy of `prev` (`None`: the empty witness).
+    fn candidate(self, prev: Option<&Witness>, txn: TxnId) -> Witness {
+        let mut w = prev
+            .cloned()
+            .unwrap_or_else(|| Witness::new(Vec::new(), BTreeMap::new()));
+        let old = w.position(txn);
+        self.apply(&mut w, txn, old);
+        w
     }
 }
 
@@ -535,6 +762,113 @@ mod tests {
             ),
             "expected deadline Unknown, got {last:?}"
         );
+    }
+
+    #[test]
+    fn stale_witness_after_unknown_is_rechecked_in_full() {
+        // T2's read of T1's commit-pending value needs a search, which the
+        // zero deadline turns into Unknown: the witness stays certified
+        // for the previous prefix only. Validating T3's invocation against
+        // it by delta would re-check nothing and accept, although no
+        // adaptation of it explains T2's read.
+        let mut mon = OnlineChecker::with_config(crate::SearchConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..crate::SearchConfig::default()
+        });
+        let events = [
+            Event::inv(t(1), Op::Write(x(), v(1))),
+            Event::resp(t(1), Ret::Ok),
+            Event::inv(t(1), Op::TryCommit),
+            Event::inv(t(2), Op::Read(x())),
+            Event::resp(t(2), Ret::Value(v(1))),
+        ];
+        let mut last = None;
+        for ev in events {
+            last = Some(mon.push(ev).unwrap());
+        }
+        assert!(matches!(last, Some(Verdict::Unknown { .. })), "{last:?}");
+        let stale = mon.witness().cloned().expect("an older prefix's witness");
+        let hits = mon.stats().incremental_hits;
+
+        let verdict = mon.push(Event::inv(t(3), Op::Read(x()))).unwrap();
+        if let Verdict::Satisfied(w) = &verdict {
+            assert_eq!(
+                check_witness(mon.history(), w, CriterionKind::DuOpacity),
+                Ok(())
+            );
+        }
+        assert!(matches!(verdict, Verdict::Unknown { .. }), "{verdict:?}");
+        assert_eq!(mon.stats().incremental_hits, hits);
+        let mut order = stale.order().to_vec();
+        order.push(t(3));
+        let same = Witness::new(order, stale.commit_choices().clone());
+        assert!(check_witness(mon.history(), &same, CriterionKind::DuOpacity).is_err());
+    }
+
+    #[test]
+    fn delta_validation_can_settle_on_the_abort_choice() {
+        // T1 reads y = 0 and writes x; T3 then commits y = 5 and T2 reads
+        // x = 0. The resumed witness T1 < T3 < T2 carries a commit choice
+        // for T1 from before its tryC. Once T1 invokes tryC, committing it
+        // in place hides x = 0 from T2 (candidates 1 and 3), and moving it
+        // to the end shows it y = 5 (candidate 2): only the abort choice
+        // (candidate 4) certifies the prefix.
+        let y = ObjId::new(1);
+        let h = HistoryBuilder::new()
+            .read(t(1), y, v(0))
+            .write(t(1), x(), v(1))
+            .committed_writer(t(3), y, v(5))
+            .read(t(2), x(), v(0))
+            .build();
+        let order = vec![t(1), t(3), t(2)];
+        let w = Witness::new(order.clone(), BTreeMap::from([(t(1), true)]));
+        let mut mon = OnlineChecker::resume(
+            h,
+            Some(w),
+            None,
+            OnlineStats::default(),
+            crate::SearchConfig::default(),
+        );
+        assert!(mon.witness().is_some(), "the resumed witness certifies H");
+        let verdict = mon.push(Event::inv(t(1), Op::TryCommit)).unwrap();
+        let aborting = Witness::new(order, BTreeMap::from([(t(1), false)]));
+        assert_eq!(verdict, Verdict::Satisfied(aborting));
+        assert_eq!(mon.stats().incremental_hits, 1);
+        assert_eq!(mon.stats().full_searches, 0);
+        assert_eq!(
+            check_witness(
+                mon.history(),
+                mon.witness().unwrap(),
+                CriterionKind::DuOpacity
+            ),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn moved_reads_are_rechecked_locally() {
+        // T1 reads x = 7 while committed T2 (7) and commit-pending T4 (9)
+        // are its eligible writers; T3 later commits 7 again, but only
+        // after T1's read. When T1 then reads T5's y = 3 it must move past
+        // T5, hence past T4 and T3 too (they precede T5 in real time):
+        // globally x = 7 (T3) still holds, but T1's local serialization
+        // S^{1,x} drops T3 and ends with T4's 9. Final-state opaque, not
+        // du-opaque — and the moved candidate must not certify it.
+        let y = ObjId::new(1);
+        let h = HistoryBuilder::new()
+            .committed_writer(t(2), x(), v(7))
+            .inv_read(t(1), x())
+            .write(t(4), x(), v(9))
+            .inv_try_commit(t(4))
+            .resp_value(t(1), v(7))
+            .resp_committed(t(4))
+            .committed_writer(t(3), x(), v(7))
+            .committed_writer(t(5), y, v(3))
+            .read(t(1), y, v(3))
+            .build();
+        let (verdict, _) = replay(&h);
+        assert!(verdict.is_violated(), "{verdict:?}");
+        assert!(crate::FinalStateOpacity::new().check(&h).is_satisfied());
     }
 
     #[test]

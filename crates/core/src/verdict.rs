@@ -1,6 +1,6 @@
 //! Checker outcomes: witnesses, violations and verdicts.
 
-use duop_history::{CommitCapability, Event, History, ObjId, Op, Ret, TxnId, Value};
+use duop_history::{CommitCapability, Event, History, ObjId, Op, Ret, TxnId, TxnView, Value};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -31,8 +31,9 @@ use std::fmt;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Witness {
-    order: Vec<TxnId>,
-    commit_choices: BTreeMap<TxnId, bool>,
+    // Crate-visible so the online monitor can adapt its witness in place.
+    pub(crate) order: Vec<TxnId>,
+    pub(crate) commit_choices: BTreeMap<TxnId, bool>,
 }
 
 impl Witness {
@@ -69,11 +70,8 @@ impl Witness {
     /// Whether `txn` is committed in the serialization this witness denotes,
     /// given the history `h` it serializes.
     pub fn is_committed_in(&self, h: &History, txn: TxnId) -> bool {
-        match h.txn(txn).map(|t| t.commit_capability()) {
-            Some(CommitCapability::Committed) => true,
-            Some(CommitCapability::CommitPending) => self.commit_choice(txn).unwrap_or(false),
-            _ => false,
-        }
+        h.txn(txn)
+            .is_some_and(|t| committed_in_s(&t, self.commit_choice(txn)))
     }
 
     /// Materializes the legal-candidate history `S`: the transactions of
@@ -119,6 +117,17 @@ impl Witness {
             }
         }
         History::new(events).expect("materialized serialization is well-formed")
+    }
+}
+
+/// Whether `txn` is committed in a serialization whose completion makes
+/// commit choice `choice` for it: always if it committed in the history,
+/// as chosen if its `tryC` is pending, never otherwise.
+pub(crate) fn committed_in_s(txn: &TxnView<'_>, choice: Option<bool>) -> bool {
+    match txn.commit_capability() {
+        CommitCapability::Committed => true,
+        CommitCapability::CommitPending => choice.unwrap_or(false),
+        CommitCapability::NeverCommitted => false,
     }
 }
 

@@ -131,7 +131,9 @@ proptest! {
         }
     }
 
-    /// The online monitor agrees with the batch checker on every prefix.
+    /// The online monitor agrees with the batch checker on every prefix,
+    /// and every witness it reports certifies the prefix it was pushed
+    /// for.
     #[test]
     fn online_matches_batch(h in arb_history(HistoryGenConfig::small_adversarial())) {
         let mut mon = OnlineChecker::new();
@@ -143,6 +145,13 @@ proptest! {
                 batch.is_satisfied(),
                 "divergence at prefix {} of:\n{}", i + 1, h
             );
+            if let Some(w) = online.witness() {
+                prop_assert_eq!(
+                    check_witness(mon.history(), w, CriterionKind::DuOpacity),
+                    Ok(()),
+                    "witness rejected at prefix {} of:\n{}", i + 1, h
+                );
+            }
         }
     }
 

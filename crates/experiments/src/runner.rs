@@ -854,10 +854,13 @@ fn e17_kill_resume(samples: u64, threads: usize) -> ExperimentResult {
     use duop_core::{SearchConfig, Verdict};
     use duop_history::{HistoryBuilder, ObjId, TxnId, Value};
 
-    // Sequential planned engine (fragments flow through it), prelint off
-    // (every pair actually searches) and ladder off (the budget genuinely
-    // trips instead of being soundly rescued).
+    // Sequential planned engine (fragments flow through it only there,
+    // so decomposition is pinned on rather than read from the
+    // process-wide toggle `--no-decompose` clears), prelint off (every
+    // pair actually searches) and ladder off (the budget genuinely trips
+    // instead of being soundly rescued).
     let cfg = |max_states: Option<u64>| SearchConfig {
+        decompose: true,
         prelint: false,
         ladder: false,
         max_states,

@@ -91,6 +91,26 @@ proptest! {
         }
     }
 
+    /// `TxnView::events` and `History::events_of`, which walk a
+    /// transaction's own operation records, yield exactly the filtered
+    /// event log `H|k` — on every prefix, so pending operations and
+    /// commit-pending transactions are covered — and nothing for a
+    /// transaction that does not participate.
+    #[test]
+    fn per_transaction_events_match_filtered_log(
+        h in arb_history(HistoryGenConfig::small_adversarial().with_txns(8))
+    ) {
+        for i in 0..=h.len() {
+            let p = h.prefix(i);
+            for t in p.txns() {
+                let filtered: Vec<_> = p.events().iter().filter(|e| e.txn == t.id()).collect();
+                prop_assert_eq!(t.events().collect::<Vec<_>>(), filtered.clone());
+                prop_assert_eq!(p.events_of(t.id()).collect::<Vec<_>>(), filtered);
+            }
+            prop_assert_eq!(p.events_of(duop_history::TxnId::new(999)).count(), 0);
+        }
+    }
+
     /// Commit capabilities exactly partition the terminal behaviours the
     /// completions realize.
     #[test]

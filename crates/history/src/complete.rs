@@ -95,12 +95,11 @@ impl History {
             let Some(mine) = self.txn(t.id()) else {
                 return false;
             };
-            let orig: Vec<_> = t.events().collect();
-            let ext: Vec<_> = mine.events().collect();
-            if ext.len() < orig.len() || ext[..orig.len()] != orig[..] {
+            let mut ext = mine.events();
+            if !t.events().all(|orig| ext.next() == Some(orig)) {
                 return false;
             }
-            let added = &ext[orig.len()..];
+            let added: Vec<_> = ext.collect();
             let ok = if t.is_t_complete() {
                 added.is_empty()
             } else {

@@ -559,6 +559,13 @@ impl History {
         self.recs.len()
     }
 
+    /// The position of `txn` in [`History::txn_ids`] order (its slot in
+    /// the transaction table), if it participates: a dense index for
+    /// per-transaction side tables.
+    pub fn txn_slot(&self, txn: TxnId) -> Option<usize> {
+        self.index.get(txn).map(|slot| slot as usize)
+    }
+
     /// The record of `txn`, if it participates.
     fn rec(&self, txn: TxnId) -> Option<&TxnRecord> {
         self.index.get(txn).map(|slot| &self.recs[slot as usize])
@@ -634,14 +641,13 @@ impl History {
         if self.recs.len() != other.recs.len() {
             return false;
         }
-        self.recs
-            .iter()
-            .all(|r| other.participates(r.id) && self.events_of(r.id).eq(other.events_of(r.id)))
+        self.txns()
+            .all(|t| other.txn(t.id()).is_some_and(|o| t.events().eq(o.events())))
     }
 
     /// The subsequence `H|k` of events of transaction `txn`.
     pub fn events_of(&self, txn: TxnId) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(move |e| e.txn == txn)
+        self.txn(txn).into_iter().flat_map(|t| t.events())
     }
 
     /// The subsequence of `H` consisting of events whose transaction
@@ -885,10 +891,16 @@ impl<'a> TxnView<'a> {
         self.rec.ops.iter().any(|o| o.op.is_try_commit())
     }
 
-    /// The events `H|k` of this transaction.
+    /// The events `H|k` of this transaction, read off its own operation
+    /// records (each invocation, then its response if it has one) rather
+    /// than by filtering the whole event log.
     pub fn events(&self) -> impl Iterator<Item = &'a Event> {
-        let id = self.rec.id;
-        self.history.events.iter().filter(move |e| e.txn == id)
+        let events = &self.history.events;
+        self.ops().iter().flat_map(move |o| {
+            std::iter::once(o.inv_index)
+                .chain(o.resp_index)
+                .map(move |i| &events[i])
+        })
     }
 }
 
