@@ -1009,7 +1009,7 @@ fn resume_session(ss: snapshot::SessionSnapshot, file: &str, out: &mut dyn Write
             ""
         }
     )?;
-    let line = session.verdict_line(false);
+    let line = duop_serve::verdict_line(&session.verdict(), false);
     write!(out, "{line}")?;
     Ok(line.contains("satisfied"))
 }

@@ -9,6 +9,7 @@
 //! | [`Tms2`] | Doherty–Groves–Luchangco–Moir, as rendered informally in Section 4.2 |
 //! | [`StrictSerializability`] | baseline: final-state opacity of the committed projection |
 
+use crate::must_precede;
 use crate::plan::{check_planned, PlanCriterion};
 use crate::search::{SearchConfig, SearchStats};
 use crate::{Verdict, Violation};
@@ -330,68 +331,25 @@ impl Criterion for StrictSerializability {
 /// `H` always qualify; commit-pending writers are constrained exactly when
 /// the search chooses the commit fate for them (which is why these edges
 /// go through `Query::commit_edges`, not `extra_edges`); writers that can
-/// never commit are skipped.
+/// never commit are skipped. Enumerated by [`must_precede::rco`].
 pub(crate) fn rco_edges(h: &History) -> Vec<(TxnId, TxnId)> {
-    let mut edges = Vec::new();
-    for reader in h.txns() {
-        for &x in &reader.read_set() {
-            let Some(resp) = h.read_resp_index(reader.id(), x) else {
-                continue;
-            };
-            if reader.read_value(x).is_none() {
-                continue; // read returned A_k
-            }
-            for writer in h.txns() {
-                if writer.id() == reader.id()
-                    || writer.commit_capability() == duop_history::CommitCapability::NeverCommitted
-                {
-                    continue;
-                }
-                if !writer.write_set().contains(&x) {
-                    continue;
-                }
-                if h.try_commit_inv_index(writer.id())
-                    .is_some_and(|inv| resp < inv)
-                {
-                    edges.push((reader.id(), writer.id()));
-                }
-            }
-        }
-    }
-    edges
+    id_pairs(h, &must_precede::rco(h))
 }
 
 /// Precedence edges for [`Tms2`]: `T_1 → T_2` whenever
 /// `X ∈ Wset(T_1) ∩ Rset(T_2)`, `T_1` is committed and the response of
-/// `tryC_1` precedes the invocation of `tryC_2`.
+/// `tryC_1` precedes the invocation of `tryC_2`. Enumerated by
+/// [`must_precede::tms2`].
 pub(crate) fn tms2_edges(h: &History) -> Vec<(TxnId, TxnId)> {
-    let mut edges = Vec::new();
-    for writer in h.txns() {
-        if !writer.is_committed() {
-            continue;
-        }
-        let Some(w_resp) = writer
-            .ops()
-            .iter()
-            .find(|o| o.op.is_try_commit())
-            .and_then(|o| o.resp_index)
-        else {
-            continue;
-        };
-        let wset = writer.write_set();
-        for reader in h.txns() {
-            if reader.id() == writer.id() {
-                continue;
-            }
-            let Some(r_inv) = h.try_commit_inv_index(reader.id()) else {
-                continue;
-            };
-            if w_resp < r_inv && reader.read_set().iter().any(|x| wset.contains(x)) {
-                edges.push((writer.id(), reader.id()));
-            }
-        }
-    }
+    id_pairs(h, &must_precede::tms2(h))
+}
+
+fn id_pairs(h: &History, edges: &[must_precede::CommitEdge]) -> Vec<(TxnId, TxnId)> {
+    let ids: Vec<TxnId> = h.txn_ids().collect();
     edges
+        .iter()
+        .map(|e| (ids[e.before], ids[e.after]))
+        .collect()
 }
 
 /// Checks `h` against every criterion, returning `(name, verdict)` pairs in

@@ -74,6 +74,9 @@ mod witness_check;
 pub mod certificate;
 pub mod saturate;
 
+#[doc(hidden)]
+pub mod must_precede;
+
 pub mod fxhash;
 pub mod graph;
 pub mod lemmas;

@@ -1,26 +1,10 @@
-//! Shared preprocessing for the lint rules: the indexed [`Spec`] plus
-//! per-read supplier sets and the anti-dependency edges only the lint
-//! pipeline derives.
+//! Shared preprocessing for the lint rules: the indexed [`Spec`] plus the
+//! must-precede facts of [`crate::must_precede`] the rules read.
 
 use crate::bitset::BitSet;
-use crate::plan::supplier_sets;
+use crate::must_precede::{anti_deps, supplier_sets, AntiDep};
 use crate::spec::Spec;
-use duop_history::{CommitCapability, History, Op, Ret, Value};
-
-/// One anti-dependency edge: `reader` must precede `writer` in every
-/// satisfying serialization (see [`LintCtx::anti_deps`]).
-#[derive(Clone, Copy, Debug)]
-pub(super) struct AntiDep {
-    /// Index (into [`Spec::txns`]) of the transaction whose read forces
-    /// the edge.
-    pub reader: usize,
-    /// Index of the committed writer the reader must precede.
-    pub writer: usize,
-    /// Interned object index of the read.
-    pub obj: usize,
-    /// Slot into [`Spec::reads`] of the forcing read.
-    pub slot: usize,
-}
+use duop_history::{History, Op, Ret};
 
 /// Everything the rules share: built once per [`super::lint`] run.
 pub(super) struct LintCtx<'a> {
@@ -35,16 +19,8 @@ pub(super) struct LintCtx<'a> {
     /// Plain supplier sets per read slot: committable writers of the
     /// read's value, regardless of `tryC` timing.
     pub base_suppliers: Vec<BitSet>,
-    /// Anti-dependency edges, sound for *every* criterion scope: when an
-    /// external read returns the initial value and no committable
-    /// transaction other than the reader finally writes the initial value
-    /// back ("no restorer"), then once any committed writer of the object
-    /// is serialized before the reader, the object's value differs from
-    /// the initial value forever — so the reader must precede every
-    /// committed writer of the object. Restricted to `Committed` targets
-    /// (a pending writer may abort, voiding the edge) and to initial-value
-    /// reads (a non-initial value can be re-supplied, so the analogous
-    /// generalization would be unsound).
+    /// Anti-dependency edges, sound for *every* criterion scope (see
+    /// [`AntiDep`]); saturation seeds from the same list.
     pub anti_deps: Vec<AntiDep>,
 }
 
@@ -54,8 +30,8 @@ impl<'a> LintCtx<'a> {
     /// separately.
     pub(super) fn build(h: &'a History) -> Option<Self> {
         let spec = Spec::build(h).ok()?;
-        let (_, du_suppliers) = supplier_sets(&spec, true);
-        let (_, base_suppliers) = supplier_sets(&spec, false);
+        let du_suppliers = supplier_sets(&spec, true);
+        let base_suppliers = supplier_sets(&spec, false);
 
         // Spec::build indexes transactions in h.txns() order, so zipping
         // the two iterations lines up.
@@ -69,35 +45,7 @@ impl<'a> LintCtx<'a> {
             })
             .collect();
 
-        let mut anti_deps = Vec::new();
-        for (slot, r) in spec.reads.iter().enumerate() {
-            if r.value != Value::INITIAL {
-                continue;
-            }
-            let restorer = spec.txns.iter().enumerate().any(|(j, t)| {
-                j != r.txn
-                    && t.capability != CommitCapability::NeverCommitted
-                    && t.writes
-                        .iter()
-                        .any(|&(o, v)| o == r.obj && v == Value::INITIAL)
-            });
-            if restorer {
-                continue;
-            }
-            for (j, t) in spec.txns.iter().enumerate() {
-                if j != r.txn
-                    && t.capability == CommitCapability::Committed
-                    && t.writes.iter().any(|&(o, _)| o == r.obj)
-                {
-                    anti_deps.push(AntiDep {
-                        reader: r.txn,
-                        writer: j,
-                        obj: r.obj,
-                        slot,
-                    });
-                }
-            }
-        }
+        let anti_deps = anti_deps(&spec);
 
         Some(LintCtx {
             h,

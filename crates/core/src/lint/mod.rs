@@ -24,9 +24,12 @@
 //!   unique-writes regime of Theorem 11, so opacity and du-opacity may
 //!   diverge).
 //!
-//! Every rule runs in polynomial time: the pipeline is
-//! `O(txns² · reads + events)` overall, dominated by the supplier-set and
-//! cycle analyses.
+//! Every rule runs in polynomial time. The rules read their must-precede
+//! facts from [`crate::must_precede`], whose per-object tables make
+//! supplier sets `O(reads · (writers per object + txns/64))` and the
+//! commit-order edges scans of those tables; the pipeline is
+//! `O(txns² + reads · (writers per object + txns/64) + events)`
+//! overall, dominated by the per-scope cycle checks.
 
 mod context;
 mod rules;

@@ -2,9 +2,10 @@
 //! soundness argument for every `Error`-severity emission is spelled out
 //! in `DESIGN.md` ("Static analysis: the lint pipeline").
 
-use super::context::{AntiDep, LintCtx};
+use super::context::LintCtx;
 use super::{Applicability, Diagnostic, RuleInfo, Severity, Span};
 use crate::bitset::BitSet;
+use crate::must_precede::{self, AntiDep};
 use crate::plan::topo_order;
 use crate::spec::Spec;
 use duop_history::{CommitCapability, History, Op, Ret, Value};
@@ -328,11 +329,9 @@ fn cy004(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
     // committed in `H`; for a commit-pending writer the serialization may
     // abort it, voiding the edge.
     let mut rco = base.clone();
-    for (reader, writer) in crate::criteria::rco_edges(ctx.h) {
-        if let (Some(&ir), Some(&iw)) = (ctx.spec.index.get(&reader), ctx.spec.index.get(&writer)) {
-            if ir != iw && ctx.spec.txns[iw].capability == CommitCapability::Committed {
-                rco[iw].insert(ir);
-            }
+    for e in must_precede::rco(ctx.h) {
+        if ctx.spec.txns[e.after].capability == CommitCapability::Committed {
+            rco[e.after].insert(e.before);
         }
     }
     if let Err(cyc) = topo_order(&rco) {
@@ -346,12 +345,8 @@ fn cy004(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
 
     // TMS2 edges only relate writers already committed in `H`.
     let mut tms2 = base.clone();
-    for (writer, reader) in crate::criteria::tms2_edges(ctx.h) {
-        if let (Some(&iw), Some(&ir)) = (ctx.spec.index.get(&writer), ctx.spec.index.get(&reader)) {
-            if iw != ir {
-                tms2[ir].insert(iw);
-            }
-        }
+    for e in must_precede::tms2(ctx.h) {
+        tms2[e.after].insert(e.before);
     }
     if let Err(cyc) = topo_order(&tms2) {
         out.push(cycle_diag(

@@ -109,59 +109,6 @@ pub(crate) fn topo_order(preds: &[BitSet]) -> Result<Vec<usize>, Vec<usize>> {
     }
 }
 
-/// Per-read eligibility and candidate writer ("supplier") sets.
-///
-/// `elig[slot]` (du mode only) holds the transactions whose `tryC`
-/// invocation precedes the read's response in `H`; `suppliers[slot]` holds
-/// the committable writers of the read's exact value (restricted to
-/// eligible ones in du mode) — the only transactions that can ever make
-/// the read legal, besides `T_0` for the initial value.
-pub(crate) fn supplier_sets(spec: &Spec, du: bool) -> (Vec<BitSet>, Vec<BitSet>) {
-    let n = spec.txns.len();
-    let elig: Vec<BitSet> = if du {
-        spec.reads
-            .iter()
-            .map(|r| {
-                let mut s = BitSet::new(n);
-                for (j, t) in spec.txns.iter().enumerate() {
-                    if let Some(inv) = t.try_commit_inv {
-                        if inv < r.resp_index {
-                            s.insert(j);
-                        }
-                    }
-                }
-                s
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let suppliers: Vec<BitSet> = spec
-        .reads
-        .iter()
-        .enumerate()
-        .map(|(slot, r)| {
-            let mut s = BitSet::new(n);
-            for (j, t) in spec.txns.iter().enumerate() {
-                if j == r.txn || t.capability == CommitCapability::NeverCommitted {
-                    continue;
-                }
-                if !t.writes.iter().any(|&(o, v)| o == r.obj && v == r.value) {
-                    continue;
-                }
-                if du && !elig[slot].contains(j) {
-                    continue;
-                }
-                s.insert(j);
-            }
-            s
-        })
-        .collect();
-
-    (elig, suppliers)
-}
-
 /// Union–find over transaction indices, used to build the conflict-graph
 /// components.
 #[derive(Debug, Default)]
@@ -279,7 +226,7 @@ impl Plan {
         scratch: &mut PlanScratch,
     ) -> Result<Plan, Violation> {
         let n = spec.txns.len();
-        let (_elig, suppliers) = supplier_sets(spec, query.deferred_update);
+        let suppliers = crate::must_precede::supplier_sets(spec, query.deferred_update);
 
         // Zero candidates for a non-initial value: no serialization can
         // ever serve the read (same condition as `search::precheck`, which

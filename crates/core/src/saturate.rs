@@ -28,7 +28,8 @@
 
 use crate::bitset::BitSet;
 use crate::certificate::{check_certificate, Certificate, Rule, Step};
-use crate::plan::{supplier_sets, PlanCriterion};
+use crate::must_precede::{self, AntiDep, CommitEdge};
+use crate::plan::PlanCriterion;
 use crate::spec::Spec;
 use crate::{check_witness, CriterionKind, Verdict, Violation, Witness};
 use duop_history::{CommitCapability, History, ObjId, TxnId, Value};
@@ -109,6 +110,49 @@ struct RfSlot {
     any_interferer: bool,
 }
 
+/// The must-precede facts a saturation run seeds from, besides the
+/// spec's real-time order.
+pub(crate) struct Seeds {
+    /// Du mode only: `tryC`-eligible transactions per read slot.
+    pub(crate) elig: Vec<BitSet>,
+    /// Admissible suppliers per read slot (du-eligible ones in du mode).
+    pub(crate) suppliers: Vec<BitSet>,
+    /// Du mode only: every committable writer of each read slot's value.
+    pub(crate) writers: Vec<BitSet>,
+    /// The initial-value anti-dependencies.
+    pub(crate) anti_deps: Vec<AntiDep>,
+    /// The criterion's commit-order edges: read-commit-order for
+    /// [`PlanCriterion::Rco`], TMS2 for [`PlanCriterion::Tms2`], none
+    /// otherwise.
+    pub(crate) commit: Vec<CommitEdge>,
+}
+
+impl Seeds {
+    /// The seeds of `criterion` over `hh`, from the indexed builders.
+    fn indexed(hh: &History, spec: &Spec, criterion: PlanCriterion) -> Seeds {
+        let du = criterion == PlanCriterion::Du;
+        Seeds {
+            elig: if du {
+                must_precede::eligibility(spec)
+            } else {
+                Vec::new()
+            },
+            suppliers: must_precede::supplier_sets(spec, du),
+            writers: if du {
+                must_precede::supplier_sets(spec, false)
+            } else {
+                Vec::new()
+            },
+            anti_deps: must_precede::anti_deps(spec),
+            commit: match criterion {
+                PlanCriterion::Rco => must_precede::rco(hh),
+                PlanCriterion::Tms2 => must_precede::tms2(hh),
+                _ => Vec::new(),
+            },
+        }
+    }
+}
+
 struct Saturator<'a> {
     spec: &'a Spec,
     criterion: PlanCriterion,
@@ -147,7 +191,10 @@ impl<'a> Saturator<'a> {
         true
     }
 
-    fn seed(&mut self, h: &History) {
+    /// Seeds the graph in a fixed order — real time, singleton read-from
+    /// edges, anti-dependencies, commit-order edges — so provenance (and
+    /// with it every certificate) is deterministic.
+    fn seed(&mut self, seeds: Seeds) {
         for j in 0..self.n {
             let preds: Vec<usize> = self.spec.rt_preds[j].iter_ones().collect();
             for i in preds {
@@ -156,145 +203,49 @@ impl<'a> Saturator<'a> {
         }
 
         let du = self.criterion == PlanCriterion::Du;
-        let (elig, suppliers) = supplier_sets(self.spec, du);
-        let writers = if du {
-            supplier_sets(self.spec, false).1
-        } else {
-            Vec::new()
-        };
         for (slot, r) in self.spec.reads.iter().enumerate() {
-            if r.value == Value::INITIAL || suppliers[slot].count_ones() != 1 {
+            if r.value == Value::INITIAL || seeds.suppliers[slot].count_ones() != 1 {
                 continue;
             }
-            let w = suppliers[slot].iter_ones().next().expect("singleton");
+            let w = seeds.suppliers[slot].iter_ones().next().expect("singleton");
             self.rf[slot] = Some(RfSlot {
                 supplier: w,
                 reader: r.txn,
                 obj: r.obj,
                 value: r.value,
-                any_interferer: !du || writers[slot].count_ones() == 1,
+                any_interferer: !du || seeds.writers[slot].count_ones() == 1,
             });
             self.add(w, r.txn, Prov::ReadFrom { slot });
         }
-        self.elig = elig;
+        self.elig = seeds.elig;
 
-        // Initial-value anti-dependencies, exactly as the lint pipeline
-        // derives them (rule CY004's edge source).
-        for (slot, r) in self.spec.reads.iter().enumerate() {
-            if r.value != Value::INITIAL {
-                continue;
-            }
-            let restorer = self.spec.txns.iter().enumerate().any(|(j, t)| {
-                j != r.txn
-                    && t.capability != CommitCapability::NeverCommitted
-                    && t.writes
-                        .iter()
-                        .any(|&(o, v)| o == r.obj && v == Value::INITIAL)
-            });
-            if restorer {
-                continue;
-            }
-            for (j, t) in self.spec.txns.iter().enumerate() {
-                if j != r.txn
-                    && t.capability == CommitCapability::Committed
-                    && t.writes.iter().any(|&(o, _)| o == r.obj)
-                {
-                    self.add(r.txn, j, Prov::AntiDep { slot });
-                }
-            }
+        // Initial-value anti-dependencies: the list lint rule CY004 reads.
+        for d in &seeds.anti_deps {
+            self.add(d.reader, d.writer, Prov::AntiDep { slot: d.slot });
         }
 
-        match self.criterion {
-            PlanCriterion::Rco => self.seed_rco(h),
-            PlanCriterion::Tms2 => self.seed_tms2(h),
-            _ => {}
-        }
-    }
-
-    /// RCO edges whose target is already committed in `H` (the
-    /// unconditional ones; commit-pending targets stay with the search).
-    fn seed_rco(&mut self, h: &History) {
-        for reader in h.txns() {
-            let Some(&ri) = self.spec.index.get(&reader.id()) else {
-                continue;
-            };
-            for &x in &reader.read_set() {
-                let Some(resp) = h.read_resp_index(reader.id(), x) else {
-                    continue;
-                };
-                if reader.read_value(x).is_none() {
-                    continue;
-                }
-                for writer in h.txns() {
-                    if writer.id() == reader.id()
-                        || writer.commit_capability() != CommitCapability::Committed
-                        || !writer.write_set().contains(&x)
-                    {
+        for e in &seeds.commit {
+            let prov = match self.criterion {
+                // Unconditional only toward writers committed in `H`;
+                // commit-pending targets stay with the search.
+                PlanCriterion::Rco => {
+                    if self.spec.txns[e.after].capability != CommitCapability::Committed {
                         continue;
                     }
-                    let Some(inv) = h.try_commit_inv_index(writer.id()) else {
-                        continue;
-                    };
-                    if resp < inv {
-                        if let Some(&wi) = self.spec.index.get(&writer.id()) {
-                            self.add(
-                                ri,
-                                wi,
-                                Prov::Rco {
-                                    read: resp,
-                                    tryc: inv,
-                                    obj: x,
-                                },
-                            );
-                        }
+                    Prov::Rco {
+                        read: e.event,
+                        tryc: e.tryc,
+                        obj: e.obj,
                     }
                 }
-            }
-        }
-    }
-
-    fn seed_tms2(&mut self, h: &History) {
-        for writer in h.txns() {
-            if !writer.is_committed() {
-                continue;
-            }
-            let Some(w_resp) = writer
-                .ops()
-                .iter()
-                .find(|o| o.op.is_try_commit())
-                .and_then(|o| o.resp_index)
-            else {
-                continue;
+                PlanCriterion::Tms2 => Prov::Tms2 {
+                    resp: e.event,
+                    tryc: e.tryc,
+                    obj: e.obj,
+                },
+                _ => unreachable!("only rco and tms2 have commit-order edges"),
             };
-            let Some(&wi) = self.spec.index.get(&writer.id()) else {
-                continue;
-            };
-            let wset = writer.write_set();
-            for reader in h.txns() {
-                if reader.id() == writer.id() {
-                    continue;
-                }
-                let Some(r_inv) = h.try_commit_inv_index(reader.id()) else {
-                    continue;
-                };
-                if w_resp >= r_inv {
-                    continue;
-                }
-                let Some(&obj) = reader.read_set().iter().find(|x| wset.contains(x)) else {
-                    continue;
-                };
-                if let Some(&rj) = self.spec.index.get(&reader.id()) {
-                    self.add(
-                        wi,
-                        rj,
-                        Prov::Tms2 {
-                            resp: w_resp,
-                            tryc: r_inv,
-                            obj,
-                        },
-                    );
-                }
-            }
+            self.add(e.before, e.after, prov);
         }
     }
 
@@ -537,18 +488,29 @@ pub fn saturate(h: &History, criterion: PlanCriterion) -> SaturationOutcome {
 
 /// As [`saturate`], over an already-[`PlanCriterion::prepare`]d history.
 pub(crate) fn saturate_prepared(hh: &History, criterion: PlanCriterion) -> SaturationOutcome {
+    saturate_seeded(hh, criterion, |spec| Seeds::indexed(hh, spec, criterion))
+}
+
+/// The saturation run proper, with the seeds (and any adjustment of the
+/// spec's real-time order) supplied by `seeds`.
+pub(crate) fn saturate_seeded(
+    hh: &History,
+    criterion: PlanCriterion,
+    seeds: impl FnOnce(&mut Spec) -> Seeds,
+) -> SaturationOutcome {
     let n = hh.txn_count();
     if n == 0 || n > MAX_TXNS {
         return SaturationOutcome::Inconclusive;
     }
-    let Ok(spec) = Spec::build(hh) else {
+    let Ok(mut spec) = Spec::build(hh) else {
         // Internal-read inconsistency: the spec precheck on the main path
         // reports it with its own violation shape.
         return SaturationOutcome::Inconclusive;
     };
+    let seeds = seeds(&mut spec);
 
     let mut sat = Saturator::new(&spec, criterion);
-    sat.seed(hh);
+    sat.seed(seeds);
     let mut rounds = 0;
     loop {
         sat.close();

@@ -454,11 +454,15 @@ impl<'a> Searcher<'a> {
             )
         });
 
-        let (elig, suppliers) = crate::plan::supplier_sets(spec, query.deferred_update);
-        let writers = if query.deferred_update {
-            crate::plan::supplier_sets(spec, false).1
+        let du = query.deferred_update;
+        let suppliers = crate::must_precede::supplier_sets(spec, du);
+        let (elig, writers) = if du {
+            (
+                crate::must_precede::eligibility(spec),
+                crate::must_precede::supplier_sets(spec, false),
+            )
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
 
         let mut pending_reads = vec![0usize; spec.objs.len()];

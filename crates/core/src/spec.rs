@@ -51,6 +51,10 @@ pub(crate) struct Spec {
     pub rt_preds: Vec<BitSet>,
     /// Read slots per interned object.
     pub reads_on_obj: Vec<Vec<usize>>,
+    /// Committable writers per interned object, in index order, with the
+    /// final value each writes there: the table every supplier and
+    /// anti-dependency builder in [`crate::must_precede`] scans.
+    pub writers_on_obj: Vec<Vec<(usize, Value)>>,
 }
 
 impl Spec {
@@ -131,19 +135,37 @@ impl Spec {
             });
         }
 
+        // Real-time order (Definition 1): `T_i ≺RT T_j` iff `T_i` is
+        // t-complete and its last event precedes `T_j`'s first. Indices
+        // follow first events, so `T_i`'s successors are every index from
+        // the first whose first event follows `T_i`'s last: record `T_i`
+        // there, then make the sets cumulative.
+        let firsts: Vec<usize> = h.txns().map(|t| t.first_event_index()).collect();
         let mut rt_preds: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        let ids: Vec<TxnId> = h.txn_ids().collect();
-        for (i, &a) in ids.iter().enumerate() {
-            for (j, &b) in ids.iter().enumerate() {
-                if i != j && h.precedes_rt(a, b) {
-                    rt_preds[j].insert(i);
+        for (i, t) in h.txns().enumerate() {
+            if t.is_t_complete() {
+                let start = firsts.partition_point(|&f| f <= t.last_event_index());
+                if start < n {
+                    rt_preds[start].insert(i);
                 }
             }
+        }
+        for j in 1..n {
+            let (done, rest) = rt_preds.split_at_mut(j);
+            rest[0].union_with(&done[j - 1]);
         }
 
         let mut reads_on_obj: Vec<Vec<usize>> = vec![Vec::new(); objs.len()];
         for (slot, r) in reads.iter().enumerate() {
             reads_on_obj[r.obj].push(slot);
+        }
+        let mut writers_on_obj: Vec<Vec<(usize, Value)>> = vec![Vec::new(); objs.len()];
+        for (i, t) in txns.iter().enumerate() {
+            if t.capability != CommitCapability::NeverCommitted {
+                for &(o, v) in &t.writes {
+                    writers_on_obj[o].push((i, v));
+                }
+            }
         }
 
         Ok(Spec {
@@ -153,6 +175,7 @@ impl Spec {
             index,
             rt_preds,
             reads_on_obj,
+            writers_on_obj,
         })
     }
 

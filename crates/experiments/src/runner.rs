@@ -1360,10 +1360,10 @@ fn e21_serve_equivalence(samples: u64, threads: usize) -> ExperimentResult {
         serde_json::to_string(&v).expect("verdicts serialize")
     };
     let session_line = |s: &mut Session| {
-        // `verdict_line(true)` wraps the same serialization; strip the
+        // `verdict_line(.., true)` wraps the same serialization; strip the
         // envelope (prefix and exactly one closing brace) so the
         // comparison is against the verdict JSON itself.
-        let line = s.verdict_line(true);
+        let line = duop_serve::verdict_line(&s.verdict(), true);
         let inner = line
             .trim_end()
             .strip_suffix('}')

@@ -34,6 +34,41 @@ pub fn corrupt_read_value(h: &History, rng: &mut impl Rng) -> Option<History> {
     History::new(events).ok()
 }
 
+/// Replaces the value returned by one randomly chosen read with a value
+/// above every value the history writes, so no transaction can supply
+/// it: the mutant is rejected by every criterion (read-from
+/// non-existence, lint rule RF003), unlike [`corrupt_read_value`]'s bump,
+/// which may land on a value another transaction wrote.
+///
+/// Returns `None` if the history contains no value-returning read or
+/// writes the largest representable value.
+pub fn orphan_read_value(h: &History, rng: &mut impl Rng) -> Option<History> {
+    let candidates: Vec<usize> = h
+        .events()
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| matches!(e.kind, EventKind::Resp(Ret::Value(_))))
+        .map(|(i, _)| i)
+        .collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    let top = h
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Inv(Op::Write(_, v)) => Some(v.get()),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(Value::INITIAL.get());
+    let orphan = Value::new(top.checked_add(1)?);
+    let at = candidates[rng.gen_range(0..candidates.len())];
+    let mut events = h.events().to_vec();
+    events[at] = Event::resp(events[at].txn, Ret::Value(orphan));
+    History::new(events).ok()
+}
+
 /// Flips one randomly chosen commit response (`C_k`) into an abort
 /// (`A_k`), likely orphaning any reader of the transaction's writes.
 ///
@@ -136,6 +171,30 @@ mod tests {
     }
 
     #[test]
+    fn orphan_read_returns_an_unwritten_value() {
+        let h = HistoryBuilder::new()
+            .committed_writer(t(1), x(), v(7))
+            .committed_writer(t(2), ObjId::new(1), v(3))
+            .committed_reader(t(3), x(), v(7))
+            .build();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mutated = orphan_read_value(&h, &mut rng).expect("has a read");
+        let read: Vec<Value> = mutated
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Resp(Ret::Value(got)) => Some(got),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(read, vec![v(8)]);
+        let no_reads = HistoryBuilder::new()
+            .committed_writer(t(1), x(), v(1))
+            .build();
+        assert!(orphan_read_value(&no_reads, &mut rng).is_none());
+    }
+
+    #[test]
     fn flip_commit_aborts_a_committed_txn() {
         let h = sample();
         let mut rng = StdRng::seed_from_u64(2);
@@ -163,6 +222,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..20 {
             if let Some(m) = corrupt_read_value(&h, &mut rng) {
+                assert_eq!(m.txn_count(), h.txn_count());
+            }
+            if let Some(m) = orphan_read_value(&h, &mut rng) {
                 assert_eq!(m.txn_count(), h.txn_count());
             }
             if let Some(m) = flip_commit_to_abort(&h, &mut rng) {

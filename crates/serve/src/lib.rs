@@ -33,4 +33,4 @@ pub use server::{
     ServeConfig, ServeError, Server, ShutdownHandle, DROP_CONN_ENV, KILL_CHECKPOINT_ENV,
     KILL_EXIT_CODE, KILL_INGEST_ENV,
 };
-pub use session::{IngestReport, Session};
+pub use session::{verdict_line, IngestReport, Session};

@@ -18,7 +18,7 @@ use duop_history::Event;
 
 use crate::http::{self, HttpError, Request, Response};
 use crate::listener::{self, Accepted};
-use crate::session::Session;
+use crate::session::{verdict_line, Session};
 
 /// Exit code of a fault-hook-induced death (same value as the shard
 /// protocol's kill hooks, so test harnesses can share the constant).
@@ -746,7 +746,7 @@ fn verdict(state: &Arc<State>, arc: &Arc<Mutex<Session>>, req: &Request) -> Resp
         Verdict::Unknown { .. } => &state.metrics.verdicts_unknown,
     }
     .fetch_add(1, Ordering::Relaxed);
-    let body = session.verdict_line(json);
+    let body = verdict_line(&verdict, json);
     if json {
         Response::json(200, "OK", body)
     } else {

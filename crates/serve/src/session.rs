@@ -160,18 +160,6 @@ impl Session {
         DuOpacity::with_config(SearchConfig::default()).check(self.checker.history())
     }
 
-    /// Renders the verdict exactly as the `duop check` transcript line
-    /// for the du-opacity criterion (JSON or text mode).
-    pub fn verdict_line(&mut self, json: bool) -> String {
-        let verdict = self.verdict();
-        if json {
-            let detail = serde_json::to_string(&verdict).expect("verdicts serialize infallibly");
-            format!("{{\"criterion\":\"du-opacity\",\"verdict\":{detail}}}\n")
-        } else {
-            format!("{:<28} {verdict}\n", "du-opacity")
-        }
-    }
-
     /// The checker's work counters.
     pub fn stats(&self) -> OnlineStats {
         self.checker.stats()
@@ -248,6 +236,19 @@ impl Session {
     }
 }
 
+/// Renders a session verdict (from [`Session::verdict`]) exactly as the
+/// `duop check` transcript line for the du-opacity criterion (JSON or
+/// text mode). Takes the verdict rather than the session, so a caller
+/// that already holds one renders it without a second batch check.
+pub fn verdict_line(verdict: &Verdict, json: bool) -> String {
+    if json {
+        let detail = serde_json::to_string(verdict).expect("verdicts serialize infallibly");
+        format!("{{\"criterion\":\"du-opacity\",\"verdict\":{detail}}}\n")
+    } else {
+        format!("{:<28} {verdict}\n", "du-opacity")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,10 +308,10 @@ T2 commit
     fn snapshot_round_trip_preserves_verdict() {
         let mut s = Session::new(3, None);
         s.ingest(&events(GOOD)).unwrap();
-        let before = s.verdict_line(true);
+        let before = verdict_line(&s.verdict(), true);
         let mut resumed = Session::resume(s.snapshot()).unwrap();
         assert_eq!(resumed.ingested(), s.ingested());
-        assert_eq!(resumed.verdict_line(true), before);
+        assert_eq!(verdict_line(&resumed.verdict(), true), before);
     }
 
     #[test]

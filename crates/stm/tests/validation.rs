@@ -198,8 +198,9 @@ fn pessimistic_engine_never_aborts_but_violates_du_opacity() {
 
 #[test]
 fn corrupted_stm_traces_are_rejected() {
-    // Take a certified-safe TL2 trace, corrupt one read value, and confirm
-    // the checker catches the tampering — the monitoring use-case.
+    // Take a certified-safe TL2 trace, make one read return a value no
+    // transaction writes, and confirm the checker catches the tampering —
+    // the monitoring use-case.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let engine = Tl2::new(6);
@@ -209,7 +210,7 @@ fn corrupted_stm_traces_are_rejected() {
     let mut rejected = 0;
     let mut mutated = 0;
     for _ in 0..20 {
-        if let Some(m) = duop_gen::mutate::corrupt_read_value(&h, &mut rng) {
+        if let Some(m) = duop_gen::mutate::orphan_read_value(&h, &mut rng) {
             mutated += 1;
             if DuOpacity::new().check(&m).is_violated() {
                 rejected += 1;
@@ -217,10 +218,7 @@ fn corrupted_stm_traces_are_rejected() {
         }
     }
     assert!(mutated > 0);
-    // With unique write values, changing a read value orphans it: every
-    // mutation must be caught.
-    assert_eq!(
-        rejected, mutated,
-        "all corrupted unique-value reads must be rejected"
-    );
+    // An orphaned read has no possible writer: every mutation must be
+    // caught.
+    assert_eq!(rejected, mutated, "all orphaned reads must be rejected");
 }
