@@ -2,7 +2,7 @@
 //! the search planner.
 
 /// Fixed-capacity bit set over transaction indices.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
 }
@@ -44,6 +44,11 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Returns `true` if `self` and `other` share an element.
+    pub(crate) fn intersects(&self, other: &BitSet) -> bool {
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
     /// Adds every element of `other` to `self`. Both sets must have the
     /// same capacity.
     pub(crate) fn union_with(&mut self, other: &BitSet) {
@@ -51,6 +56,58 @@ impl BitSet {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
+    }
+
+    /// As [`Self::union_with`], calling `on_new` with each element of
+    /// `other` that was not already in `self`, in increasing order. The
+    /// new elements are found a word at a time.
+    pub(crate) fn union_with_new(&mut self, other: &BitSet, mut on_new: impl FnMut(usize)) {
+        debug_assert_eq!(self.words.len(), other.words.len());
+        for (wi, (a, &b)) in self.words.iter_mut().zip(&other.words).enumerate() {
+            let mut fresh = b & !*a;
+            *a |= b;
+            while fresh != 0 {
+                on_new(wi * 64 + fresh.trailing_zeros() as usize);
+                fresh &= fresh - 1;
+            }
+        }
+    }
+
+    /// The smallest element of `self` not in `other`, if any.
+    pub(crate) fn first_not_in(&self, other: &BitSet) -> Option<usize> {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .find_map(|(wi, (a, b))| {
+                let fresh = a & !b;
+                (fresh != 0).then(|| wi * 64 + fresh.trailing_zeros() as usize)
+            })
+    }
+
+    /// The smallest element of both `self` and `other`, if any.
+    pub(crate) fn first_common(&self, other: &BitSet) -> Option<usize> {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .find_map(|(wi, (a, b))| {
+                let common = a & b;
+                (common != 0).then(|| wi * 64 + common.trailing_zeros() as usize)
+            })
+    }
+
+    /// Iterates the elements of `self` not in `other`, in increasing
+    /// order (word-skipping, like [`Self::iter_ones`]).
+    pub(crate) fn iter_difference<'s>(
+        &'s self,
+        other: &'s BitSet,
+    ) -> impl Iterator<Item = usize> + 's {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(wi, (&a, &b))| word_ones(wi, a & !b))
     }
 
     /// Removes every element.
@@ -73,22 +130,28 @@ impl BitSet {
     /// Iterates the elements in increasing order (word-skipping, so cost
     /// is proportional to the population, not the capacity).
     pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let i = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(wi * 64 + i)
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| word_ones(wi, w))
     }
 
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
+}
+
+/// The elements a word `w` at word index `wi` holds, in increasing order.
+fn word_ones(wi: usize, w: u64) -> impl Iterator<Item = usize> {
+    let mut rest = w;
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let i = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        Some(wi * 64 + i)
+    })
 }
 
 #[cfg(test)]
@@ -175,6 +238,34 @@ mod tests {
         // Still usable after clearing.
         s.insert(42);
         assert!(s.contains(42));
+    }
+
+    #[test]
+    fn word_parallel_set_operations() {
+        let mut a = BitSet::new(200);
+        let mut b = BitSet::new(200);
+        for i in [1, 64, 70, 130, 199] {
+            a.insert(i);
+        }
+        for i in [64, 130, 150] {
+            b.insert(i);
+        }
+        assert!(a.intersects(&b));
+        assert_eq!(a.first_common(&b), Some(64));
+        assert_eq!(a.first_not_in(&b), Some(1));
+        assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), vec![1, 70, 199]);
+        assert_eq!(b.first_not_in(&a), Some(150));
+        assert_eq!(b.first_not_in(&b), None);
+        assert!(!a.intersects(&BitSet::new(200)));
+        assert_eq!(a.first_common(&BitSet::new(200)), None);
+
+        let mut new = Vec::new();
+        b.union_with_new(&a, |i| new.push(i));
+        assert_eq!(new, vec![1, 70, 199]);
+        assert_eq!(b.count_ones(), 6);
+        new.clear();
+        b.union_with_new(&a, |i| new.push(i));
+        assert!(new.is_empty());
     }
 
     #[test]

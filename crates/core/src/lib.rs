@@ -75,6 +75,8 @@ pub mod certificate;
 pub mod saturate;
 
 #[doc(hidden)]
+pub mod graph_kernels;
+#[doc(hidden)]
 pub mod must_precede;
 
 pub mod fxhash;

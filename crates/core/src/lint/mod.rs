@@ -27,12 +27,16 @@
 //! Every rule runs in polynomial time. The rules read their must-precede
 //! facts from [`crate::must_precede`], whose per-object tables make
 //! supplier sets `O(reads · (writers per object + txns/64))` and the
-//! commit-order edges scans of those tables; the pipeline is
-//! `O(txns² + reads · (writers per object + txns/64) + events)`
-//! overall, dominated by the per-scope cycle checks.
+//! commit-order edges scans of those tables. CY004's per-scope cycle
+//! checks are word-parallel depth-first searches, `O(txns²/64)` each,
+//! and AN005 finds anti-dependency two-cycles by binary search, so the
+//! pipeline is `O(txns²/64 + reads · (writers per object + txns/64) +
+//! anti-deps · log anti-deps + events)` overall.
 
 mod context;
 mod rules;
+
+pub(crate) use rules::an005_pairs;
 
 use crate::Violation;
 use duop_history::History;

@@ -397,14 +397,38 @@ fn cycle_diag(
 /// necessary conditions; see [`LintCtx::anti_deps`]); CY004's base graph
 /// finds the same two-cycle, AN005 names the anomaly.
 fn an005(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for (i, a) in ctx.anti_deps.iter().enumerate() {
-        for b in &ctx.anti_deps[i + 1..] {
-            if a.reader != b.writer || a.writer != b.reader {
-                continue;
-            }
-            out.push(an005_diag(ctx, a, b));
-        }
+    for (a, b) in an005_pairs(&ctx.anti_deps) {
+        out.push(an005_diag(ctx, &ctx.anti_deps[a], &ctx.anti_deps[b]));
     }
+}
+
+/// The anti-dependency two-cycles as position pairs `(a, b)`, `a < b`,
+/// where edge `b` reverses edge `a`, ordered by `a` and then `b`. Each
+/// edge finds its reversals by binary search in the edges sorted by
+/// `(writer, reader, position)`.
+pub(crate) fn an005_pairs(deps: &[AntiDep]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    if deps.len() < 2 {
+        return pairs;
+    }
+    let mut sorted: Vec<(usize, usize, usize)> = deps
+        .iter()
+        .enumerate()
+        .map(|(pos, d)| (d.writer, d.reader, pos))
+        .collect();
+    sorted.sort_unstable();
+    for (a, d) in deps.iter().enumerate() {
+        let reversed = (d.reader, d.writer);
+        let from =
+            sorted.partition_point(|&(w, r, pos)| (w, r, pos) <= (reversed.0, reversed.1, a));
+        pairs.extend(
+            sorted[from..]
+                .iter()
+                .take_while(|&&(w, r, _)| (w, r) == reversed)
+                .map(|&(_, _, b)| (a, b)),
+        );
+    }
+    pairs
 }
 
 fn an005_diag(ctx: &LintCtx<'_>, a: &AntiDep, b: &AntiDep) -> Diagnostic {

@@ -188,7 +188,9 @@ fn enumerate_prefixes(
     s.children_into(&mut children);
     for &(i, committed) in &children {
         let undo = s.place(i, committed);
-        if s.dead_end() {
+        let dead = s.dead_end_after(i);
+        debug_assert_eq!(dead, s.dead_end(), "dead-end check after placing {i}");
+        if dead {
             *dead_ends += 1;
             s.unplace(i, undo);
             continue;

@@ -84,28 +84,64 @@ pub(crate) fn build_constraints(spec: &Spec, query: &Query) -> (Vec<BitSet>, Vec
     (preds, commit_preds)
 }
 
-/// Kahn's algorithm over `preds` (edge `i → j` iff `preds[j]` contains
-/// `i`). Returns a topological order, or the indices left on a cycle.
+/// Topological check over `preds` (edge `i → j` iff `preds[j]` contains
+/// `i`). Returns a topological order or, when the graph is cyclic, the
+/// sorted indices on a cycle or downstream of one — the set Kahn's
+/// algorithm leaves unprocessed.
+///
+/// An iterative depth-first search over the predecessor sets that finds
+/// unvisited predecessors a word at a time, so a check costs O(n²/64). A
+/// node is *blocked* at its finish when a predecessor is still on the
+/// stack (a back edge: the node is on a cycle) or already blocked (the
+/// node is downstream of one); the blocked nodes are exactly Kahn's
+/// leftover (DESIGN.md §6). Unblocked nodes finish after all their
+/// predecessors, so the finish order is topological.
 pub(crate) fn topo_order(preds: &[BitSet]) -> Result<Vec<usize>, Vec<usize>> {
     let n = preds.len();
-    let mut indeg: Vec<usize> = preds.iter().map(BitSet::count_ones).collect();
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut topo = Vec::with_capacity(n);
-    while let Some(i) = queue.pop() {
-        topo.push(i);
-        for (j, p) in preds.iter().enumerate() {
-            if p.contains(i) {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push(j);
+    let mut visited = BitSet::new(n);
+    // Nodes on the stack, plus finished nodes that are blocked.
+    let mut tainted = BitSet::new(n);
+    let mut order = Vec::with_capacity(n);
+    // (node, index of the next predecessor word to scan)
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if visited.contains(root) {
+            continue;
+        }
+        visited.insert(root);
+        tainted.insert(root);
+        stack.push((root, 0));
+        while let Some(top) = stack.last_mut() {
+            let (v, words) = (top.0, preds[top.0].words());
+            let mut next = None;
+            while top.1 < words.len() {
+                let fresh = words[top.1] & !visited.words()[top.1];
+                if fresh != 0 {
+                    next = Some(top.1 * 64 + fresh.trailing_zeros() as usize);
+                    break;
+                }
+                top.1 += 1;
+            }
+            match next {
+                Some(u) => {
+                    visited.insert(u);
+                    tainted.insert(u);
+                    stack.push((u, 0));
+                }
+                None => {
+                    stack.pop();
+                    if !preds[v].intersects(&tainted) {
+                        tainted.remove(v);
+                    }
+                    order.push(v);
                 }
             }
         }
     }
-    if topo.len() == n {
-        Ok(topo)
+    if tainted.count_ones() == 0 {
+        Ok(order)
     } else {
-        Err((0..n).filter(|&i| indeg[i] > 0).collect())
+        Err(tainted.iter_ones().collect())
     }
 }
 
@@ -140,21 +176,53 @@ impl Dsu {
             self.parent[hi] = lo;
         }
     }
+
+    /// Joins every transaction to its predecessors in `preds` and
+    /// `commit_preds` (edge `i → j` iff the set of `j` contains `i`).
+    ///
+    /// Once `j − 1` is joined, all of `preds[j − 1]` shares its component,
+    /// so `j` joins one member of `preds[j] ∩ preds[j − 1]` plus each member
+    /// outside `preds[j − 1]`: the partition equals joining every edge,
+    /// while consecutive real-time sets, which mostly overlap, cost one
+    /// union each.
+    fn join_order_edges(&mut self, preds: &[BitSet], commit_preds: &[BitSet]) {
+        let none = BitSet::new(preds.len());
+        for (j, (p, commit_pred)) in preds.iter().zip(commit_preds).enumerate() {
+            let prev = if j == 0 { &none } else { &preds[j - 1] };
+            if let Some(i) = p.first_common(prev) {
+                self.union(i, j);
+            }
+            for i in p.iter_difference(prev) {
+                self.union(i, j);
+            }
+            for i in commit_pred.iter_ones() {
+                self.union(i, j);
+            }
+        }
+    }
+}
+
+/// The connected components of the order edges `preds ∪ commit_preds`
+/// alone, each sorted, ordered by smallest member: the planner's
+/// union-find step in isolation, for the kernel equivalence suite.
+pub(crate) fn order_components(preds: &[BitSet], commit_preds: &[BitSet]) -> Vec<Vec<usize>> {
+    let mut scratch = PlanScratch::new();
+    scratch.dsu.reset(preds.len());
+    scratch.dsu.join_order_edges(preds, commit_preds);
+    scratch.components(preds.len())
 }
 
 /// Pooled scratch for repeated planning, so a caller that extracts
 /// components in a loop — the sharding coordinator replans every incoming
-/// history — reuses the union-find, Kahn's-algorithm and bitset buffers
-/// instead of reallocating them per call (the same discipline `search.rs`
-/// applies to its undo logs).
+/// history — reuses the union-find, component and bitset buffers instead
+/// of reallocating them per call (the same discipline `search.rs` applies
+/// to its undo logs). The topological checks allocate their own small
+/// working sets.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     dsu: Dsu,
     /// Component slot per union-find root; `usize::MAX` = unassigned.
     slot_of_root: Vec<usize>,
-    /// Kahn's-algorithm in-degrees and work queue.
-    indeg: Vec<usize>,
-    queue: Vec<usize>,
     /// The constraint graph with forced edges added, copied word-for-word
     /// from the base constraints into pooled bit sets.
     preds_forced: Vec<BitSet>,
@@ -168,44 +236,34 @@ impl PlanScratch {
         Self::default()
     }
 
+    /// The union-find's components over `0..n`, each sorted, ordered by
+    /// smallest member, in vectors from the spare pool.
+    fn components(&mut self, n: usize) -> Vec<Vec<usize>> {
+        self.slot_of_root.clear();
+        self.slot_of_root.resize(n, usize::MAX);
+        let mut components: Vec<Vec<usize>> = Vec::new();
+        for i in 0..n {
+            let root = self.dsu.find(i);
+            let slot = self.slot_of_root[root];
+            if slot == usize::MAX {
+                self.slot_of_root[root] = components.len();
+                let mut c = self.spare.pop().unwrap_or_default();
+                c.clear();
+                c.push(i);
+                components.push(c);
+            } else {
+                components[slot].push(i);
+            }
+        }
+        components
+    }
+
     /// Returns a plan's component vectors to the spare pool.
     fn recycle(&mut self, components: Vec<Vec<usize>>) {
         self.spare.extend(components.into_iter().map(|mut c| {
             c.clear();
             c
         }));
-    }
-}
-
-/// Kahn's algorithm into pooled buffers: `None` when `preds` is acyclic,
-/// otherwise the indices left on a cycle (same members, in the same
-/// order, as [`topo_order`]).
-fn topo_cycle(
-    preds: &[BitSet],
-    indeg: &mut Vec<usize>,
-    queue: &mut Vec<usize>,
-) -> Option<Vec<usize>> {
-    let n = preds.len();
-    indeg.clear();
-    indeg.extend(preds.iter().map(BitSet::count_ones));
-    queue.clear();
-    queue.extend((0..n).filter(|&i| indeg[i] == 0));
-    let mut seen = 0;
-    while let Some(i) = queue.pop() {
-        seen += 1;
-        for (j, p) in preds.iter().enumerate() {
-            if p.contains(i) {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-    }
-    if seen == n {
-        None
-    } else {
-        Some((0..n).filter(|&i| indeg[i] > 0).collect())
     }
 }
 
@@ -261,7 +319,7 @@ impl Plan {
         let (preds, commit_preds) = build_constraints(spec, query);
         // A cycle among the caller's own constraints is a crisp
         // ConstraintCycle, exactly like the monolithic engine reports.
-        if let Some(cyc) = topo_cycle(&preds, &mut scratch.indeg, &mut scratch.queue) {
+        if let Err(cyc) = topo_order(&preds) {
             return Err(Violation::ConstraintCycle {
                 txns: cyc.into_iter().map(|i| spec.txns[i].id).collect(),
             });
@@ -280,13 +338,7 @@ impl Plan {
         for &(a, b) in &forced {
             scratch.preds_forced[b].insert(a);
         }
-        if topo_cycle(
-            &scratch.preds_forced,
-            &mut scratch.indeg,
-            &mut scratch.queue,
-        )
-        .is_some()
-        {
+        if topo_order(&scratch.preds_forced).is_err() {
             return Err(Violation::NoSerialization {
                 criterion: query.name.to_owned(),
                 explored: 0,
@@ -297,36 +349,16 @@ impl Plan {
         // commit-conditional ones, which constrain the order whenever the
         // target commits).
         scratch.dsu.reset(n);
-        for (j, commit_pred) in commit_preds.iter().enumerate().take(n) {
-            for i in scratch.preds_forced[j].iter_ones() {
-                scratch.dsu.union(i, j);
-            }
-            for i in commit_pred.iter_ones() {
-                scratch.dsu.union(i, j);
-            }
-        }
+        scratch
+            .dsu
+            .join_order_edges(&scratch.preds_forced, &commit_preds);
         for accessors in spec.accessors_per_obj() {
             for w in accessors.windows(2) {
                 scratch.dsu.union(w[0], w[1]);
             }
         }
 
-        scratch.slot_of_root.clear();
-        scratch.slot_of_root.resize(n, usize::MAX);
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            let root = scratch.dsu.find(i);
-            let slot = scratch.slot_of_root[root];
-            if slot == usize::MAX {
-                scratch.slot_of_root[root] = components.len();
-                let mut c = scratch.spare.pop().unwrap_or_default();
-                c.clear();
-                c.push(i);
-                components.push(c);
-            } else {
-                components[slot].push(i);
-            }
-        }
+        let components = scratch.components(n);
 
         Ok(Plan { components, forced })
     }
@@ -910,5 +942,33 @@ mod tests {
         let pos0 = order.iter().position(|&i| i == 0).unwrap();
         let pos1 = order.iter().position(|&i| i == 1).unwrap();
         assert!(pos1 < pos0);
+
+        // The cyclic set is Kahn's leftover, sorted: the cycle's members
+        // and everything downstream of it, nothing upstream or beside it.
+        let graph = |n: usize, edges: &[(usize, usize)]| {
+            let mut preds: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+            for &(a, b) in edges {
+                preds[b].insert(a); // a → b
+            }
+            preds
+        };
+        // 0 → 1 ⇄ 2 → 3 → 4, and 5 alone: 0 and 5 are not blocked.
+        let g = graph(6, &[(0, 1), (1, 2), (2, 1), (2, 3), (3, 4)]);
+        assert_eq!(topo_order(&g), Err(vec![1, 2, 3, 4]));
+        // A downstream node with a lower index than the cycle, reached
+        // before the cycle in index order: 3 → 4 → 3 feeds 0.
+        let g = graph(5, &[(3, 4), (4, 3), (4, 0), (1, 2)]);
+        assert_eq!(topo_order(&g), Err(vec![0, 3, 4]));
+        // A self-loop is a cycle of one; its successor is downstream.
+        let g = graph(3, &[(1, 1), (1, 2)]);
+        assert_eq!(topo_order(&g), Err(vec![1, 2]));
+        // A long cycle through every node.
+        let g = graph(70, &(0..70).map(|i| (i, (i + 1) % 70)).collect::<Vec<_>>());
+        assert_eq!(topo_order(&g), Err((0..70).collect()));
+        // Acyclic: the order respects every edge.
+        let edges = [(4, 0), (0, 2), (3, 2), (2, 1), (4, 1)];
+        let order = topo_order(&graph(5, &edges)).unwrap();
+        let pos = |x: usize| order.iter().position(|&i| i == x).unwrap();
+        assert!(edges.iter().all(|&(a, b)| pos(a) < pos(b)), "{order:?}");
     }
 }

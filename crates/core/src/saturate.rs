@@ -8,7 +8,7 @@
 //! anti-dependencies, and the RCO/TMS2 commit-order edges for those
 //! scopes — then saturates to closure with two derivation rule families:
 //!
-//! * **transitivity** (Warshall closure, provenance-tracking);
+//! * **transitivity** (word-parallel Warshall closure, provenance-tracking);
 //! * **interference**: when a read's value has a *unique* admissible
 //!   supplier `w`, any committed writer of the object whose final write
 //!   differs from the value cannot sit between `w` and the reader, so a
@@ -35,8 +35,9 @@ use crate::{check_witness, CriterionKind, Verdict, Violation, Witness};
 use duop_history::{CommitCapability, History, ObjId, TxnId, Value};
 use std::collections::BTreeMap;
 
-/// Transaction-count gate: saturation is O(n³) in the transaction count,
-/// so histories larger than this fall through to the planner untouched.
+/// Transaction-count gate: the closure is O(n³/64) word operations and the
+/// provenance table holds n² cells, so histories larger than this fall
+/// through to the planner untouched.
 const MAX_TXNS: usize = 512;
 
 /// Bound on interference/closure alternations; the fixpoint converges in
@@ -254,28 +255,10 @@ impl<'a> Saturator<'a> {
     /// the provenance graph stays well-founded.
     fn close(&mut self) {
         let n = self.n;
-        let mut new_bits: Vec<usize> = Vec::new();
-        for k in 0..n {
-            let via = self.reach[k].clone();
-            for i in 0..n {
-                if i == k || !self.reach[i].contains(k) {
-                    continue;
-                }
-                new_bits.clear();
-                for j in via.iter_ones() {
-                    if !self.reach[i].contains(j) {
-                        new_bits.push(j);
-                    }
-                }
-                if new_bits.is_empty() {
-                    continue;
-                }
-                for &j in &new_bits {
-                    self.prov[i * n + j] = Some(Prov::Trans { mid: k });
-                }
-                self.reach[i].union_with(&via);
-            }
-        }
+        let prov = &mut self.prov;
+        transitive_close(&mut self.reach, |i, j, k| {
+            prov[i * n + j] = Some(Prov::Trans { mid: k });
+        });
     }
 
     /// One interference pass over the closed relation; `true` if any edge
@@ -456,6 +439,24 @@ impl<'a> Saturator<'a> {
             order[pos] = i;
         }
         Some(order)
+    }
+}
+
+/// Warshall's closure of the successor sets `reach` in place, calling
+/// `on_new(i, j, k)` for each edge `i → j` it adds through pivot `k`, in
+/// `(k, i, j)` order. For each pivot `k` and each `i ≠ k` reaching it,
+/// `reach[i]` takes `reach[k]` a word at a time, so the closure costs
+/// O(n³/64) word operations; only the new bits are visited one by one.
+pub(crate) fn transitive_close(reach: &mut [BitSet], mut on_new: impl FnMut(usize, usize, usize)) {
+    let mut via = BitSet::default();
+    for k in 0..reach.len() {
+        // `reach[k]` cannot change while `k` is the pivot: `i ≠ k` below.
+        via.copy_from(&reach[k]);
+        for (i, row) in reach.iter_mut().enumerate() {
+            if i != k && row.contains(k) {
+                row.union_with_new(&via, |j| on_new(i, j, k));
+            }
+        }
     }
 }
 

@@ -408,11 +408,11 @@ impl<'a> Searcher<'a> {
             }
         }
 
-        // Cycle check (Kahn's algorithm) so cyclic constraints produce a
-        // crisp violation instead of an exhausted search, and a topological
-        // order for the closure below. Conditional edges are excluded: a
-        // "cycle" through one only means the target cannot commit, which
-        // the fate gate handles.
+        // Cycle check so cyclic constraints produce a crisp violation
+        // instead of an exhausted search, and a topological order for the
+        // closure below. Conditional edges are excluded: a "cycle" through
+        // one only means the target cannot commit, which the fate gate
+        // handles.
         let topo = match crate::plan::topo_order(&preds) {
             Ok(t) => t,
             Err(cyc) => {
@@ -424,21 +424,7 @@ impl<'a> Searcher<'a> {
 
         // Reachability closure of the precedence edges, for fail-first
         // ordering: desc[i] = transactions that must come after i.
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (j, p) in preds.iter().enumerate() {
-            for i in p.iter_ones() {
-                succs[i].push(j);
-            }
-        }
-        let mut desc: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for &i in topo.iter().rev() {
-            let mut d = std::mem::replace(&mut desc[i], BitSet::new(n));
-            for &j in &succs[i] {
-                d.insert(j);
-                d.union_with(&desc[j]);
-            }
-            desc[i] = d;
-        }
+        let desc = descendants(&preds, &topo);
 
         // Most-constrained first: a transaction with many forced
         // successors prunes hardest when it fails, and unblocks the most
@@ -584,27 +570,48 @@ impl<'a> Searcher<'a> {
     /// non-eligible writer can still restore the global value even though
     /// it never enters the read's local serialization — unless
     /// [`Self::eligible_global`] asks to ignore such witnesses.
+    ///
+    /// This is the all-slot scan; the search calls [`Self::dead_end_after`]
+    /// and checks it against this scan in debug builds.
     pub(crate) fn dead_end(&self) -> bool {
-        for (slot, r) in self.spec.reads.iter().enumerate() {
-            if self.placed.contains(r.txn) || !self.scope.contains(r.txn) {
-                continue;
-            }
-            let writers = if self.du && !self.eligible_global {
-                &self.writers[slot]
-            } else {
-                &self.suppliers[slot]
-            };
-            if self.global_last[r.obj] != r.value && writers.is_subset_of(&self.placed) {
-                return true;
-            }
-            if self.du
-                && self.local_last[slot] != r.value
-                && self.suppliers[slot].is_subset_of(&self.placed)
-            {
-                return true;
-            }
+        (0..self.spec.reads.len()).any(|slot| self.slot_lost(slot))
+    }
+
+    /// [`Self::dead_end`] right after placing `i` onto a state that was not
+    /// a dead end, re-checking only the read slots on objects `i` writes.
+    ///
+    /// Placing `i` can make a slot lost only through `i` itself: joining
+    /// its writer set's placed part, or changing `global_last` or
+    /// `local_last`. All three touch only objects in `i`'s write set,
+    /// whatever `i`'s fate; every other slot is as it was, and so not
+    /// lost. A search root is never a dead end (DESIGN.md §6), and `dfs`
+    /// descends only through placements that are not.
+    pub(crate) fn dead_end_after(&self, i: usize) -> bool {
+        self.spec.txns[i].writes.iter().any(|&(obj, _)| {
+            self.spec.reads_on_obj[obj]
+                .iter()
+                .any(|&slot| self.slot_lost(slot))
+        })
+    }
+
+    /// Whether read slot `slot` of an unplaced in-scope transaction can no
+    /// longer be served in any extension of the current state.
+    fn slot_lost(&self, slot: usize) -> bool {
+        let r = &self.spec.reads[slot];
+        if self.placed.contains(r.txn) || !self.scope.contains(r.txn) {
+            return false;
         }
-        false
+        let writers = if self.du && !self.eligible_global {
+            &self.writers[slot]
+        } else {
+            &self.suppliers[slot]
+        };
+        if self.global_last[r.obj] != r.value && writers.is_subset_of(&self.placed) {
+            return true;
+        }
+        self.du
+            && self.local_last[slot] != r.value
+            && self.suppliers[slot].is_subset_of(&self.placed)
     }
 
     /// Searches the current scope for a serialization. Under du-opacity
@@ -818,7 +825,9 @@ impl<'a> Searcher<'a> {
                     continue;
                 }
                 let undo = self.place(i, committed);
-                if self.dead_end() {
+                let dead = self.dead_end_after(i);
+                debug_assert_eq!(dead, self.dead_end(), "dead-end check after placing {i}");
+                if dead {
                     self.dead_ends += 1;
                     self.unplace(i, undo);
                     continue;
@@ -872,6 +881,35 @@ impl<'a> Searcher<'a> {
     pub(crate) fn unknown_reason(&self) -> UnknownReason {
         self.unknown.unwrap_or(UnknownReason::StateBudget)
     }
+}
+
+/// Descendant sets of an acyclic precedence graph (edge `i → j` iff
+/// `preds[j]` contains `i`), given a topological order of it:
+/// `desc[i]` holds every transaction that must come after `i`.
+///
+/// In reverse topological order, `desc[i]` takes the union of `{j} ∪
+/// desc[j]` over the successors `j` of `i`, skipping every successor
+/// already covered: a union of descendant sets is closed under
+/// successors, so a covered `j` brings nothing new. Successors are found
+/// a word at a time from transposed bit sets.
+pub(crate) fn descendants(preds: &[BitSet], topo: &[usize]) -> Vec<BitSet> {
+    let n = preds.len();
+    let mut succs: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+    for (j, p) in preds.iter().enumerate() {
+        for i in p.iter_ones() {
+            succs[i].insert(j);
+        }
+    }
+    let mut desc: Vec<BitSet> = vec![BitSet::default(); n];
+    for &i in topo.iter().rev() {
+        let mut d = BitSet::new(n);
+        while let Some(j) = succs[i].first_not_in(&d) {
+            d.insert(j);
+            d.union_with(&desc[j]);
+        }
+        desc[i] = d;
+    }
+    desc
 }
 
 #[derive(Default)]
