@@ -344,7 +344,8 @@ pub(crate) fn tms2_edges(h: &History) -> Vec<(TxnId, TxnId)> {
     id_pairs(h, &must_precede::tms2(h))
 }
 
-fn id_pairs(h: &History, edges: &[must_precede::CommitEdge]) -> Vec<(TxnId, TxnId)> {
+/// Commit-order edges as `(before, after)` transaction id pairs.
+pub(crate) fn id_pairs(h: &History, edges: &[must_precede::CommitEdge]) -> Vec<(TxnId, TxnId)> {
     let ids: Vec<TxnId> = h.txn_ids().collect();
     edges
         .iter()

@@ -11,8 +11,8 @@
 use crate::bitset::BitSet;
 use crate::must_precede::AntiDep;
 use crate::plan::{Plan, PlanCriterion};
+use crate::prepared::Prepared;
 use crate::search::{Outcome, SearchConfig, Searcher};
-use crate::spec::Spec;
 use duop_history::History;
 
 fn bitsets(sets: &[Vec<usize>]) -> Vec<BitSet> {
@@ -101,20 +101,19 @@ pub fn dead_end_audit(
     max_placements: u64,
 ) -> Result<DeadEndAudit, String> {
     let mut audit = DeadEndAudit::default();
-    let prepared = criterion.prepare(h);
-    let hh = prepared.as_ref().unwrap_or(h);
-    let Ok(spec) = Spec::build(hh) else {
+    let p = Prepared::new(h, criterion);
+    if p.spec().is_err() {
         return Ok(audit);
-    };
-    let query = criterion.query(hh);
-    let Ok(plan) = Plan::build(&spec, &query) else {
+    }
+    let query = criterion.query(&p);
+    let Ok(plan) = Plan::build(&p, &query) else {
         return Ok(audit);
     };
     let cfg = SearchConfig {
         max_states: Some(max_placements),
         ..SearchConfig::default()
     };
-    let Ok(mut s) = Searcher::new(&spec, &cfg, &query, &plan.forced) else {
+    let Ok(mut s) = Searcher::new(&p, &cfg, &query, &plan.forced) else {
         return Ok(audit);
     };
     let passes: &[bool] = if query.deferred_update {

@@ -66,6 +66,7 @@ mod bitset;
 mod criteria;
 mod json;
 mod plan;
+mod prepared;
 mod search;
 mod spec;
 mod verdict;
@@ -99,8 +100,8 @@ pub use criteria::{
 };
 pub use parallel::{available_threads, par_check_batch, par_map};
 pub use plan::{
-    check_criterion_with_stats, ladder_verdict, plan_components, prelint_verdict, PlanCriterion,
-    PlanOutcome, PlanScratch,
+    check_criterion_with_stats, ladder_verdict, plan_components, plan_query, prelint_verdict,
+    PlanCriterion, PlanOutcome, PlanScratch,
 };
 pub use saturate::{saturate, saturate_verdict, SaturationOutcome};
 pub use search::{

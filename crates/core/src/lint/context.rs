@@ -1,59 +1,28 @@
-//! Shared preprocessing for the lint rules: the indexed [`Spec`] plus the
-//! must-precede facts of [`crate::must_precede`] the rules read.
+//! What the lint rules read: the prepared query's [`Spec`] and the
+//! must-precede facts of [`crate::must_precede`] it builds on first use.
 
-use crate::bitset::BitSet;
-use crate::must_precede::{anti_deps, supplier_sets, AntiDep};
+use crate::prepared::Prepared;
 use crate::spec::Spec;
 use duop_history::{History, Op, Ret};
 
-/// Everything the rules share: built once per [`super::lint`] run.
+/// Everything the rules share, borrowed from one [`Prepared`].
 pub(super) struct LintCtx<'a> {
     pub h: &'a History,
-    pub spec: Spec,
-    /// Per transaction (by spec index): the event index of its `C_k`
-    /// response, when committed in `H`.
-    pub commit_resp: Vec<Option<usize>>,
-    /// Du-mode supplier sets per read slot: committable writers of the
-    /// read's value whose `tryC` was invoked before the read's response.
-    pub du_suppliers: Vec<BitSet>,
-    /// Plain supplier sets per read slot: committable writers of the
-    /// read's value, regardless of `tryC` timing.
-    pub base_suppliers: Vec<BitSet>,
-    /// Anti-dependency edges, sound for *every* criterion scope (see
-    /// [`AntiDep`]); saturation seeds from the same list.
-    pub anti_deps: Vec<AntiDep>,
+    pub spec: &'a Spec,
+    /// The facts: supplier sets, anti-dependencies and commit-order
+    /// edges, shared with saturation, the planner and the searcher.
+    pub facts: &'a Prepared<'a>,
 }
 
 impl<'a> LintCtx<'a> {
-    /// Builds the context; `None` when [`Spec::build`] itself rejects the
+    /// The context over `p`; `None` when [`Spec::build`] rejected the
     /// history (internal read inconsistency), which rule `WF001` reports
     /// separately.
-    pub(super) fn build(h: &'a History) -> Option<Self> {
-        let spec = Spec::build(h).ok()?;
-        let du_suppliers = supplier_sets(&spec, true);
-        let base_suppliers = supplier_sets(&spec, false);
-
-        // Spec::build indexes transactions in h.txns() order, so zipping
-        // the two iterations lines up.
-        let commit_resp: Vec<Option<usize>> = h
-            .txns()
-            .map(|t| {
-                t.ops()
-                    .iter()
-                    .find(|o| o.op.is_try_commit() && o.resp == Some(Ret::Committed))
-                    .and_then(|o| o.resp_index)
-            })
-            .collect();
-
-        let anti_deps = anti_deps(&spec);
-
+    pub(super) fn new(p: &'a Prepared<'a>) -> Option<Self> {
         Some(LintCtx {
-            h,
-            spec,
-            commit_resp,
-            du_suppliers,
-            base_suppliers,
-            anti_deps,
+            h: p.history(),
+            spec: p.spec().ok()?,
+            facts: p,
         })
     }
 
@@ -67,5 +36,20 @@ impl<'a> LintCtx<'a> {
             (Op::Write(x, _), Some(Ret::Ok)) if x == obj => Some(o.inv_index),
             _ => None,
         })
+    }
+
+    /// Per transaction (by spec index): the event index of its `C_k`
+    /// response, when committed in `H`. Spec indices follow
+    /// `h.txns()` order.
+    pub(super) fn commit_responses(&self) -> Vec<Option<usize>> {
+        self.h
+            .txns()
+            .map(|t| {
+                t.ops()
+                    .iter()
+                    .find(|o| o.op.is_try_commit() && o.resp == Some(Ret::Committed))
+                    .and_then(|o| o.resp_index)
+            })
+            .collect()
     }
 }

@@ -32,12 +32,26 @@
 //! and AN005 finds anti-dependency two-cycles by binary search, so the
 //! pipeline is `O(txns²/64 + reads · (writers per object + txns/64) +
 //! anti-deps · log anti-deps + events)` overall.
+//!
+//! [`lint`] runs every rule and reports every finding. The search
+//! prefilter needs only the `Error` that
+//! [`LintReport::first_error_for`] would pick for one scope, so it runs
+//! only the rules whose `Error`s can refute that scope — one table in
+//! the registry records which scopes each rule's `Error`s name. It skips
+//! UW007 (a Note), DU002's Warning form and the other scopes' CY004
+//! graphs, and instead of sorting takes the `Error` with the least
+//! `(primary event, rule)`, the first emitted on ties. That is the
+//! diagnostic the full report's stable sort puts first among the
+//! scope's `Error`s, because each rule emits the scope's `Error`s in the
+//! same order either way. It reads the facts of the query's
+//! `Prepared`, which saturation, the planner and the search share.
 
 mod context;
 mod rules;
 
 pub(crate) use rules::an005_pairs;
 
+use crate::prepared::Prepared;
 use crate::Violation;
 use duop_history::History;
 use std::fmt;
@@ -191,6 +205,15 @@ pub struct LintReport {
 }
 
 impl LintReport {
+    /// A report of `diagnostics` in severity-then-position order. The sort
+    /// is stable: equal keys keep their emission order.
+    fn sorted(mut diagnostics: Vec<Diagnostic>) -> Self {
+        diagnostics.sort_by(|a, b| {
+            (a.severity, a.primary.event, a.rule).cmp(&(b.severity, b.primary.event, b.rule))
+        });
+        LintReport { diagnostics }
+    }
+
     /// The diagnostics, most severe first (ties by primary event index,
     /// then rule id).
     pub fn diagnostics(&self) -> &[Diagnostic] {
@@ -258,32 +281,112 @@ pub struct RuleInfo {
 
 /// The rule registry, in pipeline order.
 pub fn rules() -> &'static [RuleInfo] {
-    rules::RULES
+    &rules::RULES
+}
+
+/// Which findings a lint run emits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Emit {
+    /// Every finding: the full report of [`lint`].
+    All,
+    /// Only the `Error`s that refute one scope: the prefilter's run.
+    Refuting(LintScope),
+}
+
+impl Emit {
+    /// Whether a finding of this severity and applicability is emitted.
+    fn wants(self, severity: Severity, applicability: Applicability) -> bool {
+        match self {
+            Emit::All => true,
+            Emit::Refuting(scope) => severity == Severity::Error && applicability.refutes(scope),
+        }
+    }
+
+    /// Whether a rule whose `Error`s carry the applicabilities `errors`
+    /// runs at all.
+    fn selects(self, errors: &[Applicability]) -> bool {
+        match self {
+            Emit::All => true,
+            Emit::Refuting(scope) => errors.iter().any(|a| a.refutes(scope)),
+        }
+    }
 }
 
 /// Runs every rule over `h` and collects the findings.
 ///
 /// Polynomial in the history size; never searches for a serialization.
 pub fn lint(h: &History) -> LintReport {
-    let mut diagnostics = rules::run_all(h);
-    diagnostics.sort_by(|a, b| {
-        (a.severity, a.primary.event, a.rule).cmp(&(b.severity, b.primary.event, b.rule))
-    });
-    LintReport { diagnostics }
+    LintReport::sorted(rules::run(&Prepared::of(h), Emit::All))
 }
 
-/// The search prefilter: lints `h` and converts the first `Error` that
-/// refutes `scope` into a [`Violation::LintRefuted`] for `criterion`.
+/// The search prefilter: the `Error` that `lint(h).first_error_for(scope)`
+/// returns for the prepared query's history, as a
+/// [`Violation::LintRefuted`] for `criterion`. Runs only the rules that
+/// can refute `scope` (see the module docs).
 ///
 /// Sound by the `Error` contract — each such rule is a proven necessary
 /// condition for every criterion its applicability names — so a checker
 /// returning this violation instead of searching is verdict-equivalent.
-pub(crate) fn prelint(h: &History, scope: LintScope, criterion: &str) -> Option<Violation> {
-    let report = lint(h);
-    report
-        .first_error_for(scope)
-        .map(|d| Violation::LintRefuted {
-            criterion: criterion.to_owned(),
-            diagnostic: Box::new(d.clone()),
-        })
+pub(crate) fn prelint(p: &Prepared<'_>, scope: LintScope, criterion: &str) -> Option<Violation> {
+    let errors = rules::run(p, Emit::Refuting(scope));
+    let first = first_error(&errors)?;
+    Some(Violation::LintRefuted {
+        criterion: criterion.to_owned(),
+        // A clone is sized exactly, where the emitted strings and vectors
+        // may carry spare capacity; a batch can hold many verdicts.
+        diagnostic: Box::new(first.clone()),
+    })
+}
+
+/// The diagnostic a sorted report lists first among `errors`, which are
+/// all `Error`s: the least `(primary event, rule)`, the first emitted on
+/// ties (`min_by_key` keeps the first of equal keys).
+fn first_error(errors: &[Diagnostic]) -> Option<&Diagnostic> {
+    errors.iter().min_by_key(|d| (d.primary.event, d.rule))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn error(rule: &'static str, event: usize, message: &str) -> Diagnostic {
+        Diagnostic {
+            rule,
+            severity: Severity::Error,
+            applicability: Applicability::AllCriteria,
+            message: message.to_owned(),
+            primary: Span {
+                event,
+                label: String::new(),
+            },
+            secondary: Vec::new(),
+        }
+    }
+
+    /// The prefilter's pick equals the sorted report's first `Error` on
+    /// emission lists no history produces today: out of order, with two
+    /// rules on one event, and with ties on `(event, rule)`.
+    #[test]
+    fn first_error_is_the_sorted_reports_first() {
+        let emitted = [
+            error("RF003", 7, "a"),
+            error("CY004", 9, "b"),
+            error("AN005", 7, "c"),
+            error("AN005", 7, "d"),
+            error("CY004", 3, "e"),
+            error("CY004", 3, "f"),
+        ];
+        for n in 1..=emitted.len() {
+            for start in 0..n {
+                let mut errors = emitted[..n].to_vec();
+                errors.rotate_left(start);
+                let report = LintReport::sorted(errors.clone());
+                assert_eq!(
+                    first_error(&errors),
+                    report.first_error_for(LintScope::Plain),
+                    "{errors:?}"
+                );
+            }
+        }
+    }
 }

@@ -3,132 +3,207 @@
 //! in `DESIGN.md` ("Static analysis: the lint pipeline").
 
 use super::context::LintCtx;
-use super::{Applicability, Diagnostic, RuleInfo, Severity, Span};
+use super::{Applicability, Diagnostic, Emit, RuleInfo, Severity, Span};
 use crate::bitset::BitSet;
-use crate::must_precede::{self, AntiDep};
+use crate::must_precede::AntiDep;
 use crate::plan::topo_order;
+use crate::prepared::Prepared;
 use crate::spec::Spec;
 use duop_history::{CommitCapability, History, Op, Ret, Value};
 use std::collections::HashMap;
 
-pub(super) const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "WF001",
-        title: "internal read inconsistency",
-        summary: "a read after the transaction's own write returned a different value \
-                  (well-formedness / sequential specification, Section 2)",
-        paper: "Section 2's sequential specification of a t-object requires every read \
-                to return the transaction's own latest preceding write to that object. \
-                A history violating this inside one transaction has no legal sequential \
-                image for that transaction at all, so every criterion built on \
-                equivalence to a legal sequential history (Definitions 3-5) is refuted \
-                outright — no serialization search is needed.",
-        example: "T1 write X0 1\nT1 ok\nT1 read X0\nT1 val 2\nT1 tryc\nT1 commit\n",
+/// How a rule runs.
+#[derive(Clone, Copy)]
+enum Run {
+    /// Over the history, only when it has no spec: WF001 explains why.
+    WithoutSpec(fn(&History, &mut Vec<Diagnostic>)),
+    /// Over the shared facts, emitting what the [`Emit`] asks for.
+    WithSpec(fn(&LintCtx<'_>, Emit, &mut Vec<Diagnostic>)),
+}
+
+/// One rule of the pipeline.
+struct Rule {
+    info: RuleInfo,
+    /// The applicabilities of the rule's `Error` emissions, which name
+    /// the scopes it can refute; empty for a rule that never emits one.
+    errors: &'static [Applicability],
+    run: Run,
+}
+
+/// The pipeline in registry order: the one table of the rules, the
+/// scopes each can refute, and how each runs. The prefilter runs a rule
+/// only when its `errors` refute the scope at hand.
+const PIPELINE: [Rule; 7] = [
+    Rule {
+        info: RuleInfo {
+            id: "WF001",
+            title: "internal read inconsistency",
+            summary: "a read after the transaction's own write returned a different value \
+                      (well-formedness / sequential specification, Section 2)",
+            paper: "Section 2's sequential specification of a t-object requires every read \
+                    to return the transaction's own latest preceding write to that object. \
+                    A history violating this inside one transaction has no legal sequential \
+                    image for that transaction at all, so every criterion built on \
+                    equivalence to a legal sequential history (Definitions 3-5) is refuted \
+                    outright — no serialization search is needed.",
+            example: "T1 write X0 1\nT1 ok\nT1 read X0\nT1 val 2\nT1 tryc\nT1 commit\n",
+        },
+        errors: &[Applicability::AllCriteria],
+        run: Run::WithoutSpec(wf001),
     },
-    RuleInfo {
-        id: "DU002",
-        title: "deferred-update axiom",
-        summary: "a value was observed before any writer of it committed (dirty read, \
-                  Figure 2 shape); Error under du-opacity when no writer had even \
-                  invoked tryC before the read's response (Definition 3(3))",
-        paper: "Definition 3(3) (deferred update): in a du-opaque history a read may \
-                return a transaction's written value only if that writer's tryC was \
-                already invoked when the read responded — deferred-update TMs make \
-                writes visible no earlier than commit time. Observing the value before \
-                any writer even invoked tryC is therefore a refutation of du-opacity \
-                (Error); observing it between tryC and commit is the Figure 2 shape, \
-                legal but worth a Warning because it pins the writer's commit.",
-        example: "T1 write X0 1\nT1 ok\nT2 read X0\nT2 val 1\nT2 tryc\nT2 commit\n\
-                  T1 tryc\nT1 commit\n",
+    Rule {
+        info: RuleInfo {
+            id: "DU002",
+            title: "deferred-update axiom",
+            summary: "a value was observed before any writer of it committed (dirty read, \
+                      Figure 2 shape); Error under du-opacity when no writer had even \
+                      invoked tryC before the read's response (Definition 3(3))",
+            paper: "Definition 3(3) (deferred update): in a du-opaque history a read may \
+                    return a transaction's written value only if that writer's tryC was \
+                    already invoked when the read responded — deferred-update TMs make \
+                    writes visible no earlier than commit time. Observing the value before \
+                    any writer even invoked tryC is therefore a refutation of du-opacity \
+                    (Error); observing it between tryC and commit is the Figure 2 shape, \
+                    legal but worth a Warning because it pins the writer's commit.",
+            example: "T1 write X0 1\nT1 ok\nT2 read X0\nT2 val 1\nT2 tryc\nT2 commit\n\
+                      T1 tryc\nT1 commit\n",
+        },
+        errors: &[Applicability::DuOpacityOnly],
+        run: Run::WithSpec(du002),
     },
-    RuleInfo {
-        id: "RF003",
-        title: "read-from non-existence",
-        summary: "a read returned a non-initial value no committable transaction writes",
-        paper: "In every serialization each read returns either the initial value or \
-                the latest committed write (Section 2). A non-initial value that no \
-                committable transaction ever writes has no possible supplier, so no \
-                serialization is legal under any of the criteria (Definitions 3-5) — \
-                the strongest and cheapest refutation in the pipeline.",
-        example: "T1 write X0 1\nT1 ok\nT1 tryc\nT1 commit\nT2 read X0\nT2 val 9\n\
-                  T2 tryc\nT2 commit\n",
+    Rule {
+        info: RuleInfo {
+            id: "RF003",
+            title: "read-from non-existence",
+            summary: "a read returned a non-initial value no committable transaction writes",
+            paper: "In every serialization each read returns either the initial value or \
+                    the latest committed write (Section 2). A non-initial value that no \
+                    committable transaction ever writes has no possible supplier, so no \
+                    serialization is legal under any of the criteria (Definitions 3-5) — \
+                    the strongest and cheapest refutation in the pipeline.",
+            example: "T1 write X0 1\nT1 ok\nT1 tryc\nT1 commit\nT2 read X0\nT2 val 9\n\
+                      T2 tryc\nT2 commit\n",
+        },
+        errors: &[Applicability::AllCriteria],
+        run: Run::WithSpec(rf003),
     },
-    RuleInfo {
-        id: "CY004",
-        title: "must-precede cycle",
-        summary: "the real-time, forced read-from, anti-dependency and criterion edges \
-                  form a cycle, so no serialization exists (sound, incomplete)",
-        paper: "Every serialization must embed the real-time order (Definition 1), \
-                place each read after its only possible supplier, and place a reader \
-                of an overwritten value before the overwriter. Each such edge is a \
-                necessary condition, so a cycle among them proves no serialization \
-                exists — sound for every criterion that demands one, incomplete \
-                because only forced edges are drawn. The certifying saturation pass \
-                (`duop certify`, DESIGN.md \u{00a7}12) extends this analysis and emits a \
-                machine-checkable certificate for the cycle.",
-        example: "T1 write X0 1\nT1 ok\nT1 tryc\nT1 commit\nT2 read X0\nT2 val 0\n\
-                  T2 tryc\nT2 commit\n",
+    Rule {
+        info: RuleInfo {
+            id: "CY004",
+            title: "must-precede cycle",
+            summary: "the real-time, forced read-from, anti-dependency and criterion edges \
+                      form a cycle, so no serialization exists (sound, incomplete)",
+            paper: "Every serialization must embed the real-time order (Definition 1), \
+                    place each read after its only possible supplier, and place a reader \
+                    of an overwritten value before the overwriter. Each such edge is a \
+                    necessary condition, so a cycle among them proves no serialization \
+                    exists — sound for every criterion that demands one, incomplete \
+                    because only forced edges are drawn. The certifying saturation pass \
+                    (`duop certify`, DESIGN.md \u{00a7}12) extends this analysis and emits a \
+                    machine-checkable certificate for the cycle.",
+            example: "T1 write X0 1\nT1 ok\nT1 tryc\nT1 commit\nT2 read X0\nT2 val 0\n\
+                      T2 tryc\nT2 commit\n",
+        },
+        errors: &[
+            Applicability::AllCriteria,
+            Applicability::DuOpacityOnly,
+            Applicability::ReadCommitOrderOnly,
+            Applicability::Tms2Only,
+        ],
+        run: Run::WithSpec(cy004),
     },
-    RuleInfo {
-        id: "AN005",
-        title: "lost update / write skew",
-        summary: "two transactions each read state the other's committed write destroys: \
-                  an anti-dependency two-cycle no serialization can order",
-        paper: "If T1 read a value that T2's committed write overwrote, any legal \
-                serialization puts T1 before T2 (else T1 would have seen T2's write); \
-                symmetrically for T2 against T1. Both edges at once — the classic \
-                lost-update / write-skew shape — form an anti-dependency two-cycle, \
-                so no order satisfies Definitions 3-5. This is the two-transaction \
-                core of CY004, reported with both read/write event spans.",
-        example: "T1 read X0\nT1 val 0\nT2 read X1\nT2 val 0\nT1 write X1 1\nT1 ok\n\
-                  T2 write X0 1\nT2 ok\nT1 tryc\nT1 commit\nT2 tryc\nT2 commit\n",
+    Rule {
+        info: RuleInfo {
+            id: "AN005",
+            title: "lost update / write skew",
+            summary: "two transactions each read state the other's committed write destroys: \
+                      an anti-dependency two-cycle no serialization can order",
+            paper: "If T1 read a value that T2's committed write overwrote, any legal \
+                    serialization puts T1 before T2 (else T1 would have seen T2's write); \
+                    symmetrically for T2 against T1. Both edges at once — the classic \
+                    lost-update / write-skew shape — form an anti-dependency two-cycle, \
+                    so no order satisfies Definitions 3-5. This is the two-transaction \
+                    core of CY004, reported with both read/write event spans.",
+            example: "T1 read X0\nT1 val 0\nT2 read X1\nT2 val 0\nT1 write X1 1\nT1 ok\n\
+                      T2 write X0 1\nT2 ok\nT1 tryc\nT1 commit\nT2 tryc\nT2 commit\n",
+        },
+        errors: &[Applicability::AllCriteria],
+        run: Run::WithSpec(an005),
     },
-    RuleInfo {
-        id: "RCO006",
-        title: "read-commit-order inversion",
-        summary: "a reader is forced after the sole writer of a value it read, yet one of \
-                  its reads responded before that writer's tryC (Guerraoui\u{2013}Henzinger\u{2013}Singh)",
-        paper: "The read-commit-order criterion (Guerraoui\u{2013}Henzinger\u{2013}Singh; Section 4.1) \
-                strengthens du-opacity: a reader serialized after a writer must have \
-                *all* its reads respond after that writer's tryC. When the reader is \
-                forced after the sole possible supplier of some value it read, but \
-                another of its reads responded before that supplier's tryC, \
-                read-commit-order opacity is refuted (Error scoped to rco).",
-        example: "T2 read X1\nT2 val 0\nT1 write X0 1\nT1 ok\nT1 write X1 1\nT1 ok\n\
-                  T1 tryc\nT1 commit\nT2 read X0\nT2 val 1\nT2 tryc\nT2 commit\n",
+    Rule {
+        info: RuleInfo {
+            id: "RCO006",
+            title: "read-commit-order inversion",
+            summary: "a reader is forced after the sole writer of a value it read, yet one of \
+                      its reads responded before that writer's tryC (Guerraoui\u{2013}Henzinger\u{2013}Singh)",
+            paper: "The read-commit-order criterion (Guerraoui\u{2013}Henzinger\u{2013}Singh; Section 4.1) \
+                    strengthens du-opacity: a reader serialized after a writer must have \
+                    *all* its reads respond after that writer's tryC. When the reader is \
+                    forced after the sole possible supplier of some value it read, but \
+                    another of its reads responded before that supplier's tryC, \
+                    read-commit-order opacity is refuted (Error scoped to rco).",
+            example: "T2 read X1\nT2 val 0\nT1 write X0 1\nT1 ok\nT1 write X1 1\nT1 ok\n\
+                      T1 tryc\nT1 commit\nT2 read X0\nT2 val 1\nT2 tryc\nT2 commit\n",
+        },
+        errors: &[Applicability::ReadCommitOrderOnly],
+        run: Run::WithSpec(rco006),
     },
-    RuleInfo {
-        id: "UW007",
-        title: "non-unique writes",
-        summary: "several committable writers could supply one read, leaving the \
-                  unique-writes regime of Theorem 11",
-        paper: "Theorem 11's polynomial decision procedure assumes unique writes: \
-                every value is written to each object by at most one committable \
-                transaction, so each read's supplier is forced. Two committable \
-                writers of the same value to the same object leave that regime — the \
-                checker falls back to the exponential search and the degradation \
-                ladder's Theorem 11 fast path no longer applies. A note, never a \
-                refutation.",
-        example: "T1 write X0 5\nT1 ok\nT1 tryc\nT1 commit\nT2 write X0 5\nT2 ok\n\
-                  T2 tryc\nT2 commit\nT3 read X0\nT3 val 5\nT3 tryc\nT3 commit\n",
+    Rule {
+        info: RuleInfo {
+            id: "UW007",
+            title: "non-unique writes",
+            summary: "several committable writers could supply one read, leaving the \
+                      unique-writes regime of Theorem 11",
+            paper: "Theorem 11's polynomial decision procedure assumes unique writes: \
+                    every value is written to each object by at most one committable \
+                    transaction, so each read's supplier is forced. Two committable \
+                    writers of the same value to the same object leave that regime — the \
+                    checker falls back to the exponential search and the degradation \
+                    ladder's Theorem 11 fast path no longer applies. A note, never a \
+                    refutation.",
+            example: "T1 write X0 5\nT1 ok\nT1 tryc\nT1 commit\nT2 write X0 5\nT2 ok\n\
+                      T2 tryc\nT2 commit\nT3 read X0\nT3 val 5\nT3 tryc\nT3 commit\n",
+        },
+        errors: &[],
+        run: Run::WithSpec(uw007),
     },
 ];
 
-pub(super) fn run_all(h: &History) -> Vec<Diagnostic> {
+/// The public registry: each pipeline rule's entry, in order.
+pub(super) static RULES: [RuleInfo; PIPELINE.len()] = {
+    let mut infos = [PIPELINE[0].info; PIPELINE.len()];
+    let mut i = 1;
+    while i < infos.len() {
+        infos[i] = PIPELINE[i].info;
+        i += 1;
+    }
+    infos
+};
+
+/// Runs the rules `emit` selects over `p` in pipeline order and collects
+/// what they emit.
+///
+/// Spec construction fails only on internal read inconsistency, and then
+/// only WF001 runs: it reconstructs the offending pair for the spans.
+/// The other rules need the spec, and that Error already refutes
+/// everything.
+pub(super) fn run(p: &Prepared<'_>, emit: Emit) -> Vec<Diagnostic> {
+    let ctx = LintCtx::new(p);
     let mut out = Vec::new();
-    match LintCtx::build(h) {
-        Some(ctx) => {
-            rf003(&ctx, &mut out);
-            du002(&ctx, &mut out);
-            an005(&ctx, &mut out);
-            cy004(&ctx, &mut out);
-            rco006(&ctx, &mut out);
-            uw007(&ctx, &mut out);
+    for rule in PIPELINE.iter().filter(|r| emit.selects(r.errors)) {
+        let start = out.len();
+        match (rule.run, &ctx) {
+            (Run::WithoutSpec(f), None) => f(p.history(), &mut out),
+            (Run::WithSpec(f), Some(ctx)) => f(ctx, emit, &mut out),
+            _ => {}
         }
-        // Spec construction fails only on internal read inconsistency;
-        // WF001 reconstructs the offending pair for the spans. The other
-        // rules need the spec, and this Error already refutes everything.
-        None => wf001(h, &mut out),
+        debug_assert!(
+            out[start..].iter().all(|d| d.rule == rule.info.id
+                && emit.wants(d.severity, d.applicability)
+                && (d.severity != Severity::Error || rule.errors.contains(&d.applicability))),
+            "{}: an emission its table entry does not name",
+            rule.info.id
+        );
     }
     out
 }
@@ -177,9 +252,10 @@ fn wf001(h: &History, out: &mut Vec<Diagnostic>) {
 /// every criterion: no committable transaction writes the value, and `T_0`
 /// supplies only the initial value, so the read is illegal in every
 /// serialization. Promoted out of `plan.rs` (`Violation::MissingWriter`).
-fn rf003(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
+fn rf003(ctx: &LintCtx<'_>, _: Emit, out: &mut Vec<Diagnostic>) {
+    let suppliers = ctx.facts.suppliers(false);
     for (slot, r) in ctx.spec.reads.iter().enumerate() {
-        if r.value == Value::INITIAL || ctx.base_suppliers[slot].count_ones() > 0 {
+        if r.value == Value::INITIAL || suppliers[slot].count_ones() > 0 {
             continue;
         }
         out.push(Diagnostic {
@@ -210,21 +286,30 @@ fn rf003(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
 ///   illegal in it, whatever the serialization order. Necessary condition
 ///   for du-opacity; plain criteria are untouched (the plain supplier can
 ///   still serve).
-fn du002(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
+///
+/// The prefilter asks for the Error form alone.
+fn du002(ctx: &LintCtx<'_>, emit: Emit, out: &mut Vec<Diagnostic>) {
+    let suppliers = ctx.facts.suppliers(false);
+    // Each form's input, built only when the form is wanted.
+    let commit_resp = emit
+        .wants(Severity::Warning, Applicability::AllCriteria)
+        .then(|| ctx.commit_responses());
+    let du_suppliers = emit
+        .wants(Severity::Error, Applicability::DuOpacityOnly)
+        .then(|| ctx.facts.suppliers(true));
     for (slot, r) in ctx.spec.reads.iter().enumerate() {
-        if r.value == Value::INITIAL || ctx.base_suppliers[slot].count_ones() == 0 {
+        if r.value == Value::INITIAL || suppliers[slot].count_ones() == 0 {
             continue; // RF003 covers the empty-supplier case.
         }
         let reader = ctx.spec.txns[r.txn].id;
         let obj = ctx.spec.objs[r.obj];
-        let committed_before = ctx.base_suppliers[slot]
-            .iter_ones()
-            .any(|j| ctx.commit_resp[j].is_some_and(|resp| resp < r.resp_index));
-        if !committed_before {
-            let w = ctx.base_suppliers[slot]
+        let dirty = commit_resp.as_ref().is_some_and(|commit_resp| {
+            !suppliers[slot]
                 .iter_ones()
-                .next()
-                .expect("non-empty");
+                .any(|j| commit_resp[j].is_some_and(|resp| resp < r.resp_index))
+        });
+        if dirty {
+            let w = suppliers[slot].iter_ones().next().expect("non-empty");
             let mut secondary = Vec::new();
             if let Some(inv) = ctx.final_write_inv(w, r.obj) {
                 secondary.push(Span::at(ctx.h, inv));
@@ -246,11 +331,8 @@ fn du002(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
                 secondary,
             });
         }
-        if ctx.du_suppliers[slot].count_ones() == 0 {
-            let w = ctx.base_suppliers[slot]
-                .iter_ones()
-                .next()
-                .expect("non-empty");
+        if du_suppliers.is_some_and(|du| du[slot].count_ones() == 0) {
+            let w = suppliers[slot].iter_ones().next().expect("non-empty");
             let secondary = ctx
                 .final_write_inv(w, r.obj)
                 .map(|inv| Span::at(ctx.h, inv))
@@ -291,15 +373,16 @@ fn add_forced(preds: &mut [BitSet], suppliers: &[BitSet], spec: &Spec) {
 /// CY004: polynomial cycle detection over the must-precede relation. The
 /// base graph collects edges that hold in every satisfying serialization
 /// of *any* criterion: real-time order, forced singleton read-from edges,
-/// and anti-dependency edges (see [`LintCtx::anti_deps`]); per-scope
-/// graphs add the du-eligible forced edges (Definition 3(3)), the
-/// unconditional read-commit-order edges, and the TMS2 commit-order edges.
-/// A cycle in a graph refutes exactly the scopes whose constraints it
-/// uses. Sound but incomplete: an acyclic graph proves nothing.
-fn cy004(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
+/// and anti-dependency edges (see [`AntiDep`]); per-scope graphs add the
+/// du-eligible forced edges (Definition 3(3)), the unconditional
+/// read-commit-order edges, and the TMS2 commit-order edges. A cycle in
+/// a graph refutes exactly the scopes whose constraints it uses. Sound
+/// but incomplete: an acyclic graph proves nothing. The prefilter builds
+/// only the base graph and its own scope's.
+fn cy004(ctx: &LintCtx<'_>, emit: Emit, out: &mut Vec<Diagnostic>) {
     let mut base: Vec<BitSet> = ctx.spec.rt_preds.clone();
-    add_forced(&mut base, &ctx.base_suppliers, &ctx.spec);
-    for d in &ctx.anti_deps {
+    add_forced(&mut base, ctx.facts.suppliers(false), ctx.spec);
+    for d in ctx.facts.anti_deps() {
         base[d.writer].insert(d.reader);
     }
     if let Err(cyc) = topo_order(&base) {
@@ -314,47 +397,53 @@ fn cy004(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
         return;
     }
 
-    let mut du = base.clone();
-    add_forced(&mut du, &ctx.du_suppliers, &ctx.spec);
-    if let Err(cyc) = topo_order(&du) {
-        out.push(cycle_diag(
-            ctx,
-            &cyc,
-            Applicability::DuOpacityOnly,
-            "the base edges plus du-eligible forced read-from edges (Definition 3(3))",
-        ));
+    if emit.wants(Severity::Error, Applicability::DuOpacityOnly) {
+        let mut du = base.clone();
+        add_forced(&mut du, ctx.facts.suppliers(true), ctx.spec);
+        if let Err(cyc) = topo_order(&du) {
+            out.push(cycle_diag(
+                ctx,
+                &cyc,
+                Applicability::DuOpacityOnly,
+                "the base edges plus du-eligible forced read-from edges (Definition 3(3))",
+            ));
+        }
     }
 
     // Read-commit-order edges are unconditional only for writers already
     // committed in `H`; for a commit-pending writer the serialization may
     // abort it, voiding the edge.
-    let mut rco = base.clone();
-    for e in must_precede::rco(ctx.h) {
-        if ctx.spec.txns[e.after].capability == CommitCapability::Committed {
-            rco[e.after].insert(e.before);
+    if emit.wants(Severity::Error, Applicability::ReadCommitOrderOnly) {
+        let mut rco = base.clone();
+        for e in ctx.facts.rco() {
+            if ctx.spec.txns[e.after].capability == CommitCapability::Committed {
+                rco[e.after].insert(e.before);
+            }
         }
-    }
-    if let Err(cyc) = topo_order(&rco) {
-        out.push(cycle_diag(
-            ctx,
-            &cyc,
-            Applicability::ReadCommitOrderOnly,
-            "the base edges plus read-commit-order edges (Section 4.2)",
-        ));
+        if let Err(cyc) = topo_order(&rco) {
+            out.push(cycle_diag(
+                ctx,
+                &cyc,
+                Applicability::ReadCommitOrderOnly,
+                "the base edges plus read-commit-order edges (Section 4.2)",
+            ));
+        }
     }
 
     // TMS2 edges only relate writers already committed in `H`.
-    let mut tms2 = base.clone();
-    for e in must_precede::tms2(ctx.h) {
-        tms2[e.after].insert(e.before);
-    }
-    if let Err(cyc) = topo_order(&tms2) {
-        out.push(cycle_diag(
-            ctx,
-            &cyc,
-            Applicability::Tms2Only,
-            "the base edges plus TMS2 commit-order edges (Section 4.2)",
-        ));
+    if emit.wants(Severity::Error, Applicability::Tms2Only) {
+        let mut tms2 = base;
+        for e in ctx.facts.tms2() {
+            tms2[e.after].insert(e.before);
+        }
+        if let Err(cyc) = topo_order(&tms2) {
+            out.push(cycle_diag(
+                ctx,
+                &cyc,
+                Applicability::Tms2Only,
+                "the base edges plus TMS2 commit-order edges (Section 4.2)",
+            ));
+        }
     }
 }
 
@@ -394,11 +483,12 @@ fn cycle_diag(
 /// other's committed write destroys, so each must precede the other.
 /// Classified as *lost update* when both reads are on the same object and
 /// *write skew* otherwise. Sound for every criterion (both edges are
-/// necessary conditions; see [`LintCtx::anti_deps`]); CY004's base graph
-/// finds the same two-cycle, AN005 names the anomaly.
-fn an005(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for (a, b) in an005_pairs(&ctx.anti_deps) {
-        out.push(an005_diag(ctx, &ctx.anti_deps[a], &ctx.anti_deps[b]));
+/// necessary conditions; see [`AntiDep`]); CY004's base graph finds the
+/// same two-cycle, AN005 names the anomaly.
+fn an005(ctx: &LintCtx<'_>, _: Emit, out: &mut Vec<Diagnostic>) {
+    let deps = ctx.facts.anti_deps();
+    for (a, b) in an005_pairs(deps) {
+        out.push(an005_diag(ctx, &deps[a], &deps[b]));
     }
 }
 
@@ -465,15 +555,13 @@ fn an005_diag(ctx: &LintCtx<'_>, a: &AntiDep, b: &AntiDep) -> Diagnostic {
 /// read-commit-order demands `reader → w` — a contradiction, so the
 /// history is not RCO-opaque (Guerraoui–Henzinger–Singh, Section 4.2).
 /// Fires on Figure 5 (du-opaque but not RCO-opaque).
-fn rco006(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
+fn rco006(ctx: &LintCtx<'_>, _: Emit, out: &mut Vec<Diagnostic>) {
+    let suppliers = ctx.facts.suppliers(false);
     for (slot, r) in ctx.spec.reads.iter().enumerate() {
-        if r.value == Value::INITIAL || ctx.base_suppliers[slot].count_ones() != 1 {
+        if r.value == Value::INITIAL || suppliers[slot].count_ones() != 1 {
             continue;
         }
-        let w = ctx.base_suppliers[slot]
-            .iter_ones()
-            .next()
-            .expect("singleton");
+        let w = suppliers[slot].iter_ones().next().expect("singleton");
         if ctx.spec.txns[w].capability != CommitCapability::Committed {
             continue;
         }
@@ -511,13 +599,14 @@ fn rco006(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// UW007 (note): a read whose value has two or more committable writers.
 /// The history leaves the unique-writes regime of Theorem 11, under which
 /// opacity and du-opacity coincide — criteria may diverge here.
-fn uw007(ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
+fn uw007(ctx: &LintCtx<'_>, _: Emit, out: &mut Vec<Diagnostic>) {
+    let suppliers = ctx.facts.suppliers(false);
     for (slot, r) in ctx.spec.reads.iter().enumerate() {
-        let count = ctx.base_suppliers[slot].count_ones();
+        let count = suppliers[slot].count_ones();
         if r.value == Value::INITIAL || count < 2 {
             continue;
         }
-        let secondary: Vec<Span> = ctx.base_suppliers[slot]
+        let secondary: Vec<Span> = suppliers[slot]
             .iter_ones()
             .take(2)
             .filter_map(|w| ctx.final_write_inv(w, r.obj))

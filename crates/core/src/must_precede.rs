@@ -11,7 +11,8 @@
 //!
 //! Lint, saturation, the planner, the searcher and `check_witness` all
 //! read these facts from here, so each one is derived in exactly one
-//! place. No builder scans transaction pairs. Each walks a per-object
+//! place; within one query they are built once, in its `Prepared`
+//! (`crate::prepared`), and shared. No builder scans transaction pairs. Each walks a per-object
 //! table instead: the committable writers of an object (built once per
 //! spec in `Spec::build`, or per call from a [`History`]), or the readers
 //! of an object that invoked `tryC`. With `n` transactions, `R` external
@@ -36,6 +37,7 @@
 
 use crate::bitset::BitSet;
 use crate::plan::PlanCriterion;
+use crate::prepared::Prepared;
 use crate::saturate::{self, SaturationOutcome, Seeds};
 use crate::spec::Spec;
 use duop_history::{CommitCapability, History, ObjId, Op, Ret, TxnView, Value};
@@ -394,10 +396,12 @@ fn bitsets(n: usize, sets: &[Vec<usize>]) -> Vec<BitSet> {
 }
 
 impl Facts {
-    /// Builds every fact of `h` with the indexed builders; `None` when
-    /// the history has an internal read inconsistency (no spec exists).
+    /// Builds every fact of `h` as a prepared query shares them; `None`
+    /// when the history has an internal read inconsistency (no spec
+    /// exists).
     pub fn of(h: &History) -> Option<Facts> {
-        let spec = Spec::build(h).ok()?;
+        let p = Prepared::of(h);
+        let spec = p.spec().ok()?;
         Some(Facts {
             objs: spec.objs.clone(),
             reads: spec
@@ -411,44 +415,13 @@ impl Facts {
                 })
                 .collect(),
             rt_preds: members(&spec.rt_preds),
-            elig: members(&eligibility(&spec)),
-            suppliers: members(&supplier_sets(&spec, false)),
-            du_suppliers: members(&supplier_sets(&spec, true)),
-            anti_deps: anti_deps(&spec),
-            rco: rco(h),
-            tms2: tms2(h),
+            elig: members(p.eligibility()),
+            suppliers: members(p.suppliers(false)),
+            du_suppliers: members(p.suppliers(true)),
+            anti_deps: p.anti_deps().to_vec(),
+            rco: p.rco().to_vec(),
+            tms2: p.tms2().to_vec(),
         })
-    }
-
-    /// The seeds saturation of `criterion` takes from these facts.
-    fn seeds(&self, n: usize, criterion: PlanCriterion) -> Seeds {
-        let du = criterion == PlanCriterion::Du;
-        Seeds {
-            elig: if du {
-                bitsets(n, &self.elig)
-            } else {
-                Vec::new()
-            },
-            suppliers: bitsets(
-                n,
-                if du {
-                    &self.du_suppliers
-                } else {
-                    &self.suppliers
-                },
-            ),
-            writers: if du {
-                bitsets(n, &self.suppliers)
-            } else {
-                Vec::new()
-            },
-            anti_deps: self.anti_deps.clone(),
-            commit: match criterion {
-                PlanCriterion::Rco => self.rco.clone(),
-                PlanCriterion::Tms2 => self.tms2.clone(),
-                _ => Vec::new(),
-            },
-        }
     }
 }
 
@@ -457,8 +430,37 @@ impl Facts {
 /// fact — real-time order included — comes from `facts` rather than
 /// from the indexed builders.
 pub fn saturate_from(hh: &History, criterion: PlanCriterion, facts: &Facts) -> SaturationOutcome {
-    saturate::saturate_seeded(hh, criterion, |spec| {
-        spec.rt_preds = bitsets(spec.txns.len(), &facts.rt_preds);
-        facts.seeds(spec.txns.len(), criterion)
-    })
+    if saturate::gated(hh.txn_count()) {
+        return SaturationOutcome::Inconclusive;
+    }
+    let Ok(spec) = Spec::build(hh) else {
+        return SaturationOutcome::Inconclusive;
+    };
+    let n = spec.txns.len();
+    let du = criterion == PlanCriterion::Du;
+    let du_only = |sets: &[Vec<usize>]| if du { bitsets(n, sets) } else { Vec::new() };
+    let rt_preds = bitsets(n, &facts.rt_preds);
+    let elig = du_only(&facts.elig);
+    let suppliers = bitsets(
+        n,
+        if du {
+            &facts.du_suppliers
+        } else {
+            &facts.suppliers
+        },
+    );
+    let writers = du_only(&facts.suppliers);
+    let seeds = Seeds {
+        rt_preds: &rt_preds,
+        elig: &elig,
+        suppliers: &suppliers,
+        writers: &writers,
+        anti_deps: &facts.anti_deps,
+        commit: match criterion {
+            PlanCriterion::Rco => &facts.rco,
+            PlanCriterion::Tms2 => &facts.tms2,
+            _ => &[],
+        },
+    };
+    saturate::saturate_seeded(hh, &spec, criterion, seeds)
 }

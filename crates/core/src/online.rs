@@ -39,8 +39,8 @@
 //! component is actually re-searched.
 
 use crate::plan::{ComponentCache, PlanCriterion};
+use crate::prepared::Prepared;
 use crate::search::decide_spec;
-use crate::spec::Spec;
 use crate::verdict::committed_in_s;
 use crate::witness_check::{latest_writes, own_write_before, positions};
 use crate::{check_witness, CriterionKind, SearchConfig, Verdict, Witness};
@@ -264,11 +264,11 @@ impl OnlineChecker {
 
         // Cheap polynomial prefilter before any search: an Error-severity
         // lint finding for the du scope is a proven refutation, and lint
-        // runs per event in polynomial time.
+        // runs per event in polynomial time. The prefilter and the search
+        // read one prepared spec and its facts.
+        let p = Prepared::of(&self.history);
         if self.cfg.prelint {
-            if let Some(v) =
-                crate::lint::prelint(&self.history, crate::lint::LintScope::Du, "du-opacity")
-            {
+            if let Some(v) = crate::lint::prelint(&p, crate::lint::LintScope::Du, "du-opacity") {
                 self.stats.lint_refutations += 1;
                 let verdict = Verdict::Violated(v);
                 self.violated = Some(verdict.clone());
@@ -280,10 +280,10 @@ impl OnlineChecker {
         // previous search's fragments for components the event left alone.
         self.stats.full_searches += 1;
         self.cache.begin_generation();
-        let query = PlanCriterion::Du.query(&self.history);
-        let verdict = match Spec::build(&self.history) {
-            Err(v) => Verdict::Violated(v),
-            Ok(spec) => decide_spec(&spec, &query, &self.cfg, Some(&mut self.cache)).0,
+        let query = PlanCriterion::Du.query(&p);
+        let verdict = match p.spec() {
+            Err(v) => Verdict::Violated(v.clone()),
+            Ok(_) => decide_spec(&p, &query, &self.cfg, Some(&mut self.cache)).0,
         };
         self.stats.component_reuses = self.cache.reuses;
         match &verdict {

@@ -49,11 +49,11 @@
 
 use crate::fxhash::FxBuildHasher;
 use crate::plan::Plan;
+use crate::prepared::Prepared;
 use crate::search::{
     seq_search_spec, witness_from_path, Outcome, Query, SearchConfig, SearchStats, Searcher,
     UndoLog,
 };
-use crate::spec::Spec;
 use crate::{Criterion, UnknownReason, Verdict, Violation};
 use duop_history::History;
 use std::collections::{BTreeMap, HashSet};
@@ -225,7 +225,7 @@ enum CompOutcome {
 /// the sequential result. The verdict is reduced in component order,
 /// matching the sequential engine's first-failure semantics.
 pub(crate) fn par_search_components(
-    spec: &Spec,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     plan: &Plan,
@@ -237,7 +237,7 @@ pub(crate) fn par_search_components(
     };
 
     let results = par_map(&plan.components, threads, |comp| {
-        let mut s = match Searcher::new(spec, &seq_cfg, query, &plan.forced) {
+        let mut s = match Searcher::new(p, &seq_cfg, query, &plan.forced) {
             Ok(s) => s,
             Err(v) => return (CompOutcome::Violated(v), SearchStats::default()),
         };
@@ -271,7 +271,7 @@ pub(crate) fn par_search_components(
     }
 
     let verdict = match failure {
-        None => Verdict::Satisfied(witness_from_path(spec, &path)),
+        None => Verdict::Satisfied(witness_from_path(p.indexed(), &path)),
         Some(CompOutcome::Exhausted) => Verdict::Violated(Violation::NoSerialization {
             criterion: query.name.to_owned(),
             explored: stats.explored,
@@ -290,11 +290,12 @@ pub(crate) fn par_search_components(
     (verdict, stats)
 }
 
-/// Multi-threaded subtree search over a prebuilt spec; `forced` carries
-/// the planner's forced edges (empty for the monolithic ablation). The
-/// caller has already run the precedence/candidate prechecks.
+/// Multi-threaded subtree search over a prepared query's spec, whose
+/// facts every worker borrows; `forced` carries the planner's forced
+/// edges (empty for the monolithic ablation). The caller has already run
+/// the precedence/candidate prechecks.
 pub(crate) fn par_search_spec(
-    spec: &Spec,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     forced: &[(usize, usize)],
@@ -308,16 +309,16 @@ pub(crate) fn par_search_spec(
 
     // Validates the precedence constraints (cycle check) and doubles as
     // the task enumerator.
-    let mut enumerator = match Searcher::new(spec, &seq_cfg, query, forced) {
+    let mut enumerator = match Searcher::new(p, &seq_cfg, query, forced) {
         Ok(s) => s,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
 
-    let n = spec.txns.len();
+    let n = p.indexed().txns.len();
     let max_depth = n.saturating_sub(1).min(MAX_SPLIT_DEPTH);
     if max_depth == 0 {
         // Zero or one transaction: there is no tree to split.
-        return seq_search_spec(spec, query, &seq_cfg, forced);
+        return seq_search_spec(p, query, &seq_cfg, forced);
     }
     let target = threads * TASKS_PER_THREAD;
 
@@ -366,7 +367,7 @@ pub(crate) fn par_search_spec(
         if tasks.len() == 1 || n <= depth {
             // Nothing to parallelize (tiny history or a single viable
             // subtree); the sequential engine is strictly cheaper.
-            return seq_search_spec(spec, query, &seq_cfg, forced);
+            return seq_search_spec(p, query, &seq_cfg, forced);
         }
 
         let shared = SharedSearch::new(cfg);
@@ -380,7 +381,7 @@ pub(crate) fn par_search_spec(
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let mut s = Searcher::new(spec, &seq_cfg, query, forced)
+                    let mut s = Searcher::new(p, &seq_cfg, query, forced)
                         .expect("constraints validated before workers started");
                     s.attach_shared(&shared);
                     s.eligible_global = eligible_global;
@@ -472,7 +473,7 @@ pub(crate) fn par_search_spec(
         // trip; only a fully explored, witness-free tree is a violation.
         let found = found.into_inner().unwrap();
         let verdict = if let Some((_, path)) = found.into_iter().next() {
-            Verdict::Satisfied(witness_from_path(spec, &path))
+            Verdict::Satisfied(witness_from_path(p.indexed(), &path))
         } else if shared.panicked.load(Ordering::Relaxed) {
             Verdict::Unknown {
                 explored: stats.explored,

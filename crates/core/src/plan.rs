@@ -31,11 +31,12 @@
 //! as [`Violation::NoSerialization`] with zero explored states.
 
 use crate::bitset::BitSet;
+use crate::prepared::Prepared;
 use crate::search::{witness_from_path, Outcome, Query, SearchConfig, SearchStats, Searcher};
 use crate::spec::Spec;
 use crate::{Verdict, Violation};
 use duop_history::{CommitCapability, History, TxnId, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Result of planning one query: the conflict-graph components (each a
 /// sorted list of transaction indices, ordered by smallest member) and the
@@ -268,23 +269,24 @@ impl PlanScratch {
 }
 
 impl Plan {
-    /// Plans `query` over `spec` with a private scratch pool; see
-    /// [`Plan::build_with`].
-    pub(crate) fn build(spec: &Spec, query: &Query) -> Result<Plan, Violation> {
-        Plan::build_with(spec, query, &mut PlanScratch::new())
+    /// Plans `query` over the spec of `p` with a private scratch pool;
+    /// see [`Plan::build_with`].
+    pub(crate) fn build(p: &Prepared<'_>, query: &Query) -> Result<Plan, Violation> {
+        Plan::build_with(p, query, &mut PlanScratch::new())
     }
 
-    /// Plans `query` over `spec`; fails fast with the violation when the
-    /// planning analysis alone already refutes the query. All internal
-    /// buffers come from (and the caller may return component vectors to)
-    /// `scratch`.
+    /// Plans `query` over the spec of `p`, reading its supplier sets;
+    /// fails fast with the violation when the planning analysis alone
+    /// already refutes the query. All internal buffers come from (and
+    /// the caller may return component vectors to) `scratch`.
     pub(crate) fn build_with(
-        spec: &Spec,
+        p: &Prepared<'_>,
         query: &Query,
         scratch: &mut PlanScratch,
     ) -> Result<Plan, Violation> {
+        let spec = p.indexed();
         let n = spec.txns.len();
-        let suppliers = crate::must_precede::supplier_sets(spec, query.deferred_update);
+        let suppliers = p.suppliers(query.deferred_update);
 
         // Zero candidates for a non-initial value: no serialization can
         // ever serve the read (same condition as `search::precheck`, which
@@ -428,33 +430,37 @@ impl PlanCriterion {
         }
     }
 
-    /// The history the criterion's serialization query actually runs over:
-    /// `Some` committed projection for strict serializability (mirroring
-    /// [`crate::StrictSerializability`]), `None` — the input itself — for
-    /// every other criterion. Idempotent, so re-preparing a shipped
-    /// sub-history on the worker side is harmless.
+    /// The history the criterion's serialization query actually runs over,
+    /// when it differs from the input: for strict serializability
+    /// (mirroring [`crate::StrictSerializability`]), the projection onto
+    /// the transactions that can commit, `Some` only when some
+    /// transaction never commits. `None` — the input itself — otherwise
+    /// and for every other criterion. A projection has no transaction
+    /// that never commits, so re-preparing a shipped sub-history on the
+    /// worker side returns `None`.
+    ///
+    /// One pass over the transactions and one over the events.
     pub fn prepare(self, h: &History) -> Option<History> {
         match self {
             PlanCriterion::Strict => {
-                let committed: Vec<TxnId> = h
+                let never: HashSet<TxnId> = h
                     .txns()
-                    .filter(|t| t.commit_capability() != CommitCapability::NeverCommitted)
+                    .filter(|t| t.commit_capability() == CommitCapability::NeverCommitted)
                     .map(|t| t.id())
                     .collect();
-                Some(h.filter_txns(|id| committed.contains(&id)))
+                (!never.is_empty()).then(|| h.filter_txns(|id| !never.contains(&id)))
             }
             _ => None,
         }
     }
 
-    /// Builds the serialization query over an already-[`prepare`]d
-    /// history.
-    ///
-    /// [`prepare`]: PlanCriterion::prepare
-    pub(crate) fn query(self, h: &History) -> Query {
+    /// Builds the serialization query over a prepared query, taking its
+    /// commit-order edges from the query's facts.
+    pub(crate) fn query(self, p: &Prepared<'_>) -> Query {
+        let h = p.history();
         let (extra_edges, commit_edges) = match self {
-            PlanCriterion::Rco => (Vec::new(), crate::criteria::rco_edges(h)),
-            PlanCriterion::Tms2 => (crate::criteria::tms2_edges(h), Vec::new()),
+            PlanCriterion::Rco => (Vec::new(), crate::criteria::id_pairs(h, p.rco())),
+            PlanCriterion::Tms2 => (crate::criteria::id_pairs(h, p.tms2()), Vec::new()),
             _ => (Vec::new(), Vec::new()),
         };
         Query {
@@ -479,9 +485,8 @@ pub(crate) fn check_planned(
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let prepared = criterion.prepare(h);
-    let hh = prepared.as_ref().unwrap_or(h);
-    crate::search::search_serialization_with_stats(hh, &criterion.query(hh), cfg, cache)
+    let p = Prepared::new(h, criterion);
+    crate::search::search_serialization_with_stats(&p, &criterion.query(&p), cfg, cache)
 }
 
 /// Outcome of standalone component extraction ([`plan_components`]).
@@ -514,13 +519,21 @@ pub fn plan_components(
     criterion: PlanCriterion,
     scratch: &mut PlanScratch,
 ) -> PlanOutcome {
-    let spec = match Spec::build(h) {
+    components_of(&Prepared::of(h), criterion, scratch)
+}
+
+fn components_of(
+    p: &Prepared<'_>,
+    criterion: PlanCriterion,
+    scratch: &mut PlanScratch,
+) -> PlanOutcome {
+    let spec = match p.spec() {
         Ok(s) => s,
-        Err(v) => return PlanOutcome::Decided(Verdict::Violated(v)),
+        Err(v) => return PlanOutcome::Decided(Verdict::Violated(v.clone())),
     };
-    let query = criterion.query(h);
-    let plan = match Plan::build_with(&spec, &query, scratch) {
-        Ok(p) => p,
+    let query = criterion.query(p);
+    let plan = match Plan::build_with(p, &query, scratch) {
+        Ok(plan) => plan,
         Err(v) => return PlanOutcome::Decided(Verdict::Violated(v)),
     };
     let comps = plan
@@ -532,11 +545,44 @@ pub fn plan_components(
     PlanOutcome::Components(comps)
 }
 
+/// The in-process pipeline up to the search, for the sharding
+/// coordinator: over an already-[`PlanCriterion::prepare`]d history, the
+/// lint prefilter and saturation when `cfg` turns them on, then
+/// component extraction as [`plan_components`] does it. The stages share
+/// one spec and one set of must-precede facts. A stage that decides
+/// returns the verdict the in-process path returns at that stage.
+pub fn plan_query(
+    h: &History,
+    criterion: PlanCriterion,
+    cfg: &SearchConfig,
+    scratch: &mut PlanScratch,
+) -> PlanOutcome {
+    let p = Prepared::of(h);
+    if cfg.prelint {
+        if let Some(v) = crate::lint::prelint(&p, criterion.lint_scope(), criterion.display_name())
+        {
+            return PlanOutcome::Decided(Verdict::Violated(v));
+        }
+    }
+    if cfg.saturate {
+        let outcome = crate::saturate::saturate_prepared(&p, criterion);
+        if let Some(v) = crate::saturate::verdict_of(outcome, criterion) {
+            return PlanOutcome::Decided(v);
+        }
+    }
+    components_of(&p, criterion, scratch)
+}
+
 /// Runs the lint prefilter for `criterion` over an already-prepared
 /// history, exactly as the in-process search path does when
 /// [`SearchConfig::prelint`] is on. `Some` is the refuting verdict.
 pub fn prelint_verdict(h: &History, criterion: PlanCriterion) -> Option<Verdict> {
-    crate::lint::prelint(h, criterion.lint_scope(), criterion.display_name()).map(Verdict::Violated)
+    crate::lint::prelint(
+        &Prepared::of(h),
+        criterion.lint_scope(),
+        criterion.display_name(),
+    )
+    .map(Verdict::Violated)
 }
 
 /// Applies the verdict-degradation ladder to an undecided sharded check,
@@ -551,9 +597,8 @@ pub fn ladder_verdict(
     reason: crate::UnknownReason,
     partial: Option<crate::PartialProgress>,
 ) -> Verdict {
-    let prepared = criterion.prepare(h);
-    let hh = prepared.as_ref().unwrap_or(h);
-    crate::search::ladder_fallback(hh, &criterion.query(hh), cfg, explored, reason, partial)
+    let p = Prepared::new(h, criterion);
+    crate::search::ladder_fallback(&p, &criterion.query(&p), cfg, explored, reason, partial)
 }
 
 /// Checks `h` against `criterion` through the full in-process search path
@@ -662,32 +707,33 @@ fn try_replay(s: &mut Searcher<'_>, spec: &Spec, fragment: &[(TxnId, bool)]) -> 
 /// The planned search: decompose, then decide per component, composing
 /// per-component serializations into the global witness.
 pub(crate) fn planned_search(
-    spec: &Spec,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let plan = match Plan::build(spec, query) {
-        Ok(p) => p,
+    let plan = match Plan::build(p, query) {
+        Ok(plan) => plan,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
     if cfg.effective_threads() > 1 {
         if plan.components.len() > 1 {
-            return crate::parallel::par_search_components(spec, query, cfg, &plan);
+            return crate::parallel::par_search_components(p, query, cfg, &plan);
         }
-        return crate::parallel::par_search_spec(spec, query, cfg, &plan.forced);
+        return crate::parallel::par_search_spec(p, query, cfg, &plan.forced);
     }
-    seq_planned(spec, query, cfg, &plan, cache)
+    seq_planned(p, query, cfg, &plan, cache)
 }
 
 fn seq_planned(
-    spec: &Spec,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     plan: &Plan,
     mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let mut s = match Searcher::new(spec, cfg, query, &plan.forced) {
+    let spec = p.indexed();
+    let mut s = match Searcher::new(p, cfg, query, &plan.forced) {
         Ok(s) => s,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
@@ -832,8 +878,7 @@ mod tests {
     #[test]
     fn splits_independent_clusters() {
         let h = two_cluster_history();
-        let spec = Spec::build(&h).unwrap();
-        let plan = Plan::build(&spec, &du_query()).unwrap();
+        let plan = Plan::build(&Prepared::of(&h), &du_query()).unwrap();
         assert_eq!(plan.components.len(), 2, "plan: {plan:?}");
         let sizes: Vec<usize> = plan.components.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![2, 2]);
@@ -852,8 +897,7 @@ mod tests {
             .committed_writer(t(1), x, v(1))
             .committed_writer(t(2), y, v(2))
             .build();
-        let spec = Spec::build(&h).unwrap();
-        let plan = Plan::build(&spec, &du_query()).unwrap();
+        let plan = Plan::build(&Prepared::of(&h), &du_query()).unwrap();
         assert_eq!(plan.components.len(), 1);
     }
 
@@ -868,8 +912,9 @@ mod tests {
             .resp_value(t(2), v(1))
             .commit(t(2))
             .build();
-        let spec = Spec::build(&h).unwrap();
-        let plan = Plan::build(&spec, &du_query()).unwrap();
+        let p = Prepared::of(&h);
+        let spec = p.indexed();
+        let plan = Plan::build(&p, &du_query()).unwrap();
         let i1 = spec.index[&t(1)];
         let i2 = spec.index[&t(2)];
         assert!(
@@ -885,8 +930,7 @@ mod tests {
         let h = HistoryBuilder::new()
             .committed_reader(t(1), x, v(9))
             .build();
-        let spec = Spec::build(&h).unwrap();
-        let err = Plan::build(&spec, &du_query()).unwrap_err();
+        let err = Plan::build(&Prepared::of(&h), &du_query()).unwrap_err();
         assert!(matches!(err, Violation::MissingWriter { .. }));
     }
 
@@ -908,10 +952,10 @@ mod tests {
             .commit(t(3))
             .commit(t(4))
             .build();
-        let spec = Spec::build(&h).unwrap();
+        let p = Prepared::of(&h);
         // Forced edges exist but no cycle here (two readers, two writers is
         // satisfiable); build a real cycle via extra edges instead.
-        let plan = Plan::build(&spec, &du_query()).unwrap();
+        let plan = Plan::build(&p, &du_query()).unwrap();
         assert!(plan.forced.len() >= 2);
         // A user-level cycle is still a ConstraintCycle.
         let q = Query {
@@ -922,7 +966,7 @@ mod tests {
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
-        let err = Plan::build(&spec, &q).unwrap_err();
+        let err = Plan::build(&p, &q).unwrap_err();
         assert!(matches!(err, Violation::ConstraintCycle { .. }));
     }
 

@@ -28,8 +28,9 @@
 
 use crate::bitset::BitSet;
 use crate::certificate::{check_certificate, Certificate, Rule, Step};
-use crate::must_precede::{self, AntiDep, CommitEdge};
+use crate::must_precede::{AntiDep, CommitEdge};
 use crate::plan::PlanCriterion;
+use crate::prepared::Prepared;
 use crate::spec::Spec;
 use crate::{check_witness, CriterionKind, Verdict, Violation, Witness};
 use duop_history::{CommitCapability, History, ObjId, TxnId, Value};
@@ -111,44 +112,38 @@ struct RfSlot {
     any_interferer: bool,
 }
 
-/// The must-precede facts a saturation run seeds from, besides the
-/// spec's real-time order.
-pub(crate) struct Seeds {
+/// The must-precede facts a saturation run seeds from.
+pub(crate) struct Seeds<'a> {
+    /// Real-time predecessors of each transaction.
+    pub(crate) rt_preds: &'a [BitSet],
     /// Du mode only: `tryC`-eligible transactions per read slot.
-    pub(crate) elig: Vec<BitSet>,
+    pub(crate) elig: &'a [BitSet],
     /// Admissible suppliers per read slot (du-eligible ones in du mode).
-    pub(crate) suppliers: Vec<BitSet>,
+    pub(crate) suppliers: &'a [BitSet],
     /// Du mode only: every committable writer of each read slot's value.
-    pub(crate) writers: Vec<BitSet>,
+    pub(crate) writers: &'a [BitSet],
     /// The initial-value anti-dependencies.
-    pub(crate) anti_deps: Vec<AntiDep>,
+    pub(crate) anti_deps: &'a [AntiDep],
     /// The criterion's commit-order edges: read-commit-order for
     /// [`PlanCriterion::Rco`], TMS2 for [`PlanCriterion::Tms2`], none
     /// otherwise.
-    pub(crate) commit: Vec<CommitEdge>,
+    pub(crate) commit: &'a [CommitEdge],
 }
 
-impl Seeds {
-    /// The seeds of `criterion` over `hh`, from the indexed builders.
-    fn indexed(hh: &History, spec: &Spec, criterion: PlanCriterion) -> Seeds {
+impl<'a> Seeds<'a> {
+    /// The seeds of `criterion`, from the prepared query's facts.
+    fn of(p: &'a Prepared<'_>, spec: &'a Spec, criterion: PlanCriterion) -> Seeds<'a> {
         let du = criterion == PlanCriterion::Du;
         Seeds {
-            elig: if du {
-                must_precede::eligibility(spec)
-            } else {
-                Vec::new()
-            },
-            suppliers: must_precede::supplier_sets(spec, du),
-            writers: if du {
-                must_precede::supplier_sets(spec, false)
-            } else {
-                Vec::new()
-            },
-            anti_deps: must_precede::anti_deps(spec),
+            rt_preds: &spec.rt_preds,
+            elig: if du { p.eligibility() } else { &[] },
+            suppliers: p.suppliers(du),
+            writers: if du { p.suppliers(false) } else { &[] },
+            anti_deps: p.anti_deps(),
             commit: match criterion {
-                PlanCriterion::Rco => must_precede::rco(hh),
-                PlanCriterion::Tms2 => must_precede::tms2(hh),
-                _ => Vec::new(),
+                PlanCriterion::Rco => p.rco(),
+                PlanCriterion::Tms2 => p.tms2(),
+                _ => &[],
             },
         }
     }
@@ -166,7 +161,7 @@ struct Saturator<'a> {
     /// Read slots with singleton suppliers, indexed by slot.
     rf: Vec<Option<RfSlot>>,
     /// Du mode only: `tryC`-eligible transactions per read slot.
-    elig: Vec<BitSet>,
+    elig: &'a [BitSet],
 }
 
 impl<'a> Saturator<'a> {
@@ -179,7 +174,7 @@ impl<'a> Saturator<'a> {
             reach: (0..n).map(|_| BitSet::new(n)).collect(),
             prov: vec![None; n * n],
             rf: vec![None; spec.reads.len()],
-            elig: Vec::new(),
+            elig: &[],
         }
     }
 
@@ -195,10 +190,9 @@ impl<'a> Saturator<'a> {
     /// Seeds the graph in a fixed order — real time, singleton read-from
     /// edges, anti-dependencies, commit-order edges — so provenance (and
     /// with it every certificate) is deterministic.
-    fn seed(&mut self, seeds: Seeds) {
-        for j in 0..self.n {
-            let preds: Vec<usize> = self.spec.rt_preds[j].iter_ones().collect();
-            for i in preds {
+    fn seed(&mut self, seeds: Seeds<'a>) {
+        for (j, preds) in seeds.rt_preds.iter().enumerate() {
+            for i in preds.iter_ones() {
                 self.add(i, j, Prov::Rt);
             }
         }
@@ -221,11 +215,11 @@ impl<'a> Saturator<'a> {
         self.elig = seeds.elig;
 
         // Initial-value anti-dependencies: the list lint rule CY004 reads.
-        for d in &seeds.anti_deps {
+        for d in seeds.anti_deps {
             self.add(d.reader, d.writer, Prov::AntiDep { slot: d.slot });
         }
 
-        for e in &seeds.commit {
+        for e in seeds.commit {
             let prov = match self.criterion {
                 // Unconditional only toward writers committed in `H`;
                 // commit-pending targets stay with the search.
@@ -482,35 +476,37 @@ fn witness_kind(criterion: PlanCriterion) -> CriterionKind {
 /// indicate an engine bug, checked in debug builds) degrades to
 /// [`SaturationOutcome::Inconclusive`] rather than an unsound verdict.
 pub fn saturate(h: &History, criterion: PlanCriterion) -> SaturationOutcome {
-    let prepared = criterion.prepare(h);
-    let hh = prepared.as_ref().unwrap_or(h);
-    saturate_prepared(hh, criterion)
+    saturate_prepared(&Prepared::new(h, criterion), criterion)
 }
 
-/// As [`saturate`], over an already-[`PlanCriterion::prepare`]d history.
-pub(crate) fn saturate_prepared(hh: &History, criterion: PlanCriterion) -> SaturationOutcome {
-    saturate_seeded(hh, criterion, |spec| Seeds::indexed(hh, spec, criterion))
+/// Whether saturation turns away a history of `n` transactions.
+pub(crate) fn gated(n: usize) -> bool {
+    n == 0 || n > MAX_TXNS
 }
 
-/// The saturation run proper, with the seeds (and any adjustment of the
-/// spec's real-time order) supplied by `seeds`.
-pub(crate) fn saturate_seeded(
-    hh: &History,
-    criterion: PlanCriterion,
-    seeds: impl FnOnce(&mut Spec) -> Seeds,
-) -> SaturationOutcome {
-    let n = hh.txn_count();
-    if n == 0 || n > MAX_TXNS {
+/// As [`saturate`], over a prepared query. The size gate comes first,
+/// so a gated query builds no spec here.
+pub(crate) fn saturate_prepared(p: &Prepared<'_>, criterion: PlanCriterion) -> SaturationOutcome {
+    if gated(p.history().txn_count()) {
         return SaturationOutcome::Inconclusive;
     }
-    let Ok(mut spec) = Spec::build(hh) else {
+    let Ok(spec) = p.spec() else {
         // Internal-read inconsistency: the spec precheck on the main path
         // reports it with its own violation shape.
         return SaturationOutcome::Inconclusive;
     };
-    let seeds = seeds(&mut spec);
+    saturate_seeded(p.history(), spec, criterion, Seeds::of(p, spec, criterion))
+}
 
-    let mut sat = Saturator::new(&spec, criterion);
+/// The saturation run proper over `hh` and its spec, which has passed
+/// the size gate.
+pub(crate) fn saturate_seeded<'a>(
+    hh: &History,
+    spec: &'a Spec,
+    criterion: PlanCriterion,
+    seeds: Seeds<'a>,
+) -> SaturationOutcome {
+    let mut sat = Saturator::new(spec, criterion);
     sat.seed(seeds);
     let mut rounds = 0;
     loop {
@@ -553,10 +549,15 @@ pub(crate) fn saturate_seeded(
 /// Runs saturation for `criterion` over `h` (preparing as needed) and
 /// wraps a decisive outcome as the verdict the check pipeline reports:
 /// `Some(Violated(Certified))` or `Some(Satisfied)`; `None` when
-/// inconclusive. This is what the sharding coordinator and the `certify`
-/// subcommand call.
+/// inconclusive. [`crate::plan_query`] reaches the same verdict inside
+/// the sharding coordinator's one planning call.
 pub fn saturate_verdict(h: &History, criterion: PlanCriterion) -> Option<Verdict> {
-    match saturate(h, criterion) {
+    verdict_of(saturate(h, criterion), criterion)
+}
+
+/// The verdict a decisive saturation outcome stands for.
+pub(crate) fn verdict_of(outcome: SaturationOutcome, criterion: PlanCriterion) -> Option<Verdict> {
+    match outcome {
         SaturationOutcome::Refuted(cert) => Some(Verdict::Violated(Violation::Certified {
             criterion: criterion.display_name().into(),
             certificate: Box::new(cert),

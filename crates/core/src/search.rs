@@ -52,6 +52,7 @@ use crate::bitset::BitSet;
 use crate::fxhash::{FxBuildHasher, Hash128};
 use crate::parallel::SharedSearch;
 use crate::plan::ComponentCache;
+use crate::prepared::Prepared;
 use crate::spec::Spec;
 use crate::{UnknownReason, Verdict, Violation, Witness};
 use duop_history::{CommitCapability, History, TxnId, Value};
@@ -319,16 +320,16 @@ pub(crate) struct Searcher<'a> {
     commit_preds: Vec<BitSet>,
     /// Eligible writers per read slot (du mode): transactions whose
     /// `tryC` invocation precedes the read's response in `H`.
-    elig: Vec<BitSet>,
+    elig: &'a [BitSet],
     /// Committable writers that could still supply each read slot's value
     /// (du mode: restricted to eligible writers). Used for forward
     /// feasibility pruning: once a slot's value is gone from the state and
     /// every candidate writer is placed, no extension can serve the read.
-    suppliers: Vec<BitSet>,
+    suppliers: &'a [BitSet],
     /// Du mode only: every committable writer of each read slot's value,
     /// eligible or not — the writers that can still restore the *global*
     /// value. Outside du mode this equals `suppliers` and is left empty.
-    writers: Vec<BitSet>,
+    writers: &'a [BitSet],
     /// Du mode: prune as if only eligible writers could restore a read's
     /// global value — the first pass of [`Self::search`], which finds
     /// exactly the witnesses whose global writers are all eligible.
@@ -391,15 +392,17 @@ pub(crate) enum Outcome {
 }
 
 impl<'a> Searcher<'a> {
-    /// Builds a searcher over the whole spec. `forced` carries the
-    /// planner's forced precedence edges as `(before, after)` index pairs
-    /// (empty for the monolithic ablation).
+    /// Builds a searcher over the whole spec of `p`, borrowing its
+    /// supplier and eligibility sets. `forced` carries the planner's
+    /// forced precedence edges as `(before, after)` index pairs (empty for
+    /// the monolithic ablation).
     pub(crate) fn new(
-        spec: &'a Spec,
+        p: &'a Prepared<'_>,
         cfg: &'a SearchConfig,
         query: &Query,
         forced: &[(usize, usize)],
     ) -> Result<Self, Violation> {
+        let spec = p.indexed();
         let n = spec.txns.len();
         let (mut preds, commit_preds) = crate::plan::build_constraints(spec, query);
         for &(a, b) in forced {
@@ -441,14 +444,11 @@ impl<'a> Searcher<'a> {
         });
 
         let du = query.deferred_update;
-        let suppliers = crate::must_precede::supplier_sets(spec, du);
+        let suppliers = p.suppliers(du);
         let (elig, writers) = if du {
-            (
-                crate::must_precede::eligibility(spec),
-                crate::must_precede::supplier_sets(spec, false),
-            )
+            (p.eligibility(), p.suppliers(false))
         } else {
-            (Vec::new(), Vec::new())
+            (&[][..], &[][..])
         };
 
         let mut pending_reads = vec![0usize; spec.objs.len()];
@@ -956,15 +956,16 @@ pub(crate) fn witness_from_path(spec: &Spec, path: &[(usize, bool)]) -> Witness 
     Witness::new(order, choices)
 }
 
-/// Sequential monolithic search over a prebuilt spec (optionally with the
-/// planner's forced edges).
+/// Sequential monolithic search over a prepared query's spec (optionally
+/// with the planner's forced edges).
 pub(crate) fn seq_search_spec(
-    spec: &Spec,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     forced: &[(usize, usize)],
 ) -> (Verdict, SearchStats) {
-    let mut searcher = match Searcher::new(spec, cfg, query, forced) {
+    let spec = p.indexed();
+    let mut searcher = match Searcher::new(p, cfg, query, forced) {
         Ok(s) => s,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
@@ -986,52 +987,53 @@ pub(crate) fn seq_search_spec(
     (verdict, stats)
 }
 
-/// Decides `query` over a prebuilt spec, dispatching between the planned
-/// (decomposed) and monolithic paths and the sequential and parallel
-/// engines. `cache` optionally carries the online monitor's per-component
-/// serialization cache.
+/// Decides `query` over a prepared query whose history has a spec,
+/// dispatching between the planned (decomposed) and monolithic paths and
+/// the sequential and parallel engines. `cache` optionally carries the
+/// online monitor's per-component serialization cache.
 pub(crate) fn decide_spec(
-    spec: &Spec,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
     if cfg.decompose {
-        return crate::plan::planned_search(spec, query, cfg, cache);
+        return crate::plan::planned_search(p, query, cfg, cache);
     }
-    if let Err(v) = precheck(spec, query) {
+    if let Err(v) = precheck(p.indexed(), query) {
         return (Verdict::Violated(v), SearchStats::default());
     }
     if cfg.effective_threads() > 1 {
-        return crate::parallel::par_search_spec(spec, query, cfg, &[]);
+        return crate::parallel::par_search_spec(p, query, cfg, &[]);
     }
-    seq_search_spec(spec, query, cfg, &[])
+    seq_search_spec(p, query, cfg, &[])
 }
 
 /// Decides whether `h` has a serialization satisfying `query`.
 pub(crate) fn search_serialization(h: &History, query: &Query, cfg: &SearchConfig) -> Verdict {
-    search_serialization_with_stats(h, query, cfg, None).0
+    search_serialization_with_stats(&Prepared::of(h), query, cfg, None).0
 }
 
 /// The check pipeline every serialization query goes through: lint
 /// prefilter, saturation, spec prechecks, the planned or monolithic
-/// search, and the degradation ladder — each per `cfg`. `cache` carries a
-/// persistent component cache across calls (the anytime driver
+/// search, and the degradation ladder — each per `cfg`, all over the one
+/// spec and the must-precede facts of `p`. `cache` carries a persistent
+/// component cache across calls (the anytime driver
 /// [`crate::snapshot::ResumableCheck`]); it is advanced to a new
 /// generation only when the search itself runs.
 pub(crate) fn search_serialization_with_stats(
-    h: &History,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
     if cfg.prelint {
-        if let Some(v) = crate::lint::prelint(h, query.lint_scope, query.name) {
+        if let Some(v) = crate::lint::prelint(p, query.lint_scope, query.name) {
             return (Verdict::Violated(v), SearchStats::default());
         }
     }
     if let Some(criterion) = query.criterion.filter(|_| cfg.saturate) {
-        match crate::saturate::saturate_prepared(h, criterion) {
+        match crate::saturate::saturate_prepared(p, criterion) {
             crate::saturate::SaturationOutcome::Refuted(cert) => {
                 return (
                     Verdict::Violated(Violation::Certified {
@@ -1047,14 +1049,13 @@ pub(crate) fn search_serialization_with_stats(
             crate::saturate::SaturationOutcome::Inconclusive => {}
         }
     }
-    let spec = match Spec::build(h) {
-        Ok(s) => s,
-        Err(v) => return (Verdict::Violated(v), SearchStats::default()),
-    };
+    if let Err(v) = p.spec() {
+        return (Verdict::Violated(v.clone()), SearchStats::default());
+    }
     if let Some(c) = cache.as_deref_mut() {
         c.begin_generation();
     }
-    let (verdict, stats) = decide_spec(&spec, query, cfg, cache);
+    let (verdict, stats) = decide_spec(p, query, cfg, cache);
     if cfg.ladder {
         if let Verdict::Unknown {
             explored,
@@ -1063,7 +1064,7 @@ pub(crate) fn search_serialization_with_stats(
         } = verdict
         {
             return (
-                ladder_fallback(h, query, cfg, explored, reason, partial),
+                ladder_fallback(p, query, cfg, explored, reason, partial),
                 stats,
             );
         }
@@ -1089,18 +1090,19 @@ pub(crate) fn search_serialization_with_stats(
 /// If every tier abstains the `Unknown` is returned with its
 /// [`crate::PartialProgress`] payload annotated with the tiers that ran.
 pub(crate) fn ladder_fallback(
-    h: &History,
+    p: &Prepared<'_>,
     query: &Query,
     cfg: &SearchConfig,
     explored: u64,
     reason: UnknownReason,
     partial: Option<crate::PartialProgress>,
 ) -> Verdict {
+    let h = p.history();
     let mut tiers: Vec<&'static str> = vec!["exact-search"];
     if cfg.prelint {
         // The prefilter already ran the lint tier and found nothing.
         tiers.push("lint");
-    } else if let Some(v) = crate::lint::prelint(h, query.lint_scope, query.name) {
+    } else if let Some(v) = crate::lint::prelint(p, query.lint_scope, query.name) {
         return Verdict::Violated(v);
     } else {
         tiers.push("lint");
@@ -1240,7 +1242,8 @@ mod tests {
             max_memo_entries: Some(2),
             ..SearchConfig::default()
         };
-        let (capped, stats) = search_serialization_with_stats(&h, &du_query(), &capped_cfg, None);
+        let (capped, stats) =
+            search_serialization_with_stats(&Prepared::of(&h), &du_query(), &capped_cfg, None);
         assert_eq!(baseline.is_satisfied(), capped.is_satisfied());
         assert!(stats.peak_memo_entries <= 2, "cap exceeded: {stats:?}");
     }

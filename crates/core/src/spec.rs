@@ -38,6 +38,13 @@ pub(crate) struct TxnInfo {
     pub priority: usize,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`Spec::build`] calls on this thread, for the test that pins one
+    /// build per query.
+    pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Indexed form of a history.
 #[derive(Clone, Debug)]
 pub(crate) struct Spec {
@@ -63,6 +70,8 @@ impl Spec {
     /// same object must return the latest such write in every equivalent
     /// sequential history, so a mismatch dooms every serialization.
     pub(crate) fn build(h: &History) -> Result<Spec, Violation> {
+        #[cfg(test)]
+        BUILDS.with(|b| b.set(b.get() + 1));
         let mut objs: Vec<ObjId> = Vec::new();
         let mut obj_index: HashMap<ObjId, usize> = HashMap::new();
         let intern = |x: ObjId, objs: &mut Vec<ObjId>, obj_index: &mut HashMap<ObjId, usize>| {

@@ -33,9 +33,8 @@ use crate::protocol::{
 };
 use crate::transport::{connect_remote, net_timeout, Backoff};
 use duop_core::{
-    available_threads, ladder_verdict, plan_components, prelint_verdict, saturate_verdict,
-    PartialProgress, PlanCriterion, PlanOutcome, PlanScratch, SearchConfig, UnknownReason, Verdict,
-    Violation, Witness,
+    available_threads, ladder_verdict, plan_query, PartialProgress, PlanCriterion, PlanOutcome,
+    PlanScratch, SearchConfig, UnknownReason, Verdict, Violation, Witness,
 };
 use duop_history::{binary, History, TxnId};
 use std::cmp::Reverse;
@@ -511,23 +510,16 @@ fn plan_one(
 
     let prepared = plan_criterion.prepare(&job.history);
     let checked: &History = prepared.as_ref().unwrap_or(&job.history);
-    if cfg.prelint {
-        if let Some(verdict) = prelint_verdict(checked, plan_criterion) {
-            let _ = tx.send(immediate(verdict));
-            return;
-        }
-    }
-    // Mirror the in-process pipeline: saturation runs on the whole
-    // prepared history after lint and before planning, so a refutation's
+    // Mirror the in-process pipeline: lint and saturation run on the
+    // whole prepared history before planning, so a refutation's
     // certificate (or a fully-determined witness) is identical to the
-    // local run's — component tasks then skip saturation entirely.
-    if cfg.saturate {
-        if let Some(verdict) = saturate_verdict(checked, plan_criterion) {
-            let _ = tx.send(immediate(verdict));
-            return;
-        }
-    }
-    let components = match plan_components(checked, plan_criterion, scratch) {
+    // local run's — component tasks then skip both entirely.
+    let stages = SearchConfig {
+        prelint: cfg.prelint,
+        saturate: cfg.saturate,
+        ..SearchConfig::default()
+    };
+    let components = match plan_query(checked, plan_criterion, &stages, scratch) {
         PlanOutcome::Decided(verdict) => {
             let _ = tx.send(immediate(verdict));
             return;
