@@ -1,7 +1,9 @@
 //! Argument parsing for the `duop` tool (dependency-free).
 
+use duop_core::SearchConfig;
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -285,27 +287,13 @@ pub enum Command {
         /// Search worker threads (`1` = sequential, `0` = all hardware
         /// threads).
         threads: usize,
-        /// Run the search planner's conflict-graph decomposition
-        /// (`--no-decompose` clears it, for ablations).
-        decompose: bool,
-        /// Run the lint prefilter before searching (`--no-prelint`
-        /// clears it, for ablations).
-        prelint: bool,
-        /// Run the verdict-degradation ladder on budget exhaustion
-        /// (`--no-ladder` clears it, for ablations).
-        ladder: bool,
-        /// Run the certifying saturation prefilter (`--no-saturate`
-        /// clears it, for ablations).
-        saturate: bool,
+        /// The search pipeline: stage switches and per-search budgets
+        /// (`--no-decompose`, `--no-prelint`, `--no-ladder`,
+        /// `--no-saturate`, `--deadline`, `--max-states`).
+        search: SearchConfig,
         /// Re-validate every saturation certificate with the independent
         /// validator before reporting it (`--certify` sets it).
         certify: bool,
-        /// Wall-clock deadline per serialization search, in milliseconds
-        /// (`None` = unbounded).
-        deadline_ms: Option<u64>,
-        /// Explored-state budget per serialization search (`None` =
-        /// unbounded).
-        max_states: Option<u64>,
         /// Extra attempts for budget-starved criteria (`--retry`).
         retry: u64,
         /// Budget escalation factor per retry, in thousandths
@@ -326,21 +314,10 @@ pub enum Command {
         workers: usize,
         /// Criteria to run (empty = all).
         criteria: Vec<CriterionName>,
-        /// Decompose histories into per-component tasks
-        /// (`--no-decompose` ships each history whole).
-        decompose: bool,
-        /// Run the lint prefilter (`--no-prelint` clears it).
-        prelint: bool,
-        /// Run the verdict-degradation ladder on merged unknowns
-        /// (`--no-ladder` clears it).
-        ladder: bool,
-        /// Run the certifying saturation prefilter (`--no-saturate`
-        /// clears it).
-        saturate: bool,
-        /// Wall-clock deadline per task, in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Explored-state budget per task.
-        max_states: Option<u64>,
+        /// The pipeline each job mirrors, from the same flags as `check`;
+        /// `--no-decompose` ships each history whole, and the budgets
+        /// apply per task.
+        search: SearchConfig,
         /// Worker deaths tolerated per task before its verdict degrades
         /// to `unknown (worker-death)`.
         retry: u64,
@@ -561,6 +538,37 @@ fn value_of<'a>(
         .ok_or_else(|| ParseError(format!("{flag} needs a value")))
 }
 
+/// Applies `arg` to `search` when it is one of the pipeline flags `check`
+/// and `shard` share (`--no-decompose`, `--no-prelint`, `--no-ladder`,
+/// `--no-saturate`, `--deadline MS`, `--max-states N`), consuming its
+/// value from `it`. Returns `Ok(false)` for any other argument.
+fn parse_search_flag<'a>(
+    arg: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+    search: &mut SearchConfig,
+) -> Result<bool, ParseError> {
+    match arg {
+        "--no-decompose" => search.decompose = false,
+        "--no-prelint" => search.prelint = false,
+        "--no-ladder" => search.ladder = false,
+        "--no-saturate" => search.saturate = false,
+        "--deadline" => {
+            let ms = value_of(arg, it)?
+                .parse()
+                .map_err(|_| ParseError("--deadline needs milliseconds".into()))?;
+            search.deadline = Some(Duration::from_millis(ms));
+        }
+        "--max-states" => {
+            let n = value_of(arg, it)?
+                .parse()
+                .map_err(|_| ParseError("--max-states needs a number".into()))?;
+            search.max_states = Some(n);
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 impl Command {
     /// Parses the argument vector (without the program name).
     pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
@@ -571,13 +579,8 @@ impl Command {
                 let mut input = None;
                 let mut criteria = Vec::new();
                 let mut threads = 1usize;
-                let mut decompose = true;
-                let mut prelint = true;
-                let mut ladder = true;
-                let mut saturate = true;
+                let mut search = SearchConfig::default();
                 let mut certify = false;
-                let mut deadline_ms = None;
-                let mut max_states = None;
                 let mut retry = 0u64;
                 let mut escalate_milli = 2000u64;
                 let mut checkpoint = None;
@@ -593,23 +596,8 @@ impl Command {
                                 .parse()
                                 .map_err(|_| ParseError("--threads needs a number".into()))?;
                         }
-                        "--no-decompose" => decompose = false,
-                        "--no-prelint" => prelint = false,
-                        "--no-ladder" => ladder = false,
-                        "--no-saturate" => saturate = false,
                         "--certify" => certify = true,
-                        "--deadline" => {
-                            deadline_ms =
-                                Some(value_of("--deadline", &mut it)?.parse().map_err(|_| {
-                                    ParseError("--deadline needs milliseconds".into())
-                                })?);
-                        }
-                        "--max-states" => {
-                            max_states =
-                                Some(value_of("--max-states", &mut it)?.parse().map_err(|_| {
-                                    ParseError("--max-states needs a number".into())
-                                })?);
-                        }
+                        flag if parse_search_flag(flag, &mut it, &mut search)? => {}
                         "--retry" => {
                             retry = value_of("--retry", &mut it)?
                                 .parse()
@@ -633,13 +621,8 @@ impl Command {
                     input: input.ok_or_else(|| ParseError("check needs a trace file".into()))?,
                     criteria,
                     threads,
-                    decompose,
-                    prelint,
-                    ladder,
-                    saturate,
+                    search,
                     certify,
-                    deadline_ms,
-                    max_states,
                     retry,
                     escalate_milli,
                     checkpoint,
@@ -651,12 +634,7 @@ impl Command {
                 let mut inputs = Vec::new();
                 let mut workers = 0usize;
                 let mut criteria = Vec::new();
-                let mut decompose = true;
-                let mut prelint = true;
-                let mut ladder = true;
-                let mut saturate = true;
-                let mut deadline_ms = None;
-                let mut max_states = None;
+                let mut search = SearchConfig::default();
                 let mut retry = 2u64;
                 let mut min_chunk = 8usize;
                 let mut connect = Vec::new();
@@ -678,22 +656,7 @@ impl Command {
                         "--criterion" | "-c" => {
                             criteria.push(CriterionName::parse(value_of("--criterion", &mut it)?)?);
                         }
-                        "--no-decompose" => decompose = false,
-                        "--no-prelint" => prelint = false,
-                        "--no-ladder" => ladder = false,
-                        "--no-saturate" => saturate = false,
-                        "--deadline" => {
-                            deadline_ms =
-                                Some(value_of("--deadline", &mut it)?.parse().map_err(|_| {
-                                    ParseError("--deadline needs milliseconds".into())
-                                })?);
-                        }
-                        "--max-states" => {
-                            max_states =
-                                Some(value_of("--max-states", &mut it)?.parse().map_err(|_| {
-                                    ParseError("--max-states needs a number".into())
-                                })?);
-                        }
+                        flag if parse_search_flag(flag, &mut it, &mut search)? => {}
                         "--retry" => {
                             retry = value_of("--retry", &mut it)?
                                 .parse()
@@ -722,12 +685,7 @@ impl Command {
                     inputs,
                     workers,
                     criteria,
-                    decompose,
-                    prelint,
-                    ladder,
-                    saturate,
-                    deadline_ms,
-                    max_states,
+                    search,
                     retry,
                     min_chunk,
                     connect,
@@ -1134,13 +1092,8 @@ mod tests {
                 input: "trace.txt".into(),
                 criteria: vec![CriterionName::DuOpacity, CriterionName::Tms2],
                 threads: 1,
-                decompose: true,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig::default(),
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1164,13 +1117,8 @@ mod tests {
                 input: "t.txt".into(),
                 criteria: vec![],
                 threads: 8,
-                decompose: true,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig::default(),
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1191,13 +1139,11 @@ mod tests {
                 input: "t.txt".into(),
                 criteria: vec![],
                 threads: 1,
-                decompose: false,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig {
+                    decompose: false,
+                    ..SearchConfig::default()
+                },
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1216,13 +1162,11 @@ mod tests {
                 input: "t.txt".into(),
                 criteria: vec![],
                 threads: 1,
-                decompose: true,
-                prelint: false,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig {
+                    prelint: false,
+                    ..SearchConfig::default()
+                },
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1242,13 +1186,11 @@ mod tests {
                 input: "t.txt".into(),
                 criteria: vec![],
                 threads: 1,
-                decompose: true,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig {
+                    deadline: Some(Duration::from_millis(250)),
+                    ..SearchConfig::default()
+                },
                 certify: false,
-                deadline_ms: Some(250),
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1264,16 +1206,83 @@ mod tests {
     fn check_parses_no_saturate_and_certify() {
         match parse(&["check", "t.txt", "--no-saturate", "--certify"]).unwrap() {
             Command::Check {
-                saturate, certify, ..
+                search, certify, ..
             } => {
-                assert!(!saturate);
+                assert!(!search.saturate);
                 assert!(certify);
             }
             other => panic!("parsed {other:?}"),
         }
-        match parse(&["shard", "t.txt", "--no-saturate"]).unwrap() {
-            Command::Shard { saturate, .. } => assert!(!saturate),
+    }
+
+    #[test]
+    fn check_and_shard_parse_the_pipeline_flags_alike() {
+        let pipeline = |argv: &[&str]| match parse(argv).unwrap() {
+            Command::Check { search, .. } | Command::Shard { search, .. } => search,
             other => panic!("parsed {other:?}"),
+        };
+        let cases: [(&[&str], SearchConfig); 6] = [
+            (
+                &["--no-decompose"],
+                SearchConfig {
+                    decompose: false,
+                    ..SearchConfig::default()
+                },
+            ),
+            (
+                &["--no-prelint"],
+                SearchConfig {
+                    prelint: false,
+                    ..SearchConfig::default()
+                },
+            ),
+            (
+                &["--no-ladder"],
+                SearchConfig {
+                    ladder: false,
+                    ..SearchConfig::default()
+                },
+            ),
+            (
+                &["--no-saturate"],
+                SearchConfig {
+                    saturate: false,
+                    ..SearchConfig::default()
+                },
+            ),
+            (
+                &["--deadline", "250"],
+                SearchConfig {
+                    deadline: Some(Duration::from_millis(250)),
+                    ..SearchConfig::default()
+                },
+            ),
+            (
+                &["--max-states", "1000"],
+                SearchConfig {
+                    max_states: Some(1000),
+                    ..SearchConfig::default()
+                },
+            ),
+        ];
+        for sub in ["check", "shard"] {
+            for (flags, expected) in &cases {
+                let argv: Vec<&str> = [sub, "t.txt"].iter().chain(*flags).copied().collect();
+                assert_eq!(&pipeline(&argv), expected, "{argv:?}");
+            }
+            for (flag, bad, error) in [
+                ("--deadline", "soon", "--deadline needs milliseconds"),
+                ("--max-states", "many", "--max-states needs a number"),
+            ] {
+                assert_eq!(
+                    parse(&[sub, "t.txt", flag, bad]),
+                    Err(ParseError(error.into()))
+                );
+                assert_eq!(
+                    parse(&[sub, "t.txt", flag]),
+                    Err(ParseError(format!("{flag} needs a value")))
+                );
+            }
         }
     }
 
@@ -1638,12 +1647,7 @@ mod tests {
                 inputs: vec!["a.duob".into(), "b.duob".into()],
                 workers: 4,
                 criteria: vec![CriterionName::DuOpacity],
-                decompose: true,
-                prelint: true,
-                ladder: true,
-                saturate: true,
-                deadline_ms: None,
-                max_states: None,
+                search: SearchConfig::default(),
                 retry: 2,
                 min_chunk: 8,
                 connect: vec![],

@@ -14,10 +14,11 @@ use duop_core::{
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::reader::{self, TraceReader};
 use duop_history::render::render_lanes;
-use duop_history::trace::{format_trace, to_json};
-use duop_history::{binary, dbcop, Event, EventKind, History, Op, Ret};
+use duop_history::trace::{format_event, format_trace, to_json};
+use duop_history::{binary, dbcop, Event, History};
 use std::error::Error;
 use std::io::Write;
+use std::time::Duration;
 
 type CmdResult = Result<bool, Box<dyn Error>>;
 
@@ -72,13 +73,8 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> CmdResult {
             input,
             criteria,
             threads,
-            decompose,
-            prelint,
-            ladder,
-            saturate,
+            search,
             certify,
-            deadline_ms,
-            max_states,
             retry,
             escalate_milli,
             checkpoint,
@@ -93,14 +89,11 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> CmdResult {
                 *threads
             };
             let opts = CheckOpts {
-                threads,
-                decompose: *decompose,
-                prelint: *prelint,
-                ladder: *ladder,
-                saturate: *saturate,
+                search: SearchConfig {
+                    threads: Some(threads),
+                    ..search.clone()
+                },
                 certify: *certify,
-                deadline_ms: *deadline_ms,
-                max_states: *max_states,
                 retry: *retry,
                 escalate_milli: *escalate_milli,
                 checkpoint: checkpoint.clone(),
@@ -113,12 +106,7 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> CmdResult {
             inputs,
             workers,
             criteria,
-            decompose,
-            prelint,
-            ladder,
-            saturate,
-            deadline_ms,
-            max_states,
+            search,
             retry,
             min_chunk,
             connect,
@@ -127,12 +115,7 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> CmdResult {
         } => {
             let opts = ShardOpts {
                 workers: *workers,
-                decompose: *decompose,
-                prelint: *prelint,
-                ladder: *ladder,
-                saturate: *saturate,
-                deadline_ms: *deadline_ms,
-                max_states: *max_states,
+                search,
                 retry: *retry,
                 min_chunk: *min_chunk,
                 connect: connect.clone(),
@@ -352,14 +335,10 @@ fn all_criteria() -> Vec<CriterionName> {
 
 /// Resolved `duop check` options (CLI flags or a resumed checkpoint).
 struct CheckOpts {
-    threads: usize,
-    decompose: bool,
-    prelint: bool,
-    ladder: bool,
-    saturate: bool,
+    /// The pipeline of the first attempt, with `threads` resolved to a
+    /// worker count.
+    search: SearchConfig,
     certify: bool,
-    deadline_ms: Option<u64>,
-    max_states: Option<u64>,
     retry: u64,
     escalate_milli: u64,
     checkpoint: Option<String>,
@@ -424,7 +403,14 @@ fn retryable(verdict: &Verdict) -> bool {
     )
 }
 
+/// The search deadline in whole milliseconds: the unit of `--deadline`,
+/// of checkpoints and of `ShardConfig`.
+fn deadline_ms(search: &SearchConfig) -> Option<u64> {
+    search.deadline.map(|d| d.as_millis() as u64)
+}
+
 fn base_snapshot(h: &History, list: &[CriterionName], opts: &CheckOpts) -> CheckSnapshot {
+    let search = &opts.search;
     CheckSnapshot {
         events: h.events().to_vec(),
         criteria: list
@@ -432,13 +418,13 @@ fn base_snapshot(h: &History, list: &[CriterionName], opts: &CheckOpts) -> Check
             .map(|c| criterion_token(*c).to_owned())
             .collect(),
         format: opts.format.clone(),
-        threads: opts.threads as u64,
-        decompose: opts.decompose,
-        prelint: opts.prelint,
-        ladder: opts.ladder,
-        saturate: opts.saturate,
-        deadline_ms: opts.deadline_ms.unwrap_or(0),
-        max_states: opts.max_states.unwrap_or(0),
+        threads: search.effective_threads() as u64,
+        decompose: search.decompose,
+        prelint: search.prelint,
+        ladder: search.ladder,
+        saturate: search.saturate,
+        deadline_ms: deadline_ms(search).unwrap_or(0),
+        max_states: search.max_states.unwrap_or(0),
         retry: opts.retry,
         escalate_milli: opts.escalate_milli,
         attempt: 0,
@@ -449,16 +435,11 @@ fn base_snapshot(h: &History, list: &[CriterionName], opts: &CheckOpts) -> Check
 
 fn search_config(opts: &CheckOpts, attempt: u64) -> SearchConfig {
     SearchConfig {
-        threads: Some(opts.threads),
-        decompose: opts.decompose,
-        prelint: opts.prelint,
-        ladder: opts.ladder,
-        saturate: opts.saturate,
-        deadline: escalated(opts.deadline_ms, opts.escalate_milli, attempt)
-            .map(std::time::Duration::from_millis),
-        max_states: escalated(opts.max_states, opts.escalate_milli, attempt),
+        deadline: escalated(deadline_ms(&opts.search), opts.escalate_milli, attempt)
+            .map(Duration::from_millis),
+        max_states: escalated(opts.search.max_states, opts.escalate_milli, attempt),
         interruptible: true,
-        ..SearchConfig::default()
+        ..opts.search.clone()
     }
 }
 
@@ -538,7 +519,7 @@ fn check(
                 ("TMS2 (full automaton)", ok, detail)
             }
             other => {
-                let verdict = match (resumable_criterion(other), opts.threads) {
+                let verdict = match (resumable_criterion(other), opts.search.effective_threads()) {
                     (Some(cc), 1) => {
                         // Anytime path: persistent component cache,
                         // checkpoint sink, escalation with fragment reuse.
@@ -860,14 +841,9 @@ fn explain_rule(id: &str, out: &mut dyn Write) -> CmdResult {
 }
 
 /// Resolved `duop shard` options.
-struct ShardOpts {
+struct ShardOpts<'a> {
     workers: usize,
-    decompose: bool,
-    prelint: bool,
-    ladder: bool,
-    saturate: bool,
-    deadline_ms: Option<u64>,
-    max_states: Option<u64>,
+    search: &'a SearchConfig,
     retry: u64,
     min_chunk: usize,
     connect: Vec<String>,
@@ -884,7 +860,7 @@ struct ShardOpts {
 fn shard(
     inputs: &[String],
     criteria: &[CriterionName],
-    opts: &ShardOpts,
+    opts: &ShardOpts<'_>,
     out: &mut dyn Write,
 ) -> CmdResult {
     let json = opts.format == "json";
@@ -914,12 +890,12 @@ fn shard(
             exe.to_string_lossy().into_owned(),
             "shard-worker".to_owned(),
         ],
-        decompose: opts.decompose,
-        prelint: opts.prelint,
-        ladder: opts.ladder,
-        saturate: opts.saturate,
-        max_states: opts.max_states,
-        deadline_ms: opts.deadline_ms,
+        decompose: opts.search.decompose,
+        prelint: opts.search.prelint,
+        ladder: opts.search.ladder,
+        saturate: opts.search.saturate,
+        max_states: opts.search.max_states,
+        deadline_ms: deadline_ms(opts.search),
         retry: opts.retry,
         min_task_txns: opts.min_chunk,
         connect: opts.connect.clone(),
@@ -1022,16 +998,19 @@ fn resume_check(cs: CheckSnapshot, file: &str, out: &mut dyn Write) -> CmdResult
         .map(|tok| CriterionName::parse(tok))
         .collect::<Result<_, _>>()?;
     let opts = CheckOpts {
-        threads: (cs.threads as usize).max(1),
-        decompose: cs.decompose,
-        prelint: cs.prelint,
-        ladder: cs.ladder,
-        saturate: cs.saturate,
+        search: SearchConfig {
+            threads: Some((cs.threads as usize).max(1)),
+            decompose: cs.decompose,
+            prelint: cs.prelint,
+            ladder: cs.ladder,
+            saturate: cs.saturate,
+            deadline: (cs.deadline_ms > 0).then(|| Duration::from_millis(cs.deadline_ms)),
+            max_states: (cs.max_states > 0).then_some(cs.max_states),
+            ..SearchConfig::default()
+        },
         // `--certify` is a per-invocation display/validation choice, not
         // part of the resumable run state.
         certify: false,
-        deadline_ms: (cs.deadline_ms > 0).then_some(cs.deadline_ms),
-        max_states: (cs.max_states > 0).then_some(cs.max_states),
         retry: cs.retry,
         escalate_milli: cs.escalate_milli,
         checkpoint: Some(file.to_owned()),
@@ -1610,23 +1589,6 @@ fn json_u64_field(body: &str, field: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Renders one event as a trace-format line (the inverse of
-/// `parse_line`, per event instead of per history so a chunk can start
-/// mid-transaction).
-fn event_line(ev: &Event) -> String {
-    let txn = ev.txn;
-    match ev.kind {
-        EventKind::Inv(Op::Read(x)) => format!("{txn} read {x}"),
-        EventKind::Inv(Op::Write(x, v)) => format!("{txn} write {x} {v}"),
-        EventKind::Inv(Op::TryCommit) => format!("{txn} tryc"),
-        EventKind::Inv(Op::TryAbort) => format!("{txn} trya"),
-        EventKind::Resp(Ret::Value(v)) => format!("{txn} val {v}"),
-        EventKind::Resp(Ret::Ok) => format!("{txn} ok"),
-        EventKind::Resp(Ret::Committed) => format!("{txn} commit"),
-        EventKind::Resp(Ret::Aborted) => format!("{txn} abort"),
-    }
-}
-
 /// Posts one events body, retrying on `429 Retry-After` (the daemon
 /// sheds under its retained-event ceiling or per-peer rate limit;
 /// compaction, reaping, or the next window clears it) with the same
@@ -1724,7 +1686,7 @@ fn client(input: &str, opts: &ClientOpts<'_>, out: &mut dyn Write) -> CmdResult 
         for batch in todo.chunks(chunk) {
             let mut payload = String::new();
             for ev in batch {
-                payload.push_str(&event_line(ev));
+                payload.push_str(&format_event(ev));
                 payload.push('\n');
             }
             let (status, body) = post_events(opts.addr, sid, "text/plain", payload.as_bytes())?;
@@ -1832,13 +1794,8 @@ mod tests {
             input: path,
             criteria: vec![],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig::default(),
             certify: false,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -1866,13 +1823,8 @@ mod tests {
             input: path,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig::default(),
             certify: false,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -1911,13 +1863,8 @@ mod tests {
                 input: temp_trace(trace),
                 criteria: vec![],
                 threads: 1,
-                decompose: true,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig::default(),
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1928,13 +1875,8 @@ mod tests {
                 input: temp_trace(trace),
                 criteria: vec![],
                 threads: 4,
-                decompose: true,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig::default(),
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1947,13 +1889,11 @@ mod tests {
                 input: temp_trace(trace),
                 criteria: vec![],
                 threads: 1,
-                decompose: false,
-                prelint: true,
-                ladder: true,
-                saturate: true,
+                search: SearchConfig {
+                    decompose: false,
+                    ..SearchConfig::default()
+                },
                 certify: false,
-                deadline_ms: None,
-                max_states: None,
                 retry: 0,
                 escalate_milli: 2000,
                 checkpoint: None,
@@ -1972,13 +1912,8 @@ mod tests {
             input: path,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig::default(),
             certify: false,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -2006,17 +1941,17 @@ mod tests {
             input: path,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
             // The degradation ladder would decide this unique-writes
             // history despite the expired deadline — and saturation
             // would decide it before the search even starts; this test
             // is about the deadline provenance tag.
-            ladder: false,
-            saturate: false,
+            search: SearchConfig {
+                ladder: false,
+                saturate: false,
+                deadline: Some(Duration::ZERO),
+                ..SearchConfig::default()
+            },
             certify: false,
-            deadline_ms: Some(0),
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -2041,13 +1976,11 @@ mod tests {
             input: path,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig {
+                deadline: Some(Duration::from_millis(60_000)),
+                ..SearchConfig::default()
+            },
             certify: false,
-            deadline_ms: Some(60_000),
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -2282,13 +2215,11 @@ mod tests {
             input: path,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: false,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig {
+                prelint: false,
+                ..SearchConfig::default()
+            },
             certify: true,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -2310,13 +2241,11 @@ mod tests {
                     input: temp_trace(trace),
                     criteria: vec![crate::args::CriterionName::DuOpacity],
                     threads: 1,
-                    decompose: true,
-                    prelint: true,
-                    ladder: true,
-                    saturate,
+                    search: SearchConfig {
+                        saturate,
+                        ..SearchConfig::default()
+                    },
                     certify: false,
-                    deadline_ms: None,
-                    max_states: None,
                     retry: 0,
                     escalate_milli: 2000,
                     checkpoint: None,
@@ -2437,13 +2366,8 @@ mod tests {
             input: bpath,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig::default(),
             certify: false,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -2470,13 +2394,8 @@ mod tests {
             input: dpath,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig::default(),
             certify: false,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,
@@ -2554,13 +2473,8 @@ mod tests {
             input: out_path,
             criteria: vec![crate::args::CriterionName::DuOpacity],
             threads: 1,
-            decompose: true,
-            prelint: true,
-            ladder: true,
-            saturate: true,
+            search: SearchConfig::default(),
             certify: false,
-            deadline_ms: None,
-            max_states: None,
             retry: 0,
             escalate_milli: 2000,
             checkpoint: None,

@@ -4,7 +4,8 @@
 //! criterion, `run_sharded` must return the same [`Verdict`] as the
 //! in-process checker — same witness order, same commit choices, same
 //! violation, not merely the same satisfied/violated bit. This suite
-//! sweeps criteria × worker counts × decomposition on generated
+//! sweeps criteria × worker counts × pipelines (decomposition on and off,
+//! each with lint, saturation or the ladder switched off) on generated
 //! histories (du-opaque by construction *and* adversarial), validates
 //! every satisfied witness independently with [`check_witness`], and
 //! exercises the worker-death re-queue path with the fault-injection
@@ -26,22 +27,57 @@ fn worker_cmd() -> Vec<String> {
     ]
 }
 
-fn shard_config(workers: usize, decompose: bool) -> ShardConfig {
+/// A pool of `workers` running `pipeline`'s stages, as `duop shard`
+/// builds it from the same flags `duop check` parses into `pipeline`.
+fn shard_config(workers: usize, pipeline: &SearchConfig) -> ShardConfig {
     ShardConfig {
         workers,
         worker_cmd: worker_cmd(),
-        decompose,
+        decompose: pipeline.decompose,
+        prelint: pipeline.prelint,
+        saturate: pipeline.saturate,
+        ladder: pipeline.ladder,
+        max_states: pipeline.max_states,
+        deadline_ms: pipeline.deadline.map(|d| d.as_millis() as u64),
         ..ShardConfig::default()
     }
 }
 
-fn local_config(decompose: bool) -> SearchConfig {
-    SearchConfig {
-        decompose,
-        prelint: true,
-        ladder: true,
-        ..SearchConfig::default()
+/// The pipelines the matrix compares, with and without decomposition:
+/// lint switched off, then saturation too, so that no earlier stage
+/// masks a later one. A decomposed job runs lint and saturation in the
+/// coordinator and ships component tasks with both off; a whole-history
+/// task carries the pipeline's own switches to the worker. The ladder
+/// only acts on an exhausted budget, and budgets bind per task, so it is
+/// compared on whole-history tasks under a budget the search trips.
+fn pipelines() -> Vec<SearchConfig> {
+    let mut out = Vec::new();
+    for decompose in [true, false] {
+        let all = SearchConfig {
+            decompose,
+            ..SearchConfig::default()
+        };
+        let no_lint = SearchConfig {
+            prelint: false,
+            ..all.clone()
+        };
+        let no_saturate = SearchConfig {
+            saturate: false,
+            ..no_lint.clone()
+        };
+        out.extend([all, no_lint, no_saturate]);
     }
+    for ladder in [true, false] {
+        out.push(SearchConfig {
+            decompose: false,
+            prelint: false,
+            saturate: false,
+            ladder,
+            max_states: Some(50),
+            ..SearchConfig::default()
+        });
+    }
+    out
 }
 
 fn sample_histories() -> Vec<History> {
@@ -80,9 +116,10 @@ fn distributed_matches_local_across_the_matrix() {
         PlanCriterion::Rco,
     ];
 
+    let mut budget_tripped = 0;
     for criterion in criteria {
         for workers in [1usize, 4] {
-            for decompose in [true, false] {
+            for pipeline in pipelines() {
                 let jobs: Vec<ShardJob> = histories
                     .iter()
                     .map(|h| ShardJob {
@@ -90,17 +127,19 @@ fn distributed_matches_local_across_the_matrix() {
                         criterion: ShardCriterion::Plan(criterion),
                     })
                     .collect();
-                let verdicts = run_sharded(jobs, &shard_config(workers, decompose))
+                let verdicts = run_sharded(jobs, &shard_config(workers, &pipeline))
                     .expect("sharded run completes");
                 assert_eq!(verdicts.len(), histories.len());
 
                 for (h, distributed) in histories.iter().zip(&verdicts) {
-                    let (local, _) =
-                        check_criterion_with_stats(h, criterion, &local_config(decompose));
+                    let (local, _) = check_criterion_with_stats(h, criterion, &pipeline);
+                    if matches!(local, Verdict::Unknown { .. }) {
+                        budget_tripped += 1;
+                    }
                     assert_eq!(
                         *distributed,
                         local,
-                        "criterion {} workers {workers} decompose {decompose}: \
+                        "criterion {} workers {workers} pipeline {pipeline:?}: \
                          distributed and local verdicts diverge",
                         criterion.token(),
                     );
@@ -118,6 +157,7 @@ fn distributed_matches_local_across_the_matrix() {
             }
         }
     }
+    assert!(budget_tripped > 0, "no check exhausted the ladder's budget");
 }
 
 #[test]
@@ -128,8 +168,10 @@ fn opacity_ships_whole_histories_and_matches() {
             history: h.clone(),
             criterion: ShardCriterion::Opacity,
         }];
-        let verdicts = run_sharded(jobs, &shard_config(2, true)).expect("sharded run completes");
-        let local = Opacity::with_config(local_config(true)).check(&h);
+        let pipeline = SearchConfig::default();
+        let verdicts =
+            run_sharded(jobs, &shard_config(2, &pipeline)).expect("sharded run completes");
+        let local = Opacity::with_config(pipeline).check(&h);
         assert_eq!(
             verdicts[0], local,
             "opacity diverged on a whole-history job"
@@ -153,11 +195,11 @@ fn worker_death_requeues_and_preserves_the_verdict() {
 
     let baseline = run_sharded(
         jobs(ShardCriterion::Plan(PlanCriterion::Du)),
-        &shard_config(2, true),
+        &shard_config(2, &SearchConfig::default()),
     )
     .expect("uninterrupted run completes");
 
-    let mut killer = shard_config(2, true);
+    let mut killer = shard_config(2, &SearchConfig::default());
     killer.worker_env = vec![(KILL_TASK_ENV.to_owned(), "0".to_owned())];
     let survived = run_sharded(jobs(ShardCriterion::Plan(PlanCriterion::Du)), &killer)
         .expect("run survives an injected worker death");
@@ -187,10 +229,16 @@ fn failed_dispatch_never_strands_a_task() {
     use duop_shard::ShardError;
     let h = HistoryGen::new(HistoryGenConfig::medium_simulated().with_txns(30), 3).generate();
 
-    let mut cfg = shard_config(1, false);
+    let mut cfg = shard_config(
+        1,
+        &SearchConfig {
+            decompose: false,
+            prelint: false, // force a real task: the lint prefilter must not decide it
+            ladder: false,
+            ..SearchConfig::default()
+        },
+    );
     cfg.retry = 1;
-    cfg.prelint = false; // force a real task: the lint prefilter must not decide it
-    cfg.ladder = false;
     cfg.worker_env = vec![(KILL_AFTER_HELLO_ENV.to_owned(), "1".to_owned())];
 
     match run_sharded(
@@ -220,10 +268,16 @@ fn exhausted_retry_budget_degrades_to_worker_death() {
     use duop_core::UnknownReason;
     let h = HistoryGen::new(HistoryGenConfig::medium_simulated().with_txns(30), 3).generate();
 
-    let mut cfg = shard_config(1, false);
+    let mut cfg = shard_config(
+        1,
+        &SearchConfig {
+            decompose: false,
+            prelint: false, // force a real search task the hook can kill
+            ladder: false,
+            ..SearchConfig::default()
+        },
+    );
     cfg.retry = 0;
-    cfg.prelint = false; // force a real search task the hook can kill
-    cfg.ladder = false;
     cfg.worker_env = vec![(KILL_TASK_ENV.to_owned(), "0".to_owned())];
 
     let verdicts = run_sharded(

@@ -62,6 +62,29 @@ macro_rules! criterion_struct {
             }
         }
     };
+    // A single serialization query: name and check come from the
+    // criterion's `PlanCriterion`.
+    ($(#[$doc:meta])* $name:ident => $plan:ident) => {
+        criterion_struct! { $(#[$doc])* $name }
+
+        impl $name {
+            /// As [`Criterion::check`], additionally returning the search
+            /// counters — the quantitative basis for the ablations.
+            pub fn check_with_stats(&self, h: &History) -> (Verdict, SearchStats) {
+                check_planned(h, PlanCriterion::$plan, &self.cfg, None)
+            }
+        }
+
+        impl Criterion for $name {
+            fn name(&self) -> &'static str {
+                PlanCriterion::$plan.display_name()
+            }
+
+            fn check(&self, h: &History) -> Verdict {
+                self.check_with_stats(h).0
+            }
+        }
+    };
 }
 
 criterion_struct! {
@@ -84,25 +107,7 @@ criterion_struct! {
     ///     .build();
     /// assert!(FinalStateOpacity::new().check(&h).is_satisfied());
     /// ```
-    FinalStateOpacity
-}
-
-impl FinalStateOpacity {
-    /// As [`Criterion::check`], additionally returning the search
-    /// counters.
-    pub fn check_with_stats(&self, h: &History) -> (Verdict, SearchStats) {
-        check_planned(h, PlanCriterion::FinalState, &self.cfg, None)
-    }
-}
-
-impl Criterion for FinalStateOpacity {
-    fn name(&self) -> &'static str {
-        "final-state opacity"
-    }
-
-    fn check(&self, h: &History) -> Verdict {
-        self.check_with_stats(h).0
-    }
+    FinalStateOpacity => FinalState
 }
 
 criterion_struct! {
@@ -230,26 +235,7 @@ criterion_struct! {
     /// assert!(verdict.is_satisfied());
     /// assert_eq!(verdict.witness().unwrap().commit_choice(t1), Some(true));
     /// ```
-    DuOpacity
-}
-
-impl DuOpacity {
-    /// As [`Criterion::check`], additionally returning the search
-    /// counters — the quantitative basis for the pruning/memoization
-    /// ablations.
-    pub fn check_with_stats(&self, h: &History) -> (Verdict, SearchStats) {
-        check_planned(h, PlanCriterion::Du, &self.cfg, None)
-    }
-}
-
-impl Criterion for DuOpacity {
-    fn name(&self) -> &'static str {
-        "du-opacity"
-    }
-
-    fn check(&self, h: &History) -> Verdict {
-        self.check_with_stats(h).0
-    }
+    DuOpacity => Du
 }
 
 criterion_struct! {
@@ -260,17 +246,7 @@ criterion_struct! {
     ///
     /// Strictly stronger than [`DuOpacity`]: Figure 5 is du-opaque but not
     /// read-commit-order opaque.
-    ReadCommitOrderOpacity
-}
-
-impl Criterion for ReadCommitOrderOpacity {
-    fn name(&self) -> &'static str {
-        "read-commit-order opacity"
-    }
-
-    fn check(&self, h: &History) -> Verdict {
-        check_planned(h, PlanCriterion::Rco, &self.cfg, None).0
-    }
+    ReadCommitOrderOpacity => Rco
 }
 
 criterion_struct! {
@@ -282,17 +258,7 @@ criterion_struct! {
     /// The paper conjectures TMS2 ⊆ du-opacity and separates them with
     /// Figure 6 (du-opaque but not TMS2). This is the paper's simplified
     /// rendering, not the full TMS2 I/O automaton.
-    Tms2
-}
-
-impl Criterion for Tms2 {
-    fn name(&self) -> &'static str {
-        "TMS2"
-    }
-
-    fn check(&self, h: &History) -> Verdict {
-        check_planned(h, PlanCriterion::Tms2, &self.cfg, None).0
-    }
+    Tms2 => Tms2
 }
 
 criterion_struct! {
@@ -311,17 +277,7 @@ criterion_struct! {
     ///
     /// The witness covers only the retained (committed or commit-pending)
     /// transactions.
-    StrictSerializability
-}
-
-impl Criterion for StrictSerializability {
-    fn name(&self) -> &'static str {
-        "strict serializability"
-    }
-
-    fn check(&self, h: &History) -> Verdict {
-        check_planned(h, PlanCriterion::Strict, &self.cfg, None).0
-    }
+    StrictSerializability => Strict
 }
 
 /// Commit-conditional precedence edges for [`ReadCommitOrderOpacity`]:

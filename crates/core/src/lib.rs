@@ -26,9 +26,9 @@
 //! Membership is NP-hard in general; before any backtracking a **search
 //! planner** decomposes each query along the transaction conflict graph
 //! and turns candidate-writer analysis into forced precedence edges (see
-//! `DESIGN.md`; disable with [`SearchConfig::decompose`] or the global
-//! [`set_default_decompose`] ablation switch). The search engine itself
-//! uses sound state memoization (hash-compacted 128-bit keys), fail-first
+//! `DESIGN.md`; disable with [`SearchConfig::decompose`] for the
+//! ablation). The search engine itself uses sound state memoization
+//! (hash-compacted 128-bit keys), fail-first
 //! child ordering and prechecks that decide realistic histories (including
 //! multi-thread STM traces) quickly, and accepts an optional state budget
 //! returning [`Verdict::Unknown`] when exceeded. The [`parallel`] module
@@ -37,8 +37,7 @@
 //! fan-out of independent checks over a worker pool. Before the planner
 //! even runs, the [`lint`] pipeline — a registry of polynomial
 //! static-analysis rules with structured diagnostics — refutes most
-//! violating histories outright (disable with [`SearchConfig::prelint`]
-//! or [`set_default_prelint`]).
+//! violating histories outright (disable with [`SearchConfig::prelint`]).
 //!
 //! # Example
 //!
@@ -104,9 +103,6 @@ pub use plan::{
     PlanCriterion, PlanOutcome, PlanScratch,
 };
 pub use saturate::{saturate, saturate_verdict, SaturationOutcome};
-pub use search::{
-    set_default_deadline, set_default_decompose, set_default_ladder, set_default_prelint,
-    set_default_saturate, Budget, SearchConfig, SearchStats,
-};
+pub use search::{Budget, SearchConfig, SearchStats};
 pub use verdict::{PartialProgress, UnknownReason, Verdict, Violation, Witness};
 pub use witness_check::{check_witness, WitnessError};

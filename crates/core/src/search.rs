@@ -57,73 +57,8 @@ use crate::spec::Spec;
 use crate::{UnknownReason, Verdict, Violation, Witness};
 use duop_history::{CommitCapability, History, TxnId, Value};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// Process-wide default for [`SearchConfig::decompose`], so the
-/// experiments binary can ablate the planner without threading a flag
-/// through every criterion constructor.
-static DEFAULT_DECOMPOSE: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for [`SearchConfig::decompose`] (the
-/// `--no-decompose` ablation). Affects configs created *after* the call.
-pub fn set_default_decompose(enabled: bool) {
-    DEFAULT_DECOMPOSE.store(enabled, Ordering::Relaxed);
-}
-
-/// Process-wide default for [`SearchConfig::prelint`], so the experiments
-/// binary can ablate the lint prefilter (`--no-prelint`) without threading
-/// a flag through every criterion constructor.
-static DEFAULT_PRELINT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for [`SearchConfig::prelint`] (the
-/// `--no-prelint` ablation). Affects configs created *after* the call.
-pub fn set_default_prelint(enabled: bool) {
-    DEFAULT_PRELINT.store(enabled, Ordering::Relaxed);
-}
-
-/// Process-wide default for [`SearchConfig::saturate`], so the CLI and
-/// the experiments binary can ablate the saturation prefilter
-/// (`--no-saturate`) without threading a flag through every criterion
-/// constructor.
-static DEFAULT_SATURATE: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for [`SearchConfig::saturate`] (the
-/// `--no-saturate` ablation). Affects configs created *after* the call.
-pub fn set_default_saturate(enabled: bool) {
-    DEFAULT_SATURATE.store(enabled, Ordering::Relaxed);
-}
-
-/// Process-wide default for [`SearchConfig::ladder`], so the experiments
-/// binary can ablate the degradation ladder (`--no-ladder`) without
-/// threading a flag through every criterion constructor.
-static DEFAULT_LADDER: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for [`SearchConfig::ladder`] (the
-/// `--no-ladder` ablation). Affects configs created *after* the call.
-pub fn set_default_ladder(enabled: bool) {
-    DEFAULT_LADDER.store(enabled, Ordering::Relaxed);
-}
-
-/// Process-wide default for [`SearchConfig::deadline`], in milliseconds
-/// (`0` = none), so the CLI and the experiments binary can impose a
-/// wall-clock cap (`--deadline <ms>`) without threading it through every
-/// criterion constructor.
-static DEFAULT_DEADLINE_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the process-wide default for [`SearchConfig::deadline`]. Affects
-/// configs created *after* the call; `None` clears the default.
-pub fn set_default_deadline(deadline: Option<Duration>) {
-    let ms = deadline.map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64);
-    DEFAULT_DEADLINE_MS.store(ms, Ordering::Relaxed);
-}
-
-fn default_deadline() -> Option<Duration> {
-    match DEFAULT_DEADLINE_MS.load(Ordering::Relaxed) {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    }
-}
 
 /// Tuning knobs for the serialization search.
 ///
@@ -131,7 +66,7 @@ fn default_deadline() -> Option<Duration> {
 /// decide every history in this repository quickly; `max_states` exists
 /// because the membership problem is NP-hard in general and a caller may
 /// prefer [`Verdict::Unknown`] to an unbounded search.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Memoize failed search states (default `true`). Disabling is only
     /// useful for the ablation benchmarks.
@@ -199,12 +134,12 @@ impl Default for SearchConfig {
             memo: true,
             max_states: None,
             threads: None,
-            decompose: DEFAULT_DECOMPOSE.load(Ordering::Relaxed),
-            prelint: DEFAULT_PRELINT.load(Ordering::Relaxed),
-            saturate: DEFAULT_SATURATE.load(Ordering::Relaxed),
-            deadline: default_deadline(),
+            decompose: true,
+            prelint: true,
+            saturate: true,
+            deadline: None,
             max_memo_entries: None,
-            ladder: DEFAULT_LADDER.load(Ordering::Relaxed),
+            ladder: true,
             interruptible: false,
         }
     }
@@ -1246,17 +1181,6 @@ mod tests {
             search_serialization_with_stats(&Prepared::of(&h), &du_query(), &capped_cfg, None);
         assert_eq!(baseline.is_satisfied(), capped.is_satisfied());
         assert!(stats.peak_memo_entries <= 2, "cap exceeded: {stats:?}");
-    }
-
-    #[test]
-    fn default_deadline_is_inherited_by_new_configs() {
-        // A huge value: concurrently-running tests that happen to build a
-        // config inside this window must never actually trip it.
-        set_default_deadline(Some(Duration::from_secs(86_400)));
-        let cfg = SearchConfig::default();
-        set_default_deadline(None);
-        assert_eq!(cfg.deadline, Some(Duration::from_secs(86_400)));
-        assert_eq!(SearchConfig::default().deadline, None);
     }
 
     #[test]

@@ -248,13 +248,16 @@ impl Searcher<'_> {
             return StepOutcome::Accepted;
         }
 
-        // Option: linearize a pending commit before this event.
-        let pending: Vec<TxnId> = state
+        // Option: linearize a pending commit before this event. Tried in
+        // id order, not map order, so the certificate (and the explored
+        // count) is the same on every call.
+        let mut pending: Vec<TxnId> = state
             .txns
             .iter()
             .filter(|(_, s)| s.pending)
             .map(|(t, _)| *t)
             .collect();
+        pending.sort_unstable();
         for txn in pending {
             let mut next = state.clone();
             if next.flush(txn) {
@@ -624,6 +627,38 @@ mod tests {
             check_tms2_automaton(&h, Some(3)),
             Tms2Verdict::Unknown { .. } | Tms2Verdict::Rejected { .. }
         ));
+    }
+
+    #[test]
+    fn concurrent_pending_commits_flush_in_id_order() {
+        // T1 and T2 are both commit-pending when T3 begins and reads the
+        // initial values of both objects: the commits may linearize in
+        // either order, and every call must pick the same one.
+        let h = HistoryBuilder::new()
+            .write(t(1), x(), v(1))
+            .inv_try_commit(t(1))
+            .write(t(2), y(), v(1))
+            .inv_try_commit(t(2))
+            .read(t(3), x(), v(0))
+            .read(t(3), y(), v(0))
+            .commit(t(3))
+            .build();
+        let mut certificates: Vec<Tms2Execution> = Vec::new();
+        for _ in 0..32 {
+            let exec = check_tms2_automaton(&h, None)
+                .execution()
+                .cloned()
+                .expect("accepted");
+            assert_eq!(replay(&h, &exec), Ok(()));
+            if !certificates.contains(&exec) {
+                certificates.push(exec);
+            }
+        }
+        assert_eq!(certificates.len(), 1, "certificates: {certificates:?}");
+        assert_eq!(
+            certificates[0].flushes_before.concat(),
+            vec![t(1), t(2), t(3)]
+        );
     }
 
     #[test]

@@ -6,19 +6,23 @@
 //!
 //! `--threads N` fans the corpus experiments (E7–E9, E11, E13, E14) out
 //! over N worker threads (0 = all hardware threads). The reported numbers
-//! are identical to the serial run. `--no-decompose` disables the search
-//! planner's conflict-graph decomposition in every check (ablation; the
-//! verdicts must not change). `--no-prelint` likewise disables the
-//! polynomial lint prefilter in every check (ablation; same contract),
-//! and `--no-saturate` the certifying must-precede saturation pass
-//! (ablation; saturation is sound, so no verdict may change — though
-//! E20's agreement sweep runs it explicitly regardless).
-//! `--deadline MS` bounds every serialization search by a wall-clock
-//! deadline; searches that run out report `unknown (deadline ...)` and
-//! the affected experiment fails rather than hangs. `--no-ladder`
-//! disables the budget-exhaustion degradation ladder in every check
+//! are identical to the serial run. The remaining flags build the one
+//! [`SearchConfig`] every checker of E1–E18 and E20 starts from (E13,
+//! E15, E17 and E20 pin the stages they measure on top of it; E19, E21
+//! and E22 compare the shard pool and the serve session against the
+//! default pipeline). `--no-decompose` disables the search planner's
+//! conflict-graph decomposition (ablation; the verdicts must not change).
+//! `--no-prelint` likewise disables the polynomial lint prefilter
+//! (ablation; same contract), and `--no-saturate` the certifying
+//! must-precede saturation pass (ablation; saturation is sound, so no
+//! verdict may change — though E20's agreement sweep runs it explicitly
+//! regardless). `--deadline MS` bounds every serialization search by a
+//! wall-clock deadline; searches that run out report `unknown (deadline
+//! ...)` and the affected experiment fails rather than hangs.
+//! `--no-ladder` disables the budget-exhaustion degradation ladder
 //! (ablation; the ladder is sound, so no decided verdict may change).
 
+use duop_core::SearchConfig;
 use duop_experiments::runner::run_all_with;
 use duop_history::render::render_lanes;
 
@@ -36,19 +40,15 @@ fn main() {
             "shard-worker".to_owned(),
         ]);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--no-decompose") {
-        duop_core::set_default_decompose(false);
-    }
-    if args.iter().any(|a| a == "--no-prelint") {
-        duop_core::set_default_prelint(false);
-    }
-    if args.iter().any(|a| a == "--no-saturate") {
-        duop_core::set_default_saturate(false);
-    }
-    if args.iter().any(|a| a == "--no-ladder") {
-        duop_core::set_default_ladder(false);
-    }
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let quick = flag("--quick");
+    let mut base = SearchConfig {
+        decompose: !flag("--no-decompose"),
+        prelint: !flag("--no-prelint"),
+        saturate: !flag("--no-saturate"),
+        ladder: !flag("--no-ladder"),
+        ..SearchConfig::default()
+    };
     let mut threads = 1usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -68,7 +68,7 @@ fn main() {
                 eprintln!("--deadline needs milliseconds");
                 std::process::exit(2);
             });
-            duop_core::set_default_deadline(Some(std::time::Duration::from_millis(ms)));
+            base.deadline = Some(std::time::Duration::from_millis(ms));
         }
     }
 
@@ -89,7 +89,7 @@ fn main() {
     println!();
 
     println!("== Experiments ==\n");
-    let results = run_all_with(quick, threads);
+    let results = run_all_with(quick, threads, &base);
     let mut failures = 0;
     for r in &results {
         println!(

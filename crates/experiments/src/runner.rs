@@ -7,7 +7,7 @@ use duop_core::lemmas::{live_set_reorder, restrict_witness};
 use duop_core::unique::{check_unique_writes_fast, has_unique_writes};
 use duop_core::{
     check_witness, Criterion, CriterionKind, DuOpacity, FinalStateOpacity, Opacity,
-    ReadCommitOrderOpacity, Tms2,
+    ReadCommitOrderOpacity, SearchConfig, Tms2,
 };
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::History;
@@ -29,39 +29,41 @@ pub struct ExperimentResult {
     pub pass: bool,
 }
 
-/// Runs every experiment serially. `quick` trims the statistical sample
-/// sizes (used by the integration tests); the binary runs the full sizes.
+/// Runs every experiment serially under the default search pipeline.
+/// `quick` trims the statistical sample sizes (used by the integration
+/// tests); the binary runs the full sizes.
 pub fn run_all(quick: bool) -> Vec<ExperimentResult> {
-    run_all_with(quick, 1)
+    run_all_with(quick, 1, &SearchConfig::default())
 }
 
 /// As [`run_all`], fanning the corpus experiments (E7–E9, E11, E13, E14)
-/// out over `threads` workers with [`duop_core::par_map`]. Results are
-/// identical to the serial run — per-seed work is independent and is
-/// reduced in seed order. The STM experiments (E10, E12) stay serial
-/// because their workloads already spawn real threads.
-pub fn run_all_with(quick: bool, threads: usize) -> Vec<ExperimentResult> {
+/// out over `threads` workers with [`duop_core::par_map`], with every
+/// checker of E1–E18 and E20 built from `base`. Results are identical to
+/// the serial run — per-seed work is independent and is reduced in seed
+/// order. The STM experiments (E10, E12) stay serial because their
+/// workloads already spawn real threads.
+pub fn run_all_with(quick: bool, threads: usize, base: &SearchConfig) -> Vec<ExperimentResult> {
     vec![
-        e1_fig1(),
-        e2_fig2(),
-        e3_fig3(),
-        e4_fig4(),
-        e5_fig5(),
-        e6_fig6(),
-        e7_theorem11(if quick { 60 } else { 400 }, threads),
-        e8_prefix_closure(if quick { 30 } else { 150 }, threads),
-        e9_lemma4(if quick { 30 } else { 150 }, threads),
-        e10_stm(if quick { 4 } else { 20 }),
-        e11_tms2_conjecture(if quick { 80 } else { 300 }, threads),
-        e12_pessimistic(if quick { 4 } else { 20 }),
-        e13_search_ablation(if quick { 40 } else { 150 }, threads),
-        e14_discrimination(if quick { 60 } else { 250 }, threads),
-        e15_lint_agreement(if quick { 40 } else { 150 }, threads),
-        e16_crash_consistency(if quick { 6 } else { 25 }),
-        e17_kill_resume(if quick { 60 } else { 150 }, threads),
-        e18_trace_ingestion(quick, threads),
+        e1_fig1(base),
+        e2_fig2(base),
+        e3_fig3(base),
+        e4_fig4(base),
+        e5_fig5(base),
+        e6_fig6(base),
+        e7_theorem11(if quick { 60 } else { 400 }, threads, base),
+        e8_prefix_closure(if quick { 30 } else { 150 }, threads, base),
+        e9_lemma4(if quick { 30 } else { 150 }, threads, base),
+        e10_stm(if quick { 4 } else { 20 }, base),
+        e11_tms2_conjecture(if quick { 80 } else { 300 }, threads, base),
+        e12_pessimistic(if quick { 4 } else { 20 }, base),
+        e13_search_ablation(if quick { 40 } else { 150 }, threads, base),
+        e14_discrimination(if quick { 60 } else { 250 }, threads, base),
+        e15_lint_agreement(if quick { 40 } else { 150 }, threads, base),
+        e16_crash_consistency(if quick { 6 } else { 25 }, base),
+        e17_kill_resume(if quick { 60 } else { 150 }, threads, base),
+        e18_trace_ingestion(quick, threads, base),
         e19_sharded_equivalence(if quick { 6 } else { 20 }),
-        e20_three_way_certified(if quick { 60 } else { 200 }, threads),
+        e20_three_way_certified(if quick { 60 } else { 200 }, threads, base),
         e21_serve_equivalence(if quick { 10 } else { 40 }, threads),
         e22_remote_shard(if quick { 4 } else { 12 }),
     ]
@@ -114,6 +116,9 @@ where
     duop_core::par_map(&seeds, threads, |&seed| f(seed))
 }
 
+/// A configured criterion the corpus experiments share across workers.
+type Checker = Box<dyn Criterion + Sync>;
+
 fn verdict_str(sat: bool) -> &'static str {
     if sat {
         "sat"
@@ -122,9 +127,9 @@ fn verdict_str(sat: bool) -> &'static str {
     }
 }
 
-fn e1_fig1() -> ExperimentResult {
+fn e1_fig1(base: &SearchConfig) -> ExperimentResult {
     let h = figures::fig1();
-    let du = DuOpacity::new().check(&h);
+    let du = DuOpacity::with_config(base.clone()).check(&h);
     let papers = duop_core::Witness::new(
         vec![2, 3, 1, 4]
             .into_iter()
@@ -147,13 +152,14 @@ fn e1_fig1() -> ExperimentResult {
     }
 }
 
-fn e2_fig2() -> ExperimentResult {
+fn e2_fig2(base: &SearchConfig) -> ExperimentResult {
+    let du = DuOpacity::with_config(base.clone());
     let sizes = [1usize, 2, 4, 8, 16, 32];
     let mut all_du = true;
     let mut positions = Vec::new();
     for &n in &sizes {
         let h = figures::fig2_prefix(n);
-        match DuOpacity::new().check(&h).witness().cloned() {
+        match du.check(&h).witness().cloned() {
             Some(w) => {
                 let p1 = w.position(duop_history::TxnId::new(1)).unwrap();
                 positions.push(p1);
@@ -176,13 +182,12 @@ fn e2_fig2() -> ExperimentResult {
     }
 }
 
-fn e3_fig3() -> ExperimentResult {
+fn e3_fig3(base: &SearchConfig) -> ExperimentResult {
     let h = figures::fig3();
-    let fso_full = FinalStateOpacity::new().check(&h).is_satisfied();
-    let fso_prefix = FinalStateOpacity::new()
-        .check(&h.prefix(figures::FIG3_PREFIX_LEN))
-        .is_satisfied();
-    let opaque = Opacity::new().check(&h).is_satisfied();
+    let fso = FinalStateOpacity::with_config(base.clone());
+    let fso_full = fso.check(&h).is_satisfied();
+    let fso_prefix = fso.check(&h.prefix(figures::FIG3_PREFIX_LEN));
+    let opaque = Opacity::with_config(base.clone()).check(&h).is_satisfied();
     ExperimentResult {
         id: "E3",
         title: "Figure 3",
@@ -190,17 +195,17 @@ fn e3_fig3() -> ExperimentResult {
         measured: format!(
             "H: final-state {}; H' (4 events): final-state {}; opacity {}",
             verdict_str(fso_full),
-            verdict_str(fso_prefix),
+            verdict_str(fso_prefix.is_satisfied()),
             verdict_str(opaque)
         ),
-        pass: fso_full && !fso_prefix && !opaque,
+        pass: fso_full && !fso_prefix.is_satisfied() && !opaque,
     }
 }
 
-fn e4_fig4() -> ExperimentResult {
+fn e4_fig4(base: &SearchConfig) -> ExperimentResult {
     let h = figures::fig4();
-    let opaque = Opacity::new().check(&h).is_satisfied();
-    let du = DuOpacity::new().check(&h).is_satisfied();
+    let opaque = Opacity::with_config(base.clone()).check(&h).is_satisfied();
+    let du = DuOpacity::with_config(base.clone()).check(&h);
     ExperimentResult {
         id: "E4",
         title: "Figure 4 / Proposition 2, Theorem 10",
@@ -208,16 +213,16 @@ fn e4_fig4() -> ExperimentResult {
         measured: format!(
             "opacity {}; du-opacity {}",
             verdict_str(opaque),
-            verdict_str(du)
+            verdict_str(du.is_satisfied())
         ),
-        pass: opaque && !du,
+        pass: opaque && !du.is_satisfied(),
     }
 }
 
-fn e5_fig5() -> ExperimentResult {
+fn e5_fig5(base: &SearchConfig) -> ExperimentResult {
     let h = figures::fig5();
-    let du = DuOpacity::new().check(&h).is_satisfied();
-    let rco = ReadCommitOrderOpacity::new().check(&h).is_satisfied();
+    let du = DuOpacity::with_config(base.clone()).check(&h);
+    let rco = ReadCommitOrderOpacity::with_config(base.clone()).check(&h);
     ExperimentResult {
         id: "E5",
         title: "Figure 5",
@@ -225,17 +230,19 @@ fn e5_fig5() -> ExperimentResult {
         measured: format!(
             "sequential: {}; du-opacity {}; read-commit-order {}",
             h.is_sequential(),
-            verdict_str(du),
-            verdict_str(rco)
+            verdict_str(du.is_satisfied()),
+            verdict_str(rco.is_satisfied())
         ),
-        pass: h.is_sequential() && du && !rco,
+        pass: h.is_sequential() && du.is_satisfied() && !rco.is_satisfied(),
     }
 }
 
-fn e6_fig6() -> ExperimentResult {
+fn e6_fig6(base: &SearchConfig) -> ExperimentResult {
     let h = figures::fig6();
-    let du = DuOpacity::new().check(&h).is_satisfied();
-    let tms2 = Tms2::new().check(&h).is_satisfied();
+    let du = DuOpacity::with_config(base.clone())
+        .check(&h)
+        .is_satisfied();
+    let tms2 = Tms2::with_config(base.clone()).check(&h).is_satisfied();
     ExperimentResult {
         id: "E6",
         title: "Figure 6",
@@ -245,7 +252,9 @@ fn e6_fig6() -> ExperimentResult {
     }
 }
 
-fn e7_theorem11(samples: u64, threads: usize) -> ExperimentResult {
+fn e7_theorem11(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
+    let opacity = Opacity::with_config(base.clone());
+    let du_opacity = DuOpacity::with_config(base.clone());
     let cfg = HistoryGenConfig {
         unique_writes: true,
         mode: GenMode::Adversarial,
@@ -258,8 +267,8 @@ fn e7_theorem11(samples: u64, threads: usize) -> ExperimentResult {
         if !has_unique_writes(&h) {
             return None;
         }
-        let opaque = Opacity::new().check(&h).is_satisfied();
-        let du = DuOpacity::new().check(&h).is_satisfied();
+        let opaque = opacity.check(&h).is_satisfied();
+        let du = du_opacity.check(&h).is_satisfied();
         let (fast, stats) = check_unique_writes_fast(&h);
         Some((
             opaque == du && fast.is_satisfied() == du,
@@ -282,10 +291,11 @@ fn e7_theorem11(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e8_prefix_closure(samples: u64, threads: usize) -> ExperimentResult {
+fn e8_prefix_closure(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
+    let du = DuOpacity::with_config(base.clone());
     let rows = par_seeds(samples, threads, |seed| {
         let h = HistoryGen::new(HistoryGenConfig::small_simulated(), seed).generate();
-        let Some(w) = DuOpacity::new().check(&h).witness().cloned() else {
+        let Some(w) = du.check(&h).witness().cloned() else {
             return (0u64, false);
         };
         let mut checked = 0u64;
@@ -311,7 +321,8 @@ fn e8_prefix_closure(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e9_lemma4(samples: u64, threads: usize) -> ExperimentResult {
+fn e9_lemma4(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
+    let du = DuOpacity::with_config(base.clone());
     let cfg = HistoryGenConfig {
         stall_prob: 0.0,
         ..HistoryGenConfig::small_simulated()
@@ -322,7 +333,7 @@ fn e9_lemma4(samples: u64, threads: usize) -> ExperimentResult {
         if !h.is_complete() {
             return None;
         }
-        let Some(w) = DuOpacity::new().check(&h).witness().cloned() else {
+        let Some(w) = du.check(&h).witness().cloned() else {
             return Some(false);
         };
         let reordered = live_set_reorder(&h, &w);
@@ -351,9 +362,10 @@ fn e9_lemma4(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e11_tms2_conjecture(samples: u64, threads: usize) -> ExperimentResult {
+fn e11_tms2_conjecture(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
     use duop_core::tms2_automaton::{check_tms2_automaton, replay};
 
+    let du = DuOpacity::with_config(base.clone());
     // The conjecture, against its actual subject: every history accepted
     // by the full TMS2 automaton must be du-opaque.
     // Per seed: (accepted, replayed, du-holds) over both generator modes.
@@ -370,7 +382,7 @@ fn e11_tms2_conjecture(samples: u64, threads: usize) -> ExperimentResult {
                 if replay(&h, exec).is_ok() {
                     acc.1 += 1;
                 }
-                if DuOpacity::new().check(&h).is_satisfied() {
+                if du.check(&h).is_satisfied() {
                     acc.2 += 1;
                 }
             }
@@ -383,9 +395,9 @@ fn e11_tms2_conjecture(samples: u64, threads: usize) -> ExperimentResult {
     // The rendering gap: the informal Section 4.2 condition accepts a
     // history the automaton (and du-opacity) rejects.
     let gap = figures::tms2_rendering_gap();
-    let rendering_accepts = Tms2::new().check(&gap).is_satisfied();
+    let rendering_accepts = Tms2::with_config(base.clone()).check(&gap).is_satisfied();
     let automaton_rejects = !check_tms2_automaton(&gap, None).is_accepted();
-    let du_rejects = DuOpacity::new().check(&gap).is_violated();
+    let du_rejects = du.check(&gap).is_violated();
     let fig6_rejected = !check_tms2_automaton(&figures::fig6(), None).is_accepted();
 
     let pass = accepted > 0
@@ -406,24 +418,27 @@ fn e11_tms2_conjecture(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e14_discrimination(samples: u64, threads: usize) -> ExperimentResult {
+fn e14_discrimination(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
     use duop_core::tms2_automaton::check_tms2_automaton;
 
     // How often do the criteria actually disagree? Satisfaction rates over
     // an adversarial corpus, ordered by strictness. The counts quantify
     // the hierarchy the figures establish pointwise.
+    let checkers: [Checker; 5] = [
+        Box::new(duop_core::StrictSerializability::with_config(base.clone())),
+        Box::new(FinalStateOpacity::with_config(base.clone())),
+        Box::new(Opacity::with_config(base.clone())),
+        Box::new(DuOpacity::with_config(base.clone())),
+        Box::new(ReadCommitOrderOpacity::with_config(base.clone())),
+    ];
     let rows = par_seeds(samples, threads, |seed| {
         let h = HistoryGen::new(HistoryGenConfig::small_adversarial(), seed).generate();
-        [
-            duop_core::StrictSerializability::new()
-                .check(&h)
-                .is_satisfied(),
-            FinalStateOpacity::new().check(&h).is_satisfied(),
-            Opacity::new().check(&h).is_satisfied(),
-            DuOpacity::new().check(&h).is_satisfied(),
-            ReadCommitOrderOpacity::new().check(&h).is_satisfied(),
-            check_tms2_automaton(&h, Some(2_000_000)).is_accepted(),
-        ]
+        let mut row: Vec<bool> = checkers
+            .iter()
+            .map(|c| c.check(&h).is_satisfied())
+            .collect();
+        row.push(check_tms2_automaton(&h, Some(2_000_000)).is_accepted());
+        row
     });
     let n = rows.len() as u64;
     let mut sat = [0u64; 6]; // strict, fso, opacity, du, rco, tms2-automaton
@@ -453,26 +468,24 @@ fn e14_discrimination(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e13_search_ablation(samples: u64, threads: usize) -> ExperimentResult {
-    use duop_core::SearchConfig;
-
+fn e13_search_ablation(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
     // Quantify the two design choices DESIGN.md calls out: failed-state
     // memoization and forward feasibility pruning. Compare explored-state
     // counts with memoization on vs off across a mixed corpus, and count
     // the work the dead-end pruner saves on Figure-2-style histories.
+    let memo_on = DuOpacity::with_config(SearchConfig {
+        memo: true,
+        ..base.clone()
+    });
+    let memo_off = DuOpacity::with_config(SearchConfig {
+        memo: false,
+        max_states: Some(2_000_000),
+        ..base.clone()
+    });
     let rows = par_seeds(samples, threads, |seed| {
         let h = HistoryGen::new(HistoryGenConfig::small_adversarial(), seed).generate();
-        let on = DuOpacity::with_config(SearchConfig {
-            memo: true,
-            ..SearchConfig::default()
-        })
-        .check_with_stats(&h);
-        let off = DuOpacity::with_config(SearchConfig {
-            memo: false,
-            max_states: Some(2_000_000),
-            ..SearchConfig::default()
-        })
-        .check_with_stats(&h);
+        let on = memo_on.check_with_stats(&h);
+        let off = memo_off.check_with_stats(&h);
         let agree = matches!(off.0, duop_core::Verdict::Unknown { .. })
             || on.0.is_satisfied() == off.0.is_satisfied();
         (on.1, off.1, agree)
@@ -484,7 +497,7 @@ fn e13_search_ablation(samples: u64, threads: usize) -> ExperimentResult {
     let agree = rows.iter().all(|r| r.2);
     // The dead-end pruner is what makes Figure 2 linear; measure it.
     let fig2 = figures::fig2_prefix(64);
-    let (v, fig2_stats) = DuOpacity::new().check_with_stats(&fig2);
+    let (v, fig2_stats) = memo_on.check_with_stats(&fig2);
     let fig2_linear = v.is_satisfied() && fig2_stats.explored <= 4 * (fig2.txn_count() as u64);
 
     ExperimentResult {
@@ -500,9 +513,8 @@ fn e13_search_ablation(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e15_lint_agreement(samples: u64, threads: usize) -> ExperimentResult {
+fn e15_lint_agreement(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
     use duop_core::lint::{lint, LintScope};
-    use duop_core::SearchConfig;
 
     // The lint soundness contract, measured: whenever an Error-severity
     // diagnostic refutes a criterion scope, the full (prelint-off) search
@@ -510,41 +522,40 @@ fn e15_lint_agreement(samples: u64, threads: usize) -> ExperimentResult {
     // must never change any is_satisfied answer.
     let no_prelint = || SearchConfig {
         prelint: false,
-        ..SearchConfig::default()
+        ..base.clone()
     };
     let with_prelint = || SearchConfig {
         prelint: true,
-        ..SearchConfig::default()
+        ..base.clone()
     };
+    let checks: [(LintScope, Checker, Checker); 3] = [
+        (
+            LintScope::Du,
+            Box::new(DuOpacity::with_config(no_prelint())),
+            Box::new(DuOpacity::with_config(with_prelint())),
+        ),
+        (
+            LintScope::Rco,
+            Box::new(ReadCommitOrderOpacity::with_config(no_prelint())),
+            Box::new(ReadCommitOrderOpacity::with_config(with_prelint())),
+        ),
+        (
+            LintScope::Tms2,
+            Box::new(Tms2::with_config(no_prelint())),
+            Box::new(Tms2::with_config(with_prelint())),
+        ),
+    ];
     let rows = par_seeds(samples, threads, |seed| {
         let h = HistoryGen::new(HistoryGenConfig::small_adversarial(), seed).generate();
         let report = lint(&h);
         let mut sound = true;
         let mut agree = true;
         let mut refuted = 0u64;
-        type ScopedPair = (LintScope, Box<dyn Criterion>, Box<dyn Criterion>);
-        let checks: [ScopedPair; 3] = [
-            (
-                LintScope::Du,
-                Box::new(DuOpacity::with_config(no_prelint())),
-                Box::new(DuOpacity::with_config(with_prelint())),
-            ),
-            (
-                LintScope::Rco,
-                Box::new(ReadCommitOrderOpacity::with_config(no_prelint())),
-                Box::new(ReadCommitOrderOpacity::with_config(with_prelint())),
-            ),
-            (
-                LintScope::Tms2,
-                Box::new(Tms2::with_config(no_prelint())),
-                Box::new(Tms2::with_config(with_prelint())),
-            ),
-        ];
-        for (scope, off, on) in checks {
+        for (scope, off, on) in &checks {
             let off_verdict = off.check(&h);
             let on_verdict = on.check(&h);
             agree &= off_verdict.is_satisfied() == on_verdict.is_satisfied();
-            if report.first_error_for(scope).is_some() {
+            if report.first_error_for(*scope).is_some() {
                 refuted += 1;
                 sound &= off_verdict.is_violated();
             }
@@ -567,9 +578,10 @@ fn e15_lint_agreement(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e12_pessimistic(runs: u64) -> ExperimentResult {
+fn e12_pessimistic(runs: u64, base: &SearchConfig) -> ExperimentResult {
     use duop_stm::engines::{Dstm, Pessimistic};
 
+    let du = DuOpacity::with_config(base.clone());
     // DSTM (stamp-validated, deferred update): du-opaque in every run.
     let mut dstm_du = true;
     for seed in 0..runs {
@@ -585,7 +597,7 @@ fn e12_pessimistic(runs: u64) -> ExperimentResult {
             seed,
         };
         let (h, _) = run_workload(&engine, &cfg);
-        dstm_du &= DuOpacity::new().check(&h).is_satisfied();
+        dstm_du &= du.check(&h).is_satisfied();
     }
 
     // Pessimistic (no-abort, in-place): never aborts, and contended runs
@@ -608,7 +620,7 @@ fn e12_pessimistic(runs: u64) -> ExperimentResult {
         };
         let (h, stats) = run_workload(&engine, &cfg);
         aborts += stats.aborted;
-        if DuOpacity::new().check(&h).is_violated() {
+        if du.check(&h).is_violated() {
             caught += 1;
             if caught >= runs {
                 break;
@@ -627,9 +639,11 @@ fn e12_pessimistic(runs: u64) -> ExperimentResult {
     }
 }
 
-fn e10_stm(runs: u64) -> ExperimentResult {
+fn e10_stm(runs: u64, base: &SearchConfig) -> ExperimentResult {
     let mut lines = Vec::new();
     let mut pass = true;
+    let du_opacity = DuOpacity::with_config(base.clone());
+    let fso_opacity = FinalStateOpacity::with_config(base.clone());
 
     let check_engine =
         |engine: &dyn Engine, unique: bool, seed: u64| -> (bool, bool, usize, usize) {
@@ -644,8 +658,8 @@ fn e10_stm(runs: u64) -> ExperimentResult {
                 seed,
             };
             let (h, stats) = run_workload(engine, &cfg);
-            let du = DuOpacity::new().check(&h).is_satisfied();
-            let fso = FinalStateOpacity::new().check(&h).is_satisfied();
+            let du = du_opacity.check(&h).is_satisfied();
+            let fso = fso_opacity.check(&h).is_satisfied();
             (du, fso, stats.committed, stats.aborted)
         };
 
@@ -721,7 +735,7 @@ fn e10_stm(runs: u64) -> ExperimentResult {
                 seed,
             };
             let (h, _) = run_workload(&engine, &cfg);
-            if DuOpacity::new().check(&h).is_violated() {
+            if du_opacity.check(&h).is_violated() {
                 caught += 1;
                 if caught >= runs {
                     break;
@@ -750,10 +764,11 @@ fn e10_stm(runs: u64) -> ExperimentResult {
 /// exactly what prefixes exercise) — while the dirty engine's leaked
 /// in-place writes are refuted. Every verdict must be decided: a crash
 /// must never push the checker into `Unknown`.
-fn e16_crash_consistency(runs: u64) -> ExperimentResult {
+fn e16_crash_consistency(runs: u64, base: &SearchConfig) -> ExperimentResult {
     use duop_stm::engines::{Dstm, Pessimistic};
     use duop_stm::{run_workload_faulted, FaultPlan};
 
+    let du = DuOpacity::with_config(base.clone());
     let plan = FaultPlan::parse("abort=0.08,crash=0.08,delay=0.05,thread-crash=0.3")
         .expect("spec is valid");
     // Single worker thread: the run (and any finding) replays exactly
@@ -789,7 +804,7 @@ fn e16_crash_consistency(runs: u64) -> ExperimentResult {
             let (h, stats) =
                 run_workload_faulted(engine.as_ref(), &cfg(seed), &plan.with_seed(seed));
             crashed += stats.crashed;
-            let verdict = DuOpacity::new().check(&h);
+            let verdict = du.check(&h);
             if matches!(verdict, duop_core::Verdict::Unknown { .. }) {
                 undecided += 1;
             }
@@ -815,7 +830,7 @@ fn e16_crash_consistency(runs: u64) -> ExperimentResult {
     for seed in 0..runs.max(20) {
         let engine = DirtyRead::new(5);
         let (h, _) = run_workload_faulted(&engine, &cfg(seed), &plan.with_seed(seed));
-        let verdict = DuOpacity::new().check(&h);
+        let verdict = du.check(&h);
         if matches!(verdict, duop_core::Verdict::Unknown { .. }) {
             undecided += 1;
         }
@@ -847,24 +862,23 @@ fn e16_crash_consistency(runs: u64) -> ExperimentResult {
 /// replay instead of re-searching). A real SIGKILL + `duop resume` of
 /// the same pipeline runs in CI; this experiment covers the state-space
 /// contract at corpus scale.
-fn e17_kill_resume(samples: u64, threads: usize) -> ExperimentResult {
+fn e17_kill_resume(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
     use duop_core::snapshot::{
         load, save, CheckSnapshot, CheckableCriterion, InFlight, ResumableCheck, Snapshot,
     };
-    use duop_core::{SearchConfig, Verdict};
+    use duop_core::Verdict;
     use duop_history::{HistoryBuilder, ObjId, TxnId, Value};
 
     // Sequential planned engine (fragments flow through it only there,
-    // so decomposition is pinned on rather than read from the
-    // process-wide toggle `--no-decompose` clears), prelint off (every
-    // pair actually searches) and ladder off (the budget genuinely trips
-    // instead of being soundly rescued).
+    // so decomposition stays on even under `--no-decompose`), prelint off
+    // (every pair actually searches) and ladder off (the budget genuinely
+    // trips instead of being soundly rescued).
     let cfg = |max_states: Option<u64>| SearchConfig {
         decompose: true,
         prelint: false,
         ladder: false,
         max_states,
-        ..SearchConfig::default()
+        ..base.clone()
     };
 
     // Fully concurrent independent write/read clusters on distinct
@@ -992,7 +1006,7 @@ fn e17_kill_resume(samples: u64, threads: usize) -> ExperimentResult {
     }
 }
 
-fn e18_trace_ingestion(quick: bool, threads: usize) -> ExperimentResult {
+fn e18_trace_ingestion(quick: bool, threads: usize, base: &SearchConfig) -> ExperimentResult {
     use duop_history::trace::{format_trace, to_json};
     use duop_history::{binary, reader};
     use std::time::Instant;
@@ -1028,9 +1042,10 @@ fn e18_trace_ingestion(quick: bool, threads: usize) -> ExperimentResult {
     // histories (a mix of du-opaque and violating) must get the same
     // du-opacity verdict from every encoding.
     let agree_samples = if quick { 8 } else { 30 };
+    let du = DuOpacity::with_config(base.clone());
     let agreed = par_seeds(agree_samples, threads, |seed| {
         let g = HistoryGen::new(HistoryGenConfig::small_adversarial(), seed).generate();
-        let truth = DuOpacity::new().check(&g).is_satisfied();
+        let truth = du.check(&g).is_satisfied();
         [
             format_trace(&g).into_bytes(),
             to_json(&g).into_bytes(),
@@ -1039,7 +1054,7 @@ fn e18_trace_ingestion(quick: bool, threads: usize) -> ExperimentResult {
         .iter()
         .all(|bytes| {
             let p = reader::read_history(bytes).expect("lossless encodings round-trip");
-            DuOpacity::new().check(&p).is_satisfied() == truth
+            du.check(&p).is_satisfied() == truth
         })
     })
     .into_iter()
@@ -1082,8 +1097,10 @@ fn e18_trace_ingestion(quick: bool, threads: usize) -> ExperimentResult {
     }
 }
 
+/// E19: the pool and the in-process checker both run the default
+/// pipeline; `shard_equivalence` covers the shard path's stage switches.
 fn e19_sharded_equivalence(samples: u64) -> ExperimentResult {
-    use duop_core::{check_criterion_with_stats, PlanCriterion, SearchConfig};
+    use duop_core::{check_criterion_with_stats, PlanCriterion};
     use duop_shard::{run_sharded, ShardConfig, ShardCriterion, ShardJob, KILL_TASK_ENV};
 
     let Some(worker_cmd) = shard_worker_cmd() else {
@@ -1102,12 +1119,6 @@ fn e19_sharded_equivalence(samples: u64) -> ExperimentResult {
         worker_cmd: worker_cmd.clone(),
         worker_env,
         ..ShardConfig::default()
-    };
-    let local_cfg = SearchConfig {
-        prelint: true,
-        ladder: true,
-        decompose: true,
-        ..SearchConfig::default()
     };
     let criteria = [
         PlanCriterion::Du,
@@ -1151,7 +1162,7 @@ fn e19_sharded_equivalence(samples: u64) -> ExperimentResult {
                 continue;
             };
             for (&c, distributed) in criteria.iter().zip(&verdicts) {
-                let (local, _) = check_criterion_with_stats(h, c, &local_cfg);
+                let (local, _) = check_criterion_with_stats(h, c, &SearchConfig::default());
                 compared += 1;
                 if *distributed == local {
                     equal += 1;
@@ -1164,7 +1175,7 @@ fn e19_sharded_equivalence(samples: u64) -> ExperimentResult {
 
         // Injected worker death on the very first task of a du check.
         let h = &histories[0];
-        let (local, _) = check_criterion_with_stats(h, PlanCriterion::Du, &local_cfg);
+        let (local, _) = check_criterion_with_stats(h, PlanCriterion::Du, &SearchConfig::default());
         let killer = shard_cfg(vec![(KILL_TASK_ENV.to_owned(), "0".to_owned())]);
         let survived = run_sharded(
             vec![ShardJob {
@@ -1209,48 +1220,45 @@ fn e19_sharded_equivalence(samples: u64) -> ExperimentResult {
 ///    *rendering* is incomparable with the automaton (its commit-order
 ///    condition also binds aborted readers), so the rendering leg is
 ///    cross-checked against the search, not the automaton.
-fn e20_three_way_certified(samples: u64, threads: usize) -> ExperimentResult {
+fn e20_three_way_certified(samples: u64, threads: usize, base: &SearchConfig) -> ExperimentResult {
     use duop_core::tms2_automaton::check_tms2_automaton;
     use duop_core::{
-        check_certificate, saturate, PlanCriterion, SaturationOutcome, SearchConfig,
-        StrictSerializability,
+        check_certificate, saturate, PlanCriterion, SaturationOutcome, StrictSerializability,
     };
     use duop_gen::{anomalies, KeyDist};
 
     let no_prefilter = || SearchConfig {
         prelint: false,
         saturate: false,
-        ..SearchConfig::default()
+        ..base.clone()
     };
-    let checkers = || -> Vec<(PlanCriterion, Box<dyn Criterion>)> {
-        vec![
-            (
-                PlanCriterion::FinalState,
-                Box::new(FinalStateOpacity::with_config(no_prefilter())),
-            ),
-            (
-                PlanCriterion::Du,
-                Box::new(DuOpacity::with_config(no_prefilter())),
-            ),
-            (
-                PlanCriterion::Rco,
-                Box::new(ReadCommitOrderOpacity::with_config(no_prefilter())),
-            ),
-            (
-                PlanCriterion::Tms2,
-                Box::new(Tms2::with_config(no_prefilter())),
-            ),
-            (
-                PlanCriterion::Strict,
-                Box::new(StrictSerializability::with_config(no_prefilter())),
-            ),
-        ]
-    };
+    let checkers: [(PlanCriterion, Checker); 5] = [
+        (
+            PlanCriterion::FinalState,
+            Box::new(FinalStateOpacity::with_config(no_prefilter())),
+        ),
+        (
+            PlanCriterion::Du,
+            Box::new(DuOpacity::with_config(no_prefilter())),
+        ),
+        (
+            PlanCriterion::Rco,
+            Box::new(ReadCommitOrderOpacity::with_config(no_prefilter())),
+        ),
+        (
+            PlanCriterion::Tms2,
+            Box::new(Tms2::with_config(no_prefilter())),
+        ),
+        (
+            PlanCriterion::Strict,
+            Box::new(StrictSerializability::with_config(no_prefilter())),
+        ),
+    ];
 
     // Per history: (decided, refuted, automaton cross-checks, disagreements).
     let sweep = |h: &History| -> (u64, u64, u64, u64) {
         let mut acc = (0u64, 0u64, 0u64, 0u64);
-        for (criterion, checker) in checkers() {
+        for &(criterion, ref checker) in &checkers {
             match saturate(h, criterion) {
                 SaturationOutcome::Refuted(cert) => {
                     acc.1 += 1;
@@ -1351,14 +1359,15 @@ fn e20_three_way_certified(samples: u64, threads: usize) -> ExperimentResult {
 ///    (never a false positive) or — when a violation landed before the
 ///    budget bit — keep the violation final; retained events must never
 ///    exceed the budget.
+///
+/// A session takes no search configuration: both sides run the defaults.
 fn e21_serve_equivalence(samples: u64, threads: usize) -> ExperimentResult {
-    use duop_core::{DuOpacity, SearchConfig, UnknownReason, Verdict};
+    use duop_core::{UnknownReason, Verdict};
     use duop_serve::Session;
 
-    let batch_line = |h: &History| {
-        let v = DuOpacity::with_config(SearchConfig::default()).check(h);
-        serde_json::to_string(&v).expect("verdicts serialize")
-    };
+    let batch = DuOpacity::new();
+    let batch_line =
+        |h: &History| serde_json::to_string(&batch.check(h)).expect("verdicts serialize");
     let session_line = |s: &mut Session| {
         // `verdict_line(.., true)` wraps the same serialization; strip the
         // envelope (prefix and exactly one closing brace) so the
@@ -1447,10 +1456,7 @@ fn e21_serve_equivalence(samples: u64, threads: usize) -> ExperimentResult {
                 } => true,
                 v @ Verdict::Violated { .. } => {
                     // A violation reported under budget must be real.
-                    v.is_violated()
-                        && DuOpacity::with_config(SearchConfig::default())
-                            .check(h)
-                            .is_violated()
+                    v.is_violated() && batch.check(h).is_violated()
                 }
                 // With compaction the whole trace may still fit; then
                 // the verdict must match batch.
@@ -1493,11 +1499,10 @@ fn e21_serve_equivalence(samples: u64, threads: usize) -> ExperimentResult {
 /// and partitioned (stalled) hosts; a pool whose every remote is dead
 /// must degrade to `unknown (worker-death)` with a partial payload
 /// instead of guessing or hanging; and wrong-secret or replayed hellos
-/// must be rejected before a single task frame is read.
+/// must be rejected before a single task frame is read. The remote pool
+/// and the in-process checker both run the default pipeline.
 fn e22_remote_shard(samples: u64) -> ExperimentResult {
-    use duop_core::{
-        check_criterion_with_stats, PlanCriterion, SearchConfig, UnknownReason, Verdict,
-    };
+    use duop_core::{check_criterion_with_stats, PlanCriterion, UnknownReason, Verdict};
     use duop_shard::protocol::{
         auth_tag, decode_challenge, encode_auth, write_frame, FrameReader, FRAME_AUTH,
         FRAME_CHALLENGE, FRAME_HEARTBEAT, FRAME_HELLO,
@@ -1541,15 +1546,6 @@ fn e22_remote_shard(samples: u64) -> ExperimentResult {
         secret: SECRET.to_vec(),
         ..ShardConfig::default()
     };
-    // Mirror the shard pipeline's defaults explicitly: the equivalence
-    // claim is against this exact in-process configuration.
-    let local_cfg = SearchConfig {
-        prelint: true,
-        ladder: true,
-        decompose: true,
-        saturate: true,
-        ..SearchConfig::default()
-    };
     let criteria = [
         PlanCriterion::Du,
         PlanCriterion::FinalState,
@@ -1566,7 +1562,7 @@ fn e22_remote_shard(samples: u64) -> ExperimentResult {
     };
     let compare = |h: &History, verdicts: &[Verdict], equal: &mut u64, satisfied: &mut u64| {
         for (&c, remote) in criteria.iter().zip(verdicts) {
-            let (local, _) = check_criterion_with_stats(h, c, &local_cfg);
+            let (local, _) = check_criterion_with_stats(h, c, &SearchConfig::default());
             if *remote == local {
                 *equal += 1;
             }
@@ -1742,12 +1738,16 @@ mod tests {
     /// order.
     #[test]
     fn parallel_fanout_matches_serial() {
+        let b = &SearchConfig::default();
         for (serial, parallel) in [
-            (e7_theorem11(12, 1), e7_theorem11(12, 4)),
-            (e9_lemma4(6, 1), e9_lemma4(6, 4)),
-            (e14_discrimination(10, 1), e14_discrimination(10, 4)),
-            (e17_kill_resume(12, 1), e17_kill_resume(12, 4)),
-            (e20_three_way_certified(8, 1), e20_three_way_certified(8, 4)),
+            (e7_theorem11(12, 1, b), e7_theorem11(12, 4, b)),
+            (e9_lemma4(6, 1, b), e9_lemma4(6, 4, b)),
+            (e14_discrimination(10, 1, b), e14_discrimination(10, 4, b)),
+            (e17_kill_resume(12, 1, b), e17_kill_resume(12, 4, b)),
+            (
+                e20_three_way_certified(8, 1, b),
+                e20_three_way_certified(8, 4, b),
+            ),
             (e21_serve_equivalence(4, 1), e21_serve_equivalence(4, 4)),
         ] {
             assert_eq!(serial.measured, parallel.measured);

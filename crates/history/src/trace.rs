@@ -308,22 +308,28 @@ pub fn parse_line(raw: &str, line_no: usize) -> Result<Option<Event>, TraceParse
     Ok(Some(event))
 }
 
+/// Formats one event as a trace-format line, without the newline. Lines
+/// are per event, so a run of them may start mid-transaction (a chunk of
+/// a streamed trace).
+pub fn format_event(ev: &Event) -> String {
+    let txn = ev.txn;
+    match ev.kind {
+        EventKind::Inv(Op::Read(x)) => format!("{txn} read {x}"),
+        EventKind::Inv(Op::Write(x, v)) => format!("{txn} write {x} {v}"),
+        EventKind::Inv(Op::TryCommit) => format!("{txn} tryc"),
+        EventKind::Inv(Op::TryAbort) => format!("{txn} trya"),
+        EventKind::Resp(Ret::Value(v)) => format!("{txn} val {v}"),
+        EventKind::Resp(Ret::Ok) => format!("{txn} ok"),
+        EventKind::Resp(Ret::Committed) => format!("{txn} commit"),
+        EventKind::Resp(Ret::Aborted) => format!("{txn} abort"),
+    }
+}
+
 /// Formats a history in the trace format accepted by [`parse_trace`].
 pub fn format_trace(history: &History) -> String {
     let mut out = String::new();
     for ev in history.events() {
-        let txn = ev.txn;
-        let line = match ev.kind {
-            EventKind::Inv(Op::Read(x)) => format!("{txn} read {x}"),
-            EventKind::Inv(Op::Write(x, v)) => format!("{txn} write {x} {v}"),
-            EventKind::Inv(Op::TryCommit) => format!("{txn} tryc"),
-            EventKind::Inv(Op::TryAbort) => format!("{txn} trya"),
-            EventKind::Resp(Ret::Value(v)) => format!("{txn} val {v}"),
-            EventKind::Resp(Ret::Ok) => format!("{txn} ok"),
-            EventKind::Resp(Ret::Committed) => format!("{txn} commit"),
-            EventKind::Resp(Ret::Aborted) => format!("{txn} abort"),
-        };
-        out.push_str(&line);
+        out.push_str(&format_event(ev));
         out.push('\n');
     }
     out

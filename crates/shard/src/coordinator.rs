@@ -195,10 +195,6 @@ struct TaskSpec {
     /// Transaction count — the largest-first scheduling weight.
     txns: usize,
     criterion: &'static str,
-    prelint: bool,
-    ladder: bool,
-    decompose: bool,
-    saturate: bool,
     /// Whole-history task: its verdict passes through unmerged.
     whole: bool,
     /// `.duob`-encoded (sub-)history.
@@ -446,11 +442,39 @@ fn reader_loop(worker: usize, input: impl Read, tx: Sender<Event>) {
 // Planner
 // ---------------------------------------------------------------------------
 
-fn plan_jobs(jobs: Vec<ShardJob>, cfg: &ShardConfig, tx: &Sender<Event>) {
+/// The in-process pipeline a run mirrors: `cfg`'s stage switches and
+/// per-task budgets. Whole-history tasks carry it to the worker as is;
+/// for decomposed jobs the coordinator runs its prefilters and ladder.
+fn run_pipeline(cfg: &ShardConfig) -> SearchConfig {
+    SearchConfig {
+        decompose: cfg.decompose,
+        prelint: cfg.prelint,
+        saturate: cfg.saturate,
+        ladder: cfg.ladder,
+        max_states: cfg.max_states,
+        deadline: cfg.deadline_ms.map(Duration::from_millis),
+        ..SearchConfig::default()
+    }
+}
+
+fn plan_jobs(
+    jobs: Vec<ShardJob>,
+    pipeline: &SearchConfig,
+    min_task_txns: usize,
+    tx: &Sender<Event>,
+) {
     let mut scratch = PlanScratch::new();
     let mut next_task = 0u64;
     for (job_index, job) in jobs.into_iter().enumerate() {
-        plan_one(job_index, job, cfg, tx, &mut scratch, &mut next_task);
+        plan_one(
+            job_index,
+            job,
+            pipeline,
+            min_task_txns,
+            tx,
+            &mut scratch,
+            &mut next_task,
+        );
     }
     let _ = tx.send(Event::PlanDone);
 }
@@ -458,7 +482,8 @@ fn plan_jobs(jobs: Vec<ShardJob>, cfg: &ShardConfig, tx: &Sender<Event>) {
 fn plan_one(
     job_index: usize,
     job: ShardJob,
-    cfg: &ShardConfig,
+    pipeline: &SearchConfig,
+    min_task_txns: usize,
     tx: &Sender<Event>,
     scratch: &mut PlanScratch,
     next_task: &mut u64,
@@ -474,7 +499,7 @@ fn plan_one(
     };
 
     let plan_criterion = match job.criterion {
-        ShardCriterion::Plan(c) if cfg.decompose => c,
+        ShardCriterion::Plan(c) if pipeline.decompose => c,
         _ => {
             // Whole-history task: opacity, or decomposition ablated. The
             // worker is the in-process path end to end (prelint, ladder,
@@ -486,10 +511,6 @@ fn plan_one(
                 components: 0,
                 txns: job.history.txn_count(),
                 criterion: job.criterion.token(),
-                prelint: cfg.prelint,
-                ladder: cfg.ladder,
-                decompose: cfg.decompose,
-                saturate: cfg.saturate,
                 whole: true,
                 payload: binary::encode(&job.history),
             };
@@ -514,12 +535,7 @@ fn plan_one(
     // whole prepared history before planning, so a refutation's
     // certificate (or a fully-determined witness) is identical to the
     // local run's — component tasks then skip both entirely.
-    let stages = SearchConfig {
-        prelint: cfg.prelint,
-        saturate: cfg.saturate,
-        ..SearchConfig::default()
-    };
-    let components = match plan_query(checked, plan_criterion, &stages, scratch) {
+    let components = match plan_query(checked, plan_criterion, pipeline, scratch) {
         PlanOutcome::Decided(verdict) => {
             let _ = tx.send(immediate(verdict));
             return;
@@ -548,7 +564,7 @@ fn plan_one(
         }
         count += 1;
         members.extend(component);
-        if members.len() >= cfg.min_task_txns {
+        if members.len() >= min_task_txns {
             chunks.push((first, count, std::mem::take(&mut members)));
             count = 0;
         }
@@ -574,12 +590,6 @@ fn plan_one(
             components: chunk_components,
             txns: chunk_members.len(),
             criterion: plan_criterion.token(),
-            // The coordinator already linted and saturated the whole
-            // history and owns the ladder for the merged verdict.
-            prelint: false,
-            ladder: false,
-            decompose: true,
-            saturate: false,
             whole: false,
             payload,
         };
@@ -602,16 +612,12 @@ fn finish_unknown(
     reason: UnknownReason,
     partial: Option<PartialProgress>,
     job: &JobState,
-    cfg: &ShardConfig,
+    pipeline: &SearchConfig,
 ) -> Verdict {
-    if cfg.ladder {
+    if pipeline.ladder {
         if let Some(ctx) = &job.ladder_ctx {
             let (history, criterion) = ctx.as_ref();
-            let ladder_cfg = SearchConfig {
-                prelint: cfg.prelint,
-                ..SearchConfig::default()
-            };
-            return ladder_verdict(history, *criterion, &ladder_cfg, explored, reason, partial);
+            return ladder_verdict(history, *criterion, pipeline, explored, reason, partial);
         }
     }
     Verdict::Unknown {
@@ -625,7 +631,7 @@ fn finish_unknown(
 /// checker produces: plan-order witness concatenation when everything is
 /// satisfied, the earliest plan-order failure otherwise, with cumulative
 /// explored-state counts.
-fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, cfg: &ShardConfig) -> Verdict {
+fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, pipeline: &SearchConfig) -> Verdict {
     if let Some(v) = &job.immediate {
         return v.clone();
     }
@@ -635,7 +641,7 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, cfg: &ShardConfig)
     if parts.len() == 1 && parts[0].spec.whole {
         return match parts[0].outcome.as_ref().expect("job is complete") {
             TaskOutcome::Answered { verdict, .. } => verdict.clone(),
-            TaskOutcome::Dead => finish_unknown(0, UnknownReason::WorkerDeath, None, job, cfg),
+            TaskOutcome::Dead => finish_unknown(0, UnknownReason::WorkerDeath, None, job, pipeline),
         };
     }
 
@@ -677,7 +683,7 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, cfg: &ShardConfig)
                         *reason,
                         Some(PartialProgress::components(decided, job.components_total)),
                         job,
-                        cfg,
+                        pipeline,
                     );
                 }
             },
@@ -690,7 +696,7 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, cfg: &ShardConfig)
                         job.components_total,
                     )),
                     job,
-                    cfg,
+                    pipeline,
                 );
             }
         }
@@ -704,6 +710,8 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, cfg: &ShardConfig)
 
 struct Coordinator<'a> {
     cfg: &'a ShardConfig,
+    /// The run's pipeline, [`run_pipeline`] of `cfg`.
+    pipeline: SearchConfig,
     tx: Sender<Event>,
     workers: Vec<WorkerHandle>,
     idle: Vec<usize>,
@@ -775,7 +783,7 @@ impl Coordinator<'_> {
             (None, None) => false,
         };
         if complete {
-            let verdict = merge_job(job, &self.tasks, self.cfg);
+            let verdict = merge_job(job, &self.tasks, &self.pipeline);
             self.results[job_index] = Some(verdict);
             self.completed += 1;
         }
@@ -869,16 +877,20 @@ impl Coordinator<'_> {
 
     fn dispatch_to(&mut self, worker: usize, task_id: u64) -> Result<(), String> {
         let task = self.tasks.get_mut(&task_id).expect("known task");
+        let (run, whole) = (&self.pipeline, task.spec.whole);
+        // A whole-history task runs the run's pipeline in the worker. For
+        // a component task the coordinator already linted and saturated
+        // the whole history and owns the ladder for the merged verdict.
         let msg = TaskMsg {
             task_id,
             attempt: task.deaths,
             criterion: task.spec.criterion.to_owned(),
-            prelint: task.spec.prelint,
-            ladder: task.spec.ladder,
-            decompose: task.spec.decompose,
-            saturate: task.spec.saturate,
-            max_states: self.cfg.max_states.unwrap_or(0),
-            deadline_ms: self.cfg.deadline_ms.unwrap_or(0),
+            prelint: whole && run.prelint,
+            ladder: whole && run.ladder,
+            decompose: !whole || run.decompose,
+            saturate: whole && run.saturate,
+            max_states: run.max_states.unwrap_or(0),
+            deadline_ms: run.deadline.map_or(0, |d| d.as_millis() as u64),
             history: task.spec.payload.clone(),
         };
         // Register the assignment before touching the pipe: a failed
@@ -1208,8 +1220,10 @@ pub fn run_sharded(jobs: Vec<ShardJob>, cfg: &ShardConfig) -> Result<Vec<Verdict
     let total = jobs.len();
     let (tx, rx) = channel::<Event>();
 
+    let pipeline = run_pipeline(cfg);
     let mut coordinator = Coordinator {
         cfg,
+        pipeline: pipeline.clone(),
         tx: tx.clone(),
         workers: Vec::new(),
         idle: Vec::new(),
@@ -1244,9 +1258,10 @@ pub fn run_sharded(jobs: Vec<ShardJob>, cfg: &ShardConfig) -> Result<Vec<Verdict
         spawn_connector(addr.clone(), cfg.secret.clone(), tx.clone(), false);
     }
 
-    let planner_cfg = cfg.clone();
+    let min_task_txns = cfg.min_task_txns;
     let planner_tx = tx.clone();
-    let planner = std::thread::spawn(move || plan_jobs(jobs, &planner_cfg, &planner_tx));
+    let planner =
+        std::thread::spawn(move || plan_jobs(jobs, &pipeline, min_task_txns, &planner_tx));
     drop(tx);
 
     // How long the event channel may sit silent between liveness checks.
@@ -1345,6 +1360,7 @@ mod tests {
 
         let mut coordinator = Coordinator {
             cfg: &cfg,
+            pipeline: run_pipeline(&cfg),
             tx,
             workers: vec![WorkerHandle {
                 link: WorkerLink::Local {
@@ -1379,10 +1395,6 @@ mod tests {
                     components: 1,
                     txns: 4,
                     criterion: "du",
-                    prelint: false,
-                    ladder: false,
-                    decompose: true,
-                    saturate: false,
                     whole: false,
                     payload: vec![0u8; 8],
                 },
