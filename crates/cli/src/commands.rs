@@ -16,6 +16,7 @@ use duop_history::reader::{self, TraceReader};
 use duop_history::render::render_lanes;
 use duop_history::trace::{format_event, format_trace, to_json};
 use duop_history::{binary, dbcop, Event, History};
+use duop_serve::http::{MAX_BODY_BYTES, MAX_HEADERS, MAX_HEAD_BYTES};
 use std::error::Error;
 use std::io::Write;
 use std::time::Duration;
@@ -1516,13 +1517,17 @@ type HttpResponse = (u16, Option<u64>, Vec<u8>);
 
 /// Like [`http_request`], additionally surfacing the `Retry-After`
 /// header (seconds) so 429 handling can honor the daemon's hint.
+///
+/// The response is held to the limits the daemon puts on a request
+/// ([`MAX_HEAD_BYTES`], [`MAX_HEADERS`], [`MAX_BODY_BYTES`]): a peer that
+/// sends more is an error, never an unbounded allocation.
 fn http_request_full(
     addr: &str,
     method: &str,
     path: &str,
     body: Option<(&str, &[u8])>,
 ) -> Result<HttpResponse, Box<dyn Error>> {
-    use std::io::{BufRead, BufReader, Read};
+    use std::io::{BufReader, Read};
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
@@ -1539,8 +1544,9 @@ fn http_request_full(
     }
     stream.flush()?;
     let mut reader = BufReader::new(stream);
+    let mut head_reader = (&mut reader).take(MAX_HEAD_BYTES as u64);
     let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    read_head_line(&mut head_reader, &mut status_line)?;
     let status: u16 = status_line
         .split(' ')
         .nth(1)
@@ -1548,14 +1554,20 @@ fn http_request_full(
         .ok_or_else(|| format!("malformed HTTP status line `{}`", status_line.trim_end()))?;
     let mut content_length: Option<usize> = None;
     let mut retry_after: Option<u64> = None;
+    let mut headers = 0;
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        line.clear();
+        if read_head_line(&mut head_reader, &mut line)? == 0 {
             break;
         }
         let line = line.trim_end();
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(format!("HTTP response has more than {MAX_HEADERS} headers").into());
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -1567,15 +1579,42 @@ fn http_request_full(
     }
     let mut payload = Vec::new();
     match content_length {
+        Some(n) if n > MAX_BODY_BYTES => {
+            return Err(format!(
+                "HTTP response declares a {n}-byte body, over the {MAX_BODY_BYTES}-byte limit"
+            )
+            .into());
+        }
         Some(n) => {
             payload.resize(n, 0);
             reader.read_exact(&mut payload)?;
         }
         None => {
-            reader.read_to_end(&mut payload)?;
+            reader
+                .take(MAX_BODY_BYTES as u64 + 1)
+                .read_to_end(&mut payload)?;
+            if payload.len() > MAX_BODY_BYTES {
+                return Err(
+                    format!("HTTP response body exceeds the {MAX_BODY_BYTES}-byte limit").into(),
+                );
+            }
         }
     }
     Ok((status, retry_after, payload))
+}
+
+/// Appends one line of a response head to `line`, returning the bytes
+/// read (`0` at end of stream). `head` holds what is left of the head's
+/// byte budget; a line it cuts off is an error.
+fn read_head_line<R: std::io::BufRead>(
+    head: &mut std::io::Take<R>,
+    line: &mut String,
+) -> Result<usize, Box<dyn Error>> {
+    let n = std::io::BufRead::read_line(head, line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(format!("HTTP response head exceeds {MAX_HEAD_BYTES} bytes").into());
+    }
+    Ok(n)
 }
 
 /// Extracts the unsigned integer value of `"field":N` from a flat JSON

@@ -73,7 +73,11 @@ fn pipelines() -> Vec<SearchConfig> {
             prelint: false,
             saturate: false,
             ladder,
-            max_states: Some(50),
+            // A satisfiable check expands at least one state per
+            // transaction, so a budget below the smallest sample history
+            // (20 transactions) trips on every satisfiable check, however
+            // strongly the search prunes.
+            max_states: Some(15),
             ..SearchConfig::default()
         });
     }

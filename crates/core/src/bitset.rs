@@ -44,6 +44,15 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Returns `true` if every element of `self` is in `a` or in `b`.
+    pub(crate) fn is_subset_of_union(&self, a: &BitSet, b: &BitSet) -> bool {
+        self.words
+            .iter()
+            .zip(&a.words)
+            .zip(&b.words)
+            .all(|((s, a), b)| s & !(a | b) == 0)
+    }
+
     /// Returns `true` if `self` and `other` share an element.
     pub(crate) fn intersects(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
@@ -184,6 +193,21 @@ mod tests {
         assert!(!b.is_subset_of(&a));
         a.insert(7);
         assert!(!a.is_subset_of(&b));
+    }
+
+    #[test]
+    fn subset_of_union() {
+        let (mut s, mut a, mut b) = (BitSet::new(130), BitSet::new(130), BitSet::new(130));
+        assert!(s.is_subset_of_union(&a, &b));
+        s.insert(3);
+        s.insert(100);
+        a.insert(3);
+        assert!(!s.is_subset_of_union(&a, &b));
+        b.insert(100);
+        assert!(s.is_subset_of_union(&a, &b));
+        assert!(s.is_subset_of_union(&b, &a));
+        s.insert(129);
+        assert!(!s.is_subset_of_union(&a, &b));
     }
 
     #[test]

@@ -138,70 +138,74 @@ impl Criterion for Opacity {
     }
 
     fn check(&self, h: &History) -> Verdict {
-        // Only prefixes ending in a response event need checking: extending
-        // a final-state-opaque prefix by a single *invocation* adds no
-        // completed operations and no legality constraints — the incomplete
-        // operation is answered `A_k` (or, for `tryC`, may be answered
-        // `A_k`) by a completion, reproducing a serialization of the
-        // shorter prefix — so final-state opacity is preserved.
-        //
-        // Fast path: if the full history is final-state opaque, the
-        // Lemma 1-style restriction of its witness often already
-        // serializes each prefix; validating a candidate is much cheaper
-        // than searching. Final-state opacity is NOT prefix-closed
-        // (Figure 3), so a failed validation falls back to a real search.
         let fso = FinalStateOpacity::with_config(self.cfg.clone());
-        let full = if h.is_empty() {
-            Verdict::Satisfied(crate::Witness::new(Vec::new(), Default::default()))
-        } else {
-            fso.check(h)
-        };
-        let full_witness = full.witness().cloned();
-        for end in 1..=h.len() {
-            let is_resp = matches!(h.events()[end - 1].kind, EventKind::Resp(_));
-            if !is_resp && end != h.len() {
+        opacity_prefix_loop(h, |prefix| fso.check(prefix))
+    }
+}
+
+/// Opacity's check of `h` with `fso` deciding final-state opacity of each
+/// prefix it searches.
+pub(crate) fn opacity_prefix_loop(h: &History, fso: impl Fn(&History) -> Verdict) -> Verdict {
+    // Only prefixes ending in a response event need checking: extending
+    // a final-state-opaque prefix by a single *invocation* adds no
+    // completed operations and no legality constraints — the incomplete
+    // operation is answered `A_k` (or, for `tryC`, may be answered
+    // `A_k`) by a completion, reproducing a serialization of the
+    // shorter prefix — so final-state opacity is preserved.
+    //
+    // Fast path: if the full history is final-state opaque, the
+    // Lemma 1-style restriction of its witness often already
+    // serializes each prefix; validating a candidate is much cheaper
+    // than searching. Final-state opacity is NOT prefix-closed
+    // (Figure 3), so a failed validation falls back to a real search.
+    let full = if h.is_empty() {
+        Verdict::Satisfied(crate::Witness::new(Vec::new(), Default::default()))
+    } else {
+        fso(h)
+    };
+    let full_witness = full.witness().cloned();
+    for end in 1..=h.len() {
+        let is_resp = matches!(h.events()[end - 1].kind, EventKind::Resp(_));
+        if !is_resp && end != h.len() {
+            continue;
+        }
+        let prefix = h.prefix(end);
+        if let Some(w) = &full_witness {
+            let candidate = crate::lemmas::restrict_witness(h, w, end);
+            if crate::check_witness(&prefix, &candidate, CriterionKind::FinalStateOpacity).is_ok() {
+                if end == h.len() {
+                    return Verdict::Satisfied(candidate);
+                }
                 continue;
             }
-            let prefix = h.prefix(end);
-            if let Some(w) = &full_witness {
-                let candidate = crate::lemmas::restrict_witness(h, w, end);
-                if crate::check_witness(&prefix, &candidate, CriterionKind::FinalStateOpacity)
-                    .is_ok()
-                {
-                    if end == h.len() {
-                        return Verdict::Satisfied(candidate);
-                    }
-                    continue;
+        }
+        match fso(&prefix) {
+            Verdict::Satisfied(w) => {
+                if end == h.len() {
+                    return Verdict::Satisfied(w);
                 }
             }
-            match fso.check(&prefix) {
-                Verdict::Satisfied(w) => {
-                    if end == h.len() {
-                        return Verdict::Satisfied(w);
-                    }
-                }
-                Verdict::Violated(v) => {
-                    return Verdict::Violated(Violation::PrefixNotFinalStateOpaque {
-                        prefix_len: end,
-                        cause: Box::new(v),
-                    });
-                }
-                Verdict::Unknown {
+            Verdict::Violated(v) => {
+                return Verdict::Violated(Violation::PrefixNotFinalStateOpaque {
+                    prefix_len: end,
+                    cause: Box::new(v),
+                });
+            }
+            Verdict::Unknown {
+                explored,
+                reason,
+                partial,
+            } => {
+                return Verdict::Unknown {
                     explored,
                     reason,
                     partial,
-                } => {
-                    return Verdict::Unknown {
-                        explored,
-                        reason,
-                        partial,
-                    }
                 }
             }
         }
-        // Empty history: trivially opaque with the empty witness.
-        Verdict::Satisfied(crate::Witness::new(Vec::new(), Default::default()))
     }
+    // Empty history: trivially opaque with the empty witness.
+    Verdict::Satisfied(crate::Witness::new(Vec::new(), Default::default()))
 }
 
 criterion_struct! {

@@ -7,12 +7,19 @@
 //! union-find over order edges; the touched-only dead-end check; the
 //! saturation closure; and lint AN005's two-cycle index. Graphs are given
 //! as predecessor lists: edge `i → j` iff `preds[j]` contains `i`.
+//!
+//! The searcher's dead-end rule has a reference here too: the plain rule,
+//! under which a read's value is lost only once every writer that could
+//! restore it is placed. [`check_plain_dead_ends`] and
+//! [`opacity_plain_dead_ends`] run the whole check pipeline with it, for
+//! the differential suite `tests/dead_end_pruning.rs`.
 
 use crate::bitset::BitSet;
 use crate::must_precede::AntiDep;
 use crate::plan::{Plan, PlanCriterion};
 use crate::prepared::Prepared;
-use crate::search::{Outcome, SearchConfig, Searcher};
+use crate::search::{Outcome, SearchConfig, SearchStats, Searcher};
+use crate::Verdict;
 use duop_history::History;
 
 fn bitsets(sets: &[Vec<usize>]) -> Vec<BitSet> {
@@ -78,6 +85,26 @@ pub fn an005_pairs(deps: &[AntiDep]) -> Vec<(usize, usize)> {
     crate::lint::an005_pairs(deps)
 }
 
+/// Checks `h` against `criterion` as
+/// [`check_criterion_with_stats`](crate::check_criterion_with_stats)
+/// does, with every search pruning dead ends by the plain rule.
+pub fn check_plain_dead_ends(
+    h: &History,
+    criterion: PlanCriterion,
+    cfg: &SearchConfig,
+) -> (Verdict, SearchStats) {
+    let p = Prepared::new(h, criterion).with_plain_dead_ends();
+    crate::search::search_serialization_with_stats(&p, &criterion.query(&p), cfg, None)
+}
+
+/// Checks `h` against opacity as [`crate::Opacity`] does, with every
+/// search of its prefix loop pruning dead ends by the plain rule.
+pub fn opacity_plain_dead_ends(h: &History, cfg: &SearchConfig) -> Verdict {
+    crate::criteria::opacity_prefix_loop(h, |prefix| {
+        check_plain_dead_ends(prefix, PlanCriterion::FinalState, cfg).0
+    })
+}
+
 /// What [`dead_end_audit`] compared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeadEndAudit {
@@ -85,16 +112,35 @@ pub struct DeadEndAudit {
     pub placements: u64,
     /// Placements both checks found to be dead ends.
     pub dead_ends: u64,
+    /// Dead ends only the must-follow sets reveal (dead roots included),
+    /// from which a budgeted plain-rule search exhausted.
+    pub confirmed: u64,
+    /// Dead ends only the must-follow sets reveal, from which the plain
+    /// search ran out of budget: no witness found, none ruled out.
+    pub unconfirmed: u64,
+    /// Search roots (per component and pass) that are dead ends; the
+    /// walk skips them.
+    pub dead_roots: u64,
 }
 
 /// Walks the search tree of `criterion`'s query over `h` component by
-/// component, as the sequential planned search does, and compares the
-/// touched-only dead-end check with the all-slot scan after every
-/// placement: an exhaustive depth-first walk without memo, up to
-/// `max_placements` per component and pruning pass, then the real
-/// search (with a state budget of `max_placements`) places the component
-/// before the next. `Err` describes the first disagreement. A history
-/// the spec or the planner refutes has nothing to walk.
+/// component, as the sequential planned search does, and checks the
+/// dead-end rule after every placement: an exhaustive depth-first walk
+/// without memo, up to `max_placements` per component and pruning pass,
+/// from each root the all-slot scan finds alive; then the real search
+/// (with a state budget of `max_placements`) places the component before
+/// the next. After each placement:
+///
+/// * the touched-only check equals the all-slot scan;
+/// * a dead end by the plain rule is a dead end by the searcher's rule;
+/// * from a dead end only the searcher's rule finds, a plain-rule search
+///   of up to `max_placements` states finds no witness.
+///
+/// No root is dead by the plain rule, and from a dead root, too, the
+/// plain-rule search finds no witness.
+///
+/// `Err` describes the first failure. A history the spec or the planner
+/// refutes has nothing to walk.
 pub fn dead_end_audit(
     h: &History,
     criterion: PlanCriterion,
@@ -116,6 +162,12 @@ pub fn dead_end_audit(
     let Ok(mut s) = Searcher::new(&p, &cfg, &query, &plan.forced) else {
         return Ok(audit);
     };
+    let mut walker = Walker {
+        plain: vec![BitSet::new(s.desc.len()); s.desc.len()],
+        max_placements,
+        budget: 0,
+        audit: &mut audit,
+    };
     let passes: &[bool] = if query.deferred_update {
         &[true, false]
     } else {
@@ -125,8 +177,19 @@ pub fn dead_end_audit(
         s.restrict(comp);
         for &eligible_global in passes {
             s.eligible_global = eligible_global;
-            let mut budget = max_placements;
-            walk(&mut s, &mut budget, &mut audit)?;
+            if walker.plain_dead_end(&mut s) {
+                return Err(format!(
+                    "the plain rule finds the root of component {comp:?} dead \
+                     (eligible_global {eligible_global})"
+                ));
+            }
+            if s.dead_end() {
+                walker.audit.dead_roots += 1;
+                walker.confirm(&mut s)?;
+                continue;
+            }
+            walker.budget = max_placements;
+            walker.walk(&mut s)?;
         }
         if !matches!(s.search(), Outcome::Found) {
             break;
@@ -135,31 +198,109 @@ pub fn dead_end_audit(
     Ok(audit)
 }
 
-fn walk(s: &mut Searcher<'_>, budget: &mut u64, audit: &mut DeadEndAudit) -> Result<(), String> {
-    let mut children = Vec::new();
-    s.children_into(&mut children);
-    for (i, committed) in children {
-        if *budget == 0 {
-            break;
+/// The state of one [`dead_end_audit`].
+struct Walker<'a> {
+    /// Empty must-follow sets: swapped into the searcher, they make its
+    /// rule the plain one.
+    plain: Vec<BitSet>,
+    max_placements: u64,
+    /// Placements left in the current walk.
+    budget: u64,
+    audit: &'a mut DeadEndAudit,
+}
+
+impl Walker<'_> {
+    fn walk(&mut self, s: &mut Searcher<'_>) -> Result<(), String> {
+        let mut children = Vec::new();
+        s.children_into(&mut children);
+        for (i, committed) in children {
+            if self.budget == 0 {
+                break;
+            }
+            self.budget -= 1;
+            let undo = s.place(i, committed);
+            let result = self.check(s, i);
+            s.unplace(i, undo);
+            result?;
         }
-        *budget -= 1;
-        let undo = s.place(i, committed);
-        audit.placements += 1;
-        let (after, full) = (s.dead_end_after(i), s.dead_end());
-        let result = if after != full {
-            Err(format!(
-                "after path {:?} (eligible_global {}): touched-only check says {after}, \
-                 all-slot scan says {full}",
-                s.path, s.eligible_global
-            ))
-        } else if full {
-            audit.dead_ends += 1;
-            Ok(())
-        } else {
-            walk(s, budget, audit)
-        };
-        s.unplace(i, undo);
-        result?;
+        Ok(())
     }
-    Ok(())
+
+    /// Checks the state right after placing `i`, then walks below it if
+    /// it is alive.
+    fn check(&mut self, s: &mut Searcher<'_>, i: usize) -> Result<(), String> {
+        self.audit.placements += 1;
+        let (after, full) = (s.dead_end_after(i), s.dead_end());
+        let plain = self.plain_dead_end(s);
+        if after != full {
+            return Err(format!(
+                "{}: touched-only check says {after}, all-slot scan says {full}",
+                at(s)
+            ));
+        }
+        if plain && !full {
+            return Err(format!("{}: dead by the plain rule only", at(s)));
+        }
+        if !full {
+            return self.walk(s);
+        }
+        self.audit.dead_ends += 1;
+        if plain {
+            return Ok(());
+        }
+        self.confirm(s)
+    }
+
+    /// Runs a plain-rule search from a state only the must-follow sets
+    /// call dead, which must find no witness.
+    fn confirm(&mut self, s: &mut Searcher<'_>) -> Result<(), String> {
+        let state = at(s);
+        match self.plain_search(s) {
+            Outcome::Exhausted => self.audit.confirmed += 1,
+            Outcome::Budget => self.audit.unconfirmed += 1,
+            Outcome::Found => {
+                return Err(format!(
+                    "{state}: dead by the must-follow sets, yet the plain search \
+                     completes it to {:?}",
+                    s.path
+                ))
+            }
+            Outcome::Cancelled => unreachable!("the audit's search is sequential"),
+        }
+        Ok(())
+    }
+
+    /// Whether the current state is a dead end by the plain rule.
+    fn plain_dead_end(&mut self, s: &mut Searcher<'_>) -> bool {
+        std::mem::swap(&mut s.desc, &mut self.plain);
+        let dead = s.dead_end();
+        std::mem::swap(&mut s.desc, &mut self.plain);
+        dead
+    }
+
+    /// A plain-rule search from the current state, with a budget of
+    /// `max_placements` states and a memo of its own. The searcher's
+    /// counters, budget and memo are restored afterwards; on `Found` its
+    /// path keeps the completion.
+    fn plain_search(&mut self, s: &mut Searcher<'_>) -> Outcome {
+        std::mem::swap(&mut s.desc, &mut self.plain);
+        let (explored, memo_hits, dead_ends, budget) =
+            (s.explored, s.memo_hits, s.dead_ends, s.budget);
+        s.explored = 0;
+        s.budget.max_states = Some(self.max_placements);
+        let outcome = s.dfs();
+        (s.explored, s.memo_hits, s.dead_ends, s.budget) = (explored, memo_hits, dead_ends, budget);
+        s.unknown = None;
+        s.clear_memo();
+        std::mem::swap(&mut s.desc, &mut self.plain);
+        outcome
+    }
+}
+
+/// Where the searcher stands, for a failure message.
+fn at(s: &Searcher<'_>) -> String {
+    format!(
+        "after path {:?} (eligible_global {})",
+        s.path, s.eligible_global
+    )
 }

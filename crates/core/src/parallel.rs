@@ -172,9 +172,10 @@ impl SharedSearch {
 
 /// Collects every placement prefix of length `remaining` (in DFS order)
 /// into `out`, applying the same legality and dead-end pruning as the
-/// search proper. Prefixes are strictly shorter than the transaction
-/// count, so none is a complete serialization. `scratch` recycles one
-/// child buffer per recursion depth.
+/// search proper, from a root the caller has found alive. Prefixes are
+/// strictly shorter than the transaction count, so none is a complete
+/// serialization. `scratch` recycles one child buffer per recursion
+/// depth.
 fn enumerate_prefixes(
     s: &mut Searcher<'_>,
     remaining: usize,
@@ -334,6 +335,12 @@ pub(crate) fn par_search_spec(
     let mut carried = SearchStats::default();
     for &eligible_global in passes {
         enumerator.eligible_global = eligible_global;
+        if enumerator.dead_end() {
+            // A dead root: this pass's tree holds no witness, as in
+            // `Searcher::search`.
+            carried.dead_ends += 1;
+            continue;
+        }
         let mut tasks: Vec<Vec<(usize, bool)>> = Vec::new();
         let mut scratch: Vec<Vec<(usize, bool)>> = Vec::new();
         let mut enum_explored = 0u64;

@@ -36,6 +36,10 @@ pub(crate) struct Prepared<'h> {
     anti_deps: OnceLock<Vec<AntiDep>>,
     rco: OnceLock<Vec<CommitEdge>>,
     tms2: OnceLock<Vec<CommitEdge>>,
+    /// The searchers of this query prune dead ends by the plain rule,
+    /// without must-follow sets: the test-only reference that
+    /// [`crate::graph_kernels`] builds with [`Self::with_plain_dead_ends`].
+    plain_dead_ends: bool,
 }
 
 impl<'h> Prepared<'h> {
@@ -62,7 +66,20 @@ impl<'h> Prepared<'h> {
             anti_deps: OnceLock::new(),
             rco: OnceLock::new(),
             tms2: OnceLock::new(),
+            plain_dead_ends: false,
         }
+    }
+
+    /// This query with the plain dead-end rule: a read's value is lost
+    /// only once every writer that could restore it is placed.
+    pub(crate) fn with_plain_dead_ends(mut self) -> Self {
+        self.plain_dead_ends = true;
+        self
+    }
+
+    /// Whether the searchers of this query use the plain dead-end rule.
+    pub(crate) fn plain_dead_ends(&self) -> bool {
+        self.plain_dead_ends
     }
 
     /// The history the query runs over.

@@ -40,6 +40,16 @@
 //! so an infeasible branch is discovered near the root instead of after
 //! permuting the unconstrained remainder.
 //!
+//! **Dead ends** are cut as soon as they appear. A state is dead when some
+//! unplaced read can no longer be served: its value is gone from the state
+//! and every writer that could restore it is placed already or must follow
+//! the reader. The must-follow set of a transaction is its descendant set
+//! in the precedence closure (real time, criterion edges, the planner's
+//! forced edges); the search places a transaction only after all its
+//! predecessors, so no such writer can come before the reader. A root can
+//! be dead as well — a read whose every writer must follow it — so each
+//! search pass checks its root before descending.
+//!
 //! When [`SearchConfig::threads`] asks for more than one worker the search
 //! is delegated to [`crate::parallel`], which fans out over conflict-graph
 //! components when there are several and otherwise splits the placement
@@ -259,12 +269,19 @@ pub(crate) struct Searcher<'a> {
     /// Committable writers that could still supply each read slot's value
     /// (du mode: restricted to eligible writers). Used for forward
     /// feasibility pruning: once a slot's value is gone from the state and
-    /// every candidate writer is placed, no extension can serve the read.
+    /// every candidate writer is placed or in the reader's `desc`, no
+    /// extension can serve the read.
     suppliers: &'a [BitSet],
     /// Du mode only: every committable writer of each read slot's value,
-    /// eligible or not — the writers that can still restore the *global*
-    /// value. Outside du mode this equals `suppliers` and is left empty.
+    /// eligible or not — the writers that could restore the *global*
+    /// value, until each is placed or in the reader's `desc`. Outside du
+    /// mode this equals `suppliers` and is left empty.
     writers: &'a [BitSet],
+    /// Must-follow sets: `desc[i]` holds every transaction that must come
+    /// after `i`, the closure of `preds`. A transaction is placed only
+    /// after all its predecessors, so no member of `desc[i]` is ever placed
+    /// before `i`, and none can supply a value `i` reads.
+    pub(crate) desc: Vec<BitSet>,
     /// Du mode: prune as if only eligible writers could restore a read's
     /// global value — the first pass of [`Self::search`], which finds
     /// exactly the witnesses whose global writers are all eligible.
@@ -361,8 +378,9 @@ impl<'a> Searcher<'a> {
         };
 
         // Reachability closure of the precedence edges, for fail-first
-        // ordering: desc[i] = transactions that must come after i.
-        let desc = descendants(&preds, &topo);
+        // ordering and dead-end checks: desc[i] = transactions that must
+        // come after i.
+        let mut desc = descendants(&preds, &topo);
 
         // Most-constrained first: a transaction with many forced
         // successors prunes hardest when it fails, and unblocks the most
@@ -390,6 +408,11 @@ impl<'a> Searcher<'a> {
         for r in &spec.reads {
             pending_reads[r.obj] += 1;
         }
+        if p.plain_dead_ends() {
+            // The test-only reference rule: no writer is known to follow
+            // its reader.
+            desc.iter_mut().for_each(BitSet::clear);
+        }
 
         Ok(Searcher {
             spec,
@@ -400,6 +423,7 @@ impl<'a> Searcher<'a> {
             elig,
             suppliers,
             writers,
+            desc,
             eligible_global: false,
             active: order.clone(),
             order,
@@ -444,6 +468,11 @@ impl<'a> Searcher<'a> {
         let scope = &self.scope;
         self.active
             .extend(self.order.iter().copied().filter(|&i| scope.contains(i)));
+        self.clear_memo();
+    }
+
+    /// Drops every failed-state memo entry, tracking the peak.
+    pub(crate) fn clear_memo(&mut self) {
         self.memo_peak = self.memo_peak.max(self.memo.len());
         self.memo.clear();
     }
@@ -500,16 +529,22 @@ impl<'a> Searcher<'a> {
     /// transaction's external read can no longer be satisfied in any
     /// extension of the current state. The global value is lost once it
     /// differs from the read's and every committable writer of it is
-    /// placed; for du-opacity the local value is lost once it differs and
-    /// every *eligible* writer is placed. The two writer sets differ: a
-    /// non-eligible writer can still restore the global value even though
-    /// it never enters the read's local serialization — unless
+    /// placed or must follow the reader; for du-opacity the local value is
+    /// lost once it differs and every *eligible* writer is placed or must
+    /// follow the reader. The two writer sets differ: a non-eligible
+    /// writer can still restore the global value even though it never
+    /// enters the read's local serialization — unless
     /// [`Self::eligible_global`] asks to ignore such witnesses.
     ///
-    /// This is the all-slot scan; the search calls [`Self::dead_end_after`]
-    /// and checks it against this scan in debug builds.
+    /// This is the all-slot scan over the scope's read slots. Each search
+    /// pass runs it on its root; below the root the search calls
+    /// [`Self::dead_end_after`] and checks it against this scan in debug
+    /// builds.
     pub(crate) fn dead_end(&self) -> bool {
-        (0..self.spec.reads.len()).any(|slot| self.slot_lost(slot))
+        self.active
+            .iter()
+            .flat_map(|&i| &self.spec.txns[i].external_reads)
+            .any(|&slot| self.slot_lost(slot))
     }
 
     /// [`Self::dead_end`] right after placing `i` onto a state that was not
@@ -518,9 +553,10 @@ impl<'a> Searcher<'a> {
     /// Placing `i` can make a slot lost only through `i` itself: joining
     /// its writer set's placed part, or changing `global_last` or
     /// `local_last`. All three touch only objects in `i`'s write set,
-    /// whatever `i`'s fate; every other slot is as it was, and so not
-    /// lost. A search root is never a dead end (DESIGN.md §6), and `dfs`
-    /// descends only through placements that are not.
+    /// whatever `i`'s fate; the must-follow sets are fixed, so every other
+    /// slot is as it was, and so not lost. Each pass checks its root with
+    /// the all-slot scan, and `dfs` descends only through placements that
+    /// are not dead ends.
     pub(crate) fn dead_end_after(&self, i: usize) -> bool {
         self.spec.txns[i].writes.iter().any(|&(obj, _)| {
             self.spec.reads_on_obj[obj]
@@ -541,12 +577,13 @@ impl<'a> Searcher<'a> {
         } else {
             &self.suppliers[slot]
         };
-        if self.global_last[r.obj] != r.value && writers.is_subset_of(&self.placed) {
+        let follow = &self.desc[r.txn];
+        if self.global_last[r.obj] != r.value && writers.is_subset_of_union(&self.placed, follow) {
             return true;
         }
         self.du
             && self.local_last[slot] != r.value
-            && self.suppliers[slot].is_subset_of(&self.placed)
+            && self.suppliers[slot].is_subset_of_union(&self.placed, follow)
     }
 
     /// Searches the current scope for a serialization. Under du-opacity
@@ -561,17 +598,26 @@ impl<'a> Searcher<'a> {
     /// one exists.
     pub(crate) fn search(&mut self) -> Outcome {
         if !self.du {
-            return self.dfs();
+            return self.search_pass();
         }
         self.eligible_global = true;
-        let first = self.dfs();
+        let first = self.search_pass();
         self.eligible_global = false;
         if !matches!(first, Outcome::Exhausted) {
             return first;
         }
         // First-pass failures are not exact failures.
-        self.memo_peak = self.memo_peak.max(self.memo.len());
-        self.memo.clear();
+        self.clear_memo();
+        self.search_pass()
+    }
+
+    /// One pass of [`Self::search`]: `dfs` from the current state, which
+    /// is exhausted outright when it is already a dead end.
+    fn search_pass(&mut self) -> Outcome {
+        if self.dead_end() {
+            self.dead_ends += 1;
+            return Outcome::Exhausted;
+        }
         self.dfs()
     }
 

@@ -14,7 +14,13 @@
 //!   the pivot recorded for each added edge and the order of additions;
 //! * lint AN005's two-cycle index against the pair loop;
 //! * the touched-only dead-end check against the all-slot scan, after
-//!   every placement of a bounded walk of each search tree.
+//!   every placement of a bounded walk of each search tree from every
+//!   root the scan finds alive — and the searcher's dead-end rule against
+//!   the plain rule it refines (a read's value is lost once every writer
+//!   of it is placed): every plain dead end is a dead end, and from each
+//!   dead end only the must-follow sets reveal, dead roots included, a
+//!   budgeted plain-rule search finds no witness (and, on the small and
+//!   cyclic corpora, exhausts).
 //!
 //! Random graphs: dense interval orders plus random edges, self-loops,
 //! 2-cycles, long cycles, nodes downstream of a cycle and disconnected
@@ -28,8 +34,8 @@
 //! `ConstraintCycle` must name exactly Kahn's leftover.
 
 use duop_core::graph_kernels::{
-    an005_pairs, dead_end_audit, descendants, order_components, topo_order, transitive_close,
-    Closure,
+    an005_pairs, check_plain_dead_ends, dead_end_audit, descendants, order_components, topo_order,
+    transitive_close, Closure,
 };
 use duop_core::lint::Applicability;
 use duop_core::must_precede::{AntiDep, Facts};
@@ -38,7 +44,7 @@ use duop_core::{
     Violation,
 };
 use duop_gen::{anomalies, HistoryGen, HistoryGenConfig, KeyDist};
-use duop_history::{CommitCapability, History, TxnId, Value};
+use duop_history::{CommitCapability, History, HistoryBuilder, ObjId, TxnId, Value};
 use proptest::prelude::*;
 
 const CRITERIA: [PlanCriterion; 5] = [
@@ -530,6 +536,11 @@ struct Tally {
     certified: usize,
     placements: u64,
     dead_ends: u64,
+    /// Dead ends only the must-follow sets find, from which a budgeted
+    /// plain-rule search exhausted or ran out of budget.
+    confirmed: u64,
+    unconfirmed: u64,
+    dead_roots: u64,
 }
 
 /// The precedence graphs lint CY004 checks, with each one's
@@ -578,10 +589,9 @@ fn cy004_graphs(facts: &Facts, caps: &[CommitCapability]) -> Vec<(Applicability,
 
 /// Asserts every kernel matches its literal form on the graphs `h`
 /// yields, that lint's CY004 diagnostics and any `ConstraintCycle` of
-/// the read-commit-order or TMS2 query name Kahn's leftover, and that the touched-only
-/// dead-end check agrees with the all-slot scan along a walk of every
-/// criterion's search tree of up to `walk` placements per component and
-/// pass.
+/// the read-commit-order or TMS2 query name Kahn's leftover, and that
+/// every criterion's dead-end rule passes [`dead_end_audit`] along a walk
+/// of its search tree of up to `walk` placements per component and pass.
 fn assert_equivalent(h: &History, label: &str, walk: u64, tally: &mut Tally) {
     tally.histories += 1;
     for criterion in CRITERIA {
@@ -589,6 +599,9 @@ fn assert_equivalent(h: &History, label: &str, walk: u64, tally: &mut Tally) {
             Ok(audit) => {
                 tally.placements += audit.placements;
                 tally.dead_ends += audit.dead_ends;
+                tally.confirmed += audit.confirmed;
+                tally.unconfirmed += audit.unconfirmed;
+                tally.dead_roots += audit.dead_roots;
             }
             Err(e) => panic!("{label}: {criterion:?}: {e}"),
         }
@@ -707,6 +720,8 @@ fn adversarial_histories_match() {
     }
     assert!(tally.cy004 > 0 && tally.an005 > 0, "{tally:?}");
     assert!(tally.certified > 0 && tally.dead_ends > 0, "{tally:?}");
+    assert!(tally.dead_roots > 0 && tally.confirmed > 0, "{tally:?}");
+    assert_eq!(tally.unconfirmed, 0, "{tally:?}");
 }
 
 #[test]
@@ -732,7 +747,10 @@ fn simulated_search_histories_match() {
         assert_equivalent(&h, &label, 1_000, &mut tally);
     }
     assert!(tally.placements > 0 && tally.dead_ends > 0, "{tally:?}");
-    assert!(tally.constraint_cycles > 0, "{tally:?}");
+    assert!(
+        tally.constraint_cycles > 0 && tally.confirmed > 0,
+        "{tally:?}"
+    );
 }
 
 #[test]
@@ -749,6 +767,7 @@ fn stream_serve_prefixes_match() {
         }
     }
     assert!(tally.placements > 0 && tally.dead_ends > 0, "{tally:?}");
+    assert!(tally.confirmed > 0, "{tally:?}");
 }
 
 #[test]
@@ -760,7 +779,7 @@ fn long_traces_match() {
         let label = format!("large_streaming(768) seed {seed}");
         assert_equivalent(&h, &label, 1_000, &mut tally);
     }
-    assert!(tally.placements > 0, "{tally:?}");
+    assert!(tally.placements > 0 && tally.confirmed > 0, "{tally:?}");
 }
 
 /// Histories whose precedence graphs are cyclic: CY004 fires, the
@@ -793,4 +812,49 @@ fn cyclic_histories_match() {
         "{tally:?}"
     );
     assert!(tally.graphs.downstream > 0, "{tally:?}");
+    assert!(tally.dead_roots > 0 && tally.confirmed > 0, "{tally:?}");
+    assert_eq!(tally.unconfirmed, 0, "{tally:?}");
+}
+
+/// A read whose only other writer of its value starts after the reader
+/// commits. T1 writes 1 and T7 reads it; T2–T6 write other values
+/// concurrently, and T8 writes 1 again once T7 is done. Once another
+/// write follows T1's, T7's read is lost, since T8 must follow T7. The
+/// plain rule keeps the read alive until T8 is placed, which cannot
+/// happen first, so it permutes the other writers under every such
+/// placement.
+#[test]
+fn later_writer_cannot_serve_the_read() {
+    let (t, x, v) = (TxnId::new, ObjId::new(0), Value::new);
+    let mut b = HistoryBuilder::new().inv_write(t(1), x, v(1)).resp_ok(t(1));
+    for k in 2..=6 {
+        b = b.inv_write(t(k), x, v(u64::from(k) * 10)).resp_ok(t(k));
+    }
+    b = b.inv_read(t(7), x).resp_value(t(7), v(1));
+    for k in 1..=7 {
+        b = b.commit(t(k));
+    }
+    let h = b.committed_writer(t(8), x, v(1)).build();
+    for decompose in [true, false] {
+        let cfg = SearchConfig {
+            prelint: false,
+            saturate: false,
+            decompose,
+            threads: None,
+            ..SearchConfig::default()
+        };
+        let (verdict, explored) = check_criterion_with_stats(&h, PlanCriterion::FinalState, &cfg);
+        let (reference, stats) = check_plain_dead_ends(&h, PlanCriterion::FinalState, &cfg);
+        eprintln!(
+            "decompose {decompose}: {explored} states explored; the plain rule explores {}",
+            stats.explored
+        );
+        assert!(verdict.is_satisfied(), "{verdict:?}");
+        assert_eq!(verdict, reference);
+        assert!(
+            explored < stats.explored,
+            "{explored} vs {}",
+            stats.explored
+        );
+    }
 }
