@@ -21,9 +21,9 @@
 use duop_core::{available_threads, Verdict};
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::History;
+use duop_serve::ShutdownHandle;
 use duop_shard::{
-    run_sharded, ShardConfig, ShardCriterion, ShardJob, ShardServeConfig, ShardServeHandle,
-    ShardServer,
+    run_sharded, ShardConfig, ShardCriterion, ShardJob, ShardServeConfig, ShardServer,
 };
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -54,7 +54,7 @@ fn worker_cmd() -> Vec<String> {
     ]
 }
 
-fn start_daemon() -> (SocketAddr, ShardServeHandle) {
+fn start_daemon() -> (SocketAddr, ShutdownHandle) {
     let server = ShardServer::bind(ShardServeConfig {
         listen: "127.0.0.1:0".to_owned(),
         secret: SECRET.to_vec(),

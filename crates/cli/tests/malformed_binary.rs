@@ -108,6 +108,19 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
             push_frame(&mut b, FRAME_END, &payload);
             b
         }),
+        ("huge-declared-event-count", {
+            // An events frame that declares 2^40 events and carries none,
+            // then a valid end frame: the declared count must size no
+            // allocation.
+            let mut b = header.clone();
+            let mut payload = Vec::new();
+            write_varint(&mut payload, 1 << 40);
+            push_frame(&mut b, FRAME_EVENTS, &payload);
+            let mut end = Vec::new();
+            write_varint(&mut end, 0);
+            push_frame(&mut b, FRAME_END, &end);
+            b
+        }),
         ("events-after-end-frame", {
             // Splice a second copy of the stream after the end frame.
             let mut b = valid.clone();
@@ -218,6 +231,10 @@ fn corpus_errors_decode_to_the_expected_variants() {
     assert!(matches!(
         expect("event-txn-id-out-of-range"),
         BinaryParseError::IdOutOfRange { .. }
+    ));
+    assert!(matches!(
+        expect("huge-declared-event-count"),
+        BinaryParseError::Truncated { .. }
     ));
 }
 

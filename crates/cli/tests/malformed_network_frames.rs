@@ -22,7 +22,7 @@ const SECRET: &[u8] = b"corpus-secret";
 
 /// Starts an in-process daemon; the caller talks raw TCP to it. The
 /// thread (and its socket) die with the shutdown handle at test end.
-fn start_daemon() -> (SocketAddr, duop_shard::ShardServeHandle) {
+fn start_daemon() -> (SocketAddr, duop_serve::ShutdownHandle) {
     let server = ShardServer::bind(ShardServeConfig {
         listen: "127.0.0.1:0".to_owned(),
         secret: SECRET.to_vec(),

@@ -4,7 +4,7 @@
 //! through [`run_worker_io`] or as the real `duop shard-worker`
 //! subprocess. The shard-protocol mirror of `malformed_binary.rs`.
 
-use duop_history::binary::{crc32, write_varint};
+use duop_history::binary::{crc32, write_varint, FRAME_END, FRAME_EVENTS, MAGIC, VERSION};
 use duop_history::{HistoryBuilder, ObjId, TxnId, Value};
 use duop_shard::protocol::{
     encode_hello, encode_task, ProtocolError, TaskMsg, FRAME_HELLO, FRAME_SHUTDOWN, FRAME_TASK,
@@ -51,6 +51,21 @@ fn sample_task() -> TaskMsg {
         deadline_ms: 0,
         history: duop_history::binary::encode(&h),
     }
+}
+
+/// A 24-byte `.duob` history whose one events frame declares 2^40 events
+/// and carries none, then a valid end frame.
+fn huge_count_history() -> Vec<u8> {
+    let mut out: Vec<u8> = MAGIC.iter().copied().chain([VERSION]).collect();
+    for (ty, count) in [(FRAME_EVENTS, 1u64 << 40), (FRAME_END, 0)] {
+        let mut payload = Vec::new();
+        write_varint(&mut payload, count);
+        out.push(ty);
+        write_varint(&mut out, payload.len() as u64);
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    }
+    out
 }
 
 /// Each corpus entry: a label and the hostile input stream.
@@ -136,6 +151,14 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         ("task-garbage-history", {
             let mut task = sample_task();
             task.history = vec![0xFF; 32];
+            let mut b = hello();
+            b.extend_from_slice(&good_frame(FRAME_TASK, &encode_task(&task)));
+            b
+        }),
+        ("task-huge-declared-event-count", {
+            // The declared count must size no allocation on the worker.
+            let mut task = sample_task();
+            task.history = huge_count_history();
             let mut b = hello();
             b.extend_from_slice(&good_frame(FRAME_TASK, &encode_task(&task)));
             b

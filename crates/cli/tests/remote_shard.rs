@@ -11,9 +11,10 @@
 use duop_core::{check_criterion_with_stats, PlanCriterion, SearchConfig, UnknownReason, Verdict};
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::History;
+use duop_serve::ShutdownHandle;
 use duop_shard::{
-    run_sharded, ShardConfig, ShardCriterion, ShardJob, ShardServeConfig, ShardServeHandle,
-    ShardServer, NET_TIMEOUT_ENV,
+    run_sharded, ShardConfig, ShardCriterion, ShardJob, ShardServeConfig, ShardServer,
+    NET_TIMEOUT_ENV,
 };
 use std::net::SocketAddr;
 
@@ -27,7 +28,7 @@ fn shorten_net_timeout() {
     std::env::set_var(NET_TIMEOUT_ENV, "2500");
 }
 
-fn start_daemon(drop_conn: Option<u64>, stall_conn: Option<u64>) -> (SocketAddr, ShardServeHandle) {
+fn start_daemon(drop_conn: Option<u64>, stall_conn: Option<u64>) -> (SocketAddr, ShutdownHandle) {
     let server = ShardServer::bind(ShardServeConfig {
         listen: "127.0.0.1:0".to_owned(),
         secret: SECRET.to_vec(),

@@ -2,11 +2,11 @@
 //! equivalence suite (`tests/graph_kernels.rs`), which keeps the literal
 //! form of each kernel as its reference. Not a stable API.
 //!
-//! The kernels: the topological check behind lint CY004, the planner and
-//! the searcher; the searcher's fail-first closure; the planner's
-//! union-find over order edges; the touched-only dead-end check; the
-//! saturation closure; and lint AN005's two-cycle index. Graphs are given
-//! as predecessor lists: edge `i → j` iff `preds[j]` contains `i`.
+//! The kernels: the topological check behind lint CY004 and the planner;
+//! the search's fail-first closure; the planner's union-find over order
+//! edges; the touched-only dead-end check; the saturation closure; and
+//! lint AN005's two-cycle index. Graphs are given as predecessor lists:
+//! edge `i → j` iff `preds[j]` contains `i`.
 //!
 //! The searcher's dead-end rule has a reference here too: the plain rule,
 //! under which a read's value is lost only once every writer that could
@@ -18,7 +18,7 @@ use crate::bitset::BitSet;
 use crate::must_precede::AntiDep;
 use crate::plan::{Plan, PlanCriterion};
 use crate::prepared::Prepared;
-use crate::search::{Outcome, SearchConfig, SearchStats, Searcher};
+use crate::search::{Outcome, SearchConfig, SearchStats, Searcher, Setup};
 use crate::Verdict;
 use duop_history::History;
 
@@ -152,18 +152,19 @@ pub fn dead_end_audit(
         return Ok(audit);
     }
     let query = criterion.query(&p);
-    let Ok(plan) = Plan::build(&p, &query) else {
+    let Ok(plan) = Plan::build(&p, &query, true) else {
         return Ok(audit);
     };
     let cfg = SearchConfig {
         max_states: Some(max_placements),
         ..SearchConfig::default()
     };
-    let Ok(mut s) = Searcher::new(&p, &cfg, &query, &plan.forced) else {
-        return Ok(audit);
-    };
+    let n = plan.preds.len();
+    let plain = vec![BitSet::new(n); n];
+    let setup = Setup::new(&p, &cfg, &query, &plan);
+    let mut s = Searcher::new(&setup);
     let mut walker = Walker {
-        plain: vec![BitSet::new(s.desc.len()); s.desc.len()],
+        plain: &plain,
         max_placements,
         budget: 0,
         audit: &mut audit,
@@ -199,18 +200,18 @@ pub fn dead_end_audit(
 }
 
 /// The state of one [`dead_end_audit`].
-struct Walker<'a> {
+struct Walker<'a, 's> {
     /// Empty must-follow sets: swapped into the searcher, they make its
     /// rule the plain one.
-    plain: Vec<BitSet>,
+    plain: &'s [BitSet],
     max_placements: u64,
     /// Placements left in the current walk.
     budget: u64,
     audit: &'a mut DeadEndAudit,
 }
 
-impl Walker<'_> {
-    fn walk(&mut self, s: &mut Searcher<'_>) -> Result<(), String> {
+impl<'s> Walker<'_, 's> {
+    fn walk(&mut self, s: &mut Searcher<'s>) -> Result<(), String> {
         let mut children = Vec::new();
         s.children_into(&mut children);
         for (i, committed) in children {
@@ -228,7 +229,7 @@ impl Walker<'_> {
 
     /// Checks the state right after placing `i`, then walks below it if
     /// it is alive.
-    fn check(&mut self, s: &mut Searcher<'_>, i: usize) -> Result<(), String> {
+    fn check(&mut self, s: &mut Searcher<'s>, i: usize) -> Result<(), String> {
         self.audit.placements += 1;
         let (after, full) = (s.dead_end_after(i), s.dead_end());
         let plain = self.plain_dead_end(s);
@@ -253,7 +254,7 @@ impl Walker<'_> {
 
     /// Runs a plain-rule search from a state only the must-follow sets
     /// call dead, which must find no witness.
-    fn confirm(&mut self, s: &mut Searcher<'_>) -> Result<(), String> {
+    fn confirm(&mut self, s: &mut Searcher<'s>) -> Result<(), String> {
         let state = at(s);
         match self.plain_search(s) {
             Outcome::Exhausted => self.audit.confirmed += 1,
@@ -271,7 +272,7 @@ impl Walker<'_> {
     }
 
     /// Whether the current state is a dead end by the plain rule.
-    fn plain_dead_end(&mut self, s: &mut Searcher<'_>) -> bool {
+    fn plain_dead_end(&mut self, s: &mut Searcher<'s>) -> bool {
         std::mem::swap(&mut s.desc, &mut self.plain);
         let dead = s.dead_end();
         std::mem::swap(&mut s.desc, &mut self.plain);
@@ -282,7 +283,7 @@ impl Walker<'_> {
     /// `max_placements` states and a memo of its own. The searcher's
     /// counters, budget and memo are restored afterwards; on `Found` its
     /// path keeps the completion.
-    fn plain_search(&mut self, s: &mut Searcher<'_>) -> Outcome {
+    fn plain_search(&mut self, s: &mut Searcher<'s>) -> Outcome {
         std::mem::swap(&mut s.desc, &mut self.plain);
         let (explored, memo_hits, dead_ends, budget) =
             (s.explored, s.memo_hits, s.dead_ends, s.budget);

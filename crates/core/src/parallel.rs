@@ -5,10 +5,13 @@
 //!
 //! # Component parallelism
 //!
-//! When the planner ([`crate::plan`]) finds several conflict-graph
-//! components, [`par_search_components`] searches each independently on
-//! the worker pool — components share no objects and no order edges, so
-//! no coordination (shared memo, cancellation) is needed at all, and each
+//! Both engines borrow the search's one [`Setup`] (the plan's graph, its
+//! closure and order, and one deadline); no worker builds a graph.
+//!
+//! When the plan has several conflict-graph components,
+//! [`par_search_components`] searches each independently on the worker
+//! pool — components share no objects and no order edges, so no
+//! coordination (shared memo, cancellation) is needed at all, and each
 //! per-component search is exactly the scoped sequential search the
 //! planned sequential engine runs, producing the identical fragment. The
 //! composed witness is therefore identical to the sequential one. The only
@@ -18,9 +21,10 @@
 //!
 //! # Subtree parallelism
 //!
-//! [`par_search_spec`] splits the placement tree at the top levels into
-//! prefix tasks and runs the ordinary sequential [`Searcher`] on each
-//! subtree, with three pieces of shared state:
+//! [`par_search_spec`] runs a plan of one component (or none). It splits
+//! the placement tree at the top levels into prefix tasks and runs the
+//! ordinary sequential [`Searcher`] on each subtree, with three pieces of
+//! shared state:
 //!
 //! * a **sharded memo** of failed canonical states (mutex-striped; keys
 //!   are path-independent, and a state is inserted only after its subtree
@@ -48,11 +52,9 @@
 //! runner and the CLI's batch mode.
 
 use crate::fxhash::FxBuildHasher;
-use crate::plan::Plan;
-use crate::prepared::Prepared;
+use crate::plan::seq_planned;
 use crate::search::{
-    seq_search_spec, witness_from_path, Outcome, Query, SearchConfig, SearchStats, Searcher,
-    UndoLog,
+    witness_from_path, Outcome, SearchConfig, SearchStats, Searcher, Setup, UndoLog,
 };
 use crate::{Criterion, UnknownReason, Verdict, Violation};
 use duop_history::History;
@@ -217,7 +219,6 @@ enum CompOutcome {
     Found(Vec<(usize, bool)>),
     Exhausted,
     Budget(UnknownReason),
-    Violated(Violation),
 }
 
 /// Fans the planned search out over conflict-graph components: each
@@ -225,23 +226,10 @@ enum CompOutcome {
 /// engine would, so fragments (and the composed witness) are identical to
 /// the sequential result. The verdict is reduced in component order,
 /// matching the sequential engine's first-failure semantics.
-pub(crate) fn par_search_components(
-    p: &Prepared<'_>,
-    query: &Query,
-    cfg: &SearchConfig,
-    plan: &Plan,
-) -> (Verdict, SearchStats) {
-    let threads = cfg.effective_threads();
-    let seq_cfg = SearchConfig {
-        threads: None,
-        ..cfg.clone()
-    };
-
-    let results = par_map(&plan.components, threads, |comp| {
-        let mut s = match Searcher::new(p, &seq_cfg, query, &plan.forced) {
-            Ok(s) => s,
-            Err(v) => return (CompOutcome::Violated(v), SearchStats::default()),
-        };
+pub(crate) fn par_search_components(setup: &Setup<'_>) -> (Verdict, SearchStats) {
+    let components = &setup.plan.components;
+    let results = par_map(components, setup.cfg.effective_threads(), |comp| {
+        let mut s = Searcher::new(setup);
         s.restrict(comp);
         let outcome = match s.search() {
             Outcome::Found => CompOutcome::Found(s.path.clone()),
@@ -272,9 +260,9 @@ pub(crate) fn par_search_components(
     }
 
     let verdict = match failure {
-        None => Verdict::Satisfied(witness_from_path(p.indexed(), &path)),
+        None => Verdict::Satisfied(witness_from_path(setup.spec, &path)),
         Some(CompOutcome::Exhausted) => Verdict::Violated(Violation::NoSerialization {
-            criterion: query.name.to_owned(),
+            criterion: setup.query.name.to_owned(),
             explored: stats.explored,
         }),
         Some(CompOutcome::Budget(reason)) => Verdict::Unknown {
@@ -282,44 +270,28 @@ pub(crate) fn par_search_components(
             reason,
             partial: Some(crate::PartialProgress::components(
                 decided,
-                plan.components.len() as u64,
+                components.len() as u64,
             )),
         },
-        Some(CompOutcome::Violated(v)) => Verdict::Violated(v),
         Some(CompOutcome::Found(_)) => unreachable!("Found is never recorded as a failure"),
     };
     (verdict, stats)
 }
 
-/// Multi-threaded subtree search over a prepared query's spec, whose
-/// facts every worker borrows; `forced` carries the planner's forced
-/// edges (empty for the monolithic ablation). The caller has already run
-/// the precedence/candidate prechecks.
-pub(crate) fn par_search_spec(
-    p: &Prepared<'_>,
-    query: &Query,
-    cfg: &SearchConfig,
-    forced: &[(usize, usize)],
-) -> (Verdict, SearchStats) {
+/// Multi-threaded subtree search of a plan with at most one component:
+/// the task enumerator and every worker borrow `setup`.
+pub(crate) fn par_search_spec(setup: &Setup<'_>) -> (Verdict, SearchStats) {
+    let (cfg, query) = (setup.cfg, setup.query);
     let threads = cfg.effective_threads();
-    let seq_cfg = SearchConfig {
-        threads: None,
-        ..cfg.clone()
-    };
     debug_assert!(threads > 1);
+    debug_assert!(setup.plan.components.len() <= 1);
 
-    // Validates the precedence constraints (cycle check) and doubles as
-    // the task enumerator.
-    let mut enumerator = match Searcher::new(p, &seq_cfg, query, forced) {
-        Ok(s) => s,
-        Err(v) => return (Verdict::Violated(v), SearchStats::default()),
-    };
-
-    let n = p.indexed().txns.len();
+    let mut enumerator = Searcher::new(setup);
+    let n = setup.spec.txns.len();
     let max_depth = n.saturating_sub(1).min(MAX_SPLIT_DEPTH);
     if max_depth == 0 {
         // Zero or one transaction: there is no tree to split.
-        return seq_search_spec(p, query, &seq_cfg, forced);
+        return seq_planned(setup, None);
     }
     let target = threads * TASKS_PER_THREAD;
 
@@ -374,7 +346,7 @@ pub(crate) fn par_search_spec(
         if tasks.len() == 1 || n <= depth {
             // Nothing to parallelize (tiny history or a single viable
             // subtree); the sequential engine is strictly cheaper.
-            return seq_search_spec(p, query, &seq_cfg, forced);
+            return seq_planned(setup, None);
         }
 
         let shared = SharedSearch::new(cfg);
@@ -388,8 +360,7 @@ pub(crate) fn par_search_spec(
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let mut s = Searcher::new(p, &seq_cfg, query, forced)
-                        .expect("constraints validated before workers started");
+                    let mut s = Searcher::new(setup);
                     s.attach_shared(&shared);
                     s.eligible_global = eligible_global;
                     loop {
@@ -480,7 +451,7 @@ pub(crate) fn par_search_spec(
         // trip; only a fully explored, witness-free tree is a violation.
         let found = found.into_inner().unwrap();
         let verdict = if let Some((_, path)) = found.into_iter().next() {
-            Verdict::Satisfied(witness_from_path(p.indexed(), &path))
+            Verdict::Satisfied(witness_from_path(setup.spec, &path))
         } else if shared.panicked.load(Ordering::Relaxed) {
             Verdict::Unknown {
                 explored: stats.explored,

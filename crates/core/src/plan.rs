@@ -24,62 +24,88 @@
 //!    precedence edge** fed to the search, shrinking the tree before the
 //!    first node is expanded.
 //!
+//! The planner is the one place that builds the query's **precedence
+//! graph** ([`Plan`]); every searcher borrows it through one [`Setup`].
+//! With decomposition off the plan is one component without forced
+//! edges, run by the same drivers.
+//!
 //! A cycle among real-time/criterion edges alone is reported as
-//! [`Violation::ConstraintCycle`] exactly like the monolithic engine; a
-//! cycle that appears only once forced edges are added means no
-//! serialization exists (forced edges are necessary conditions), reported
-//! as [`Violation::NoSerialization`] with zero explored states.
+//! [`Violation::ConstraintCycle`]; a cycle that appears only once forced
+//! edges are added means no serialization exists (forced edges are
+//! necessary conditions), reported as [`Violation::NoSerialization`] with
+//! zero explored states.
 
 use crate::bitset::BitSet;
 use crate::prepared::Prepared;
-use crate::search::{witness_from_path, Outcome, Query, SearchConfig, SearchStats, Searcher};
+use crate::search::{
+    witness_from_path, Edges, Outcome, Query, SearchConfig, SearchStats, Searcher, Setup,
+};
 use crate::spec::Spec;
 use crate::{Verdict, Violation};
 use duop_history::{CommitCapability, History, TxnId, Value};
 use std::collections::{HashMap, HashSet};
 
-/// Result of planning one query: the conflict-graph components (each a
-/// sorted list of transaction indices, ordered by smallest member) and the
-/// forced precedence edges from singleton candidate sets.
+/// Result of planning one query: its precedence graph and its
+/// conflict-graph components.
 #[derive(Clone, Debug)]
 pub(crate) struct Plan {
+    /// The conflict-graph components, each a sorted list of transaction
+    /// indices, ordered by smallest member. Without decomposition, one
+    /// component holding every transaction (none for an empty history).
     pub(crate) components: Vec<Vec<usize>>,
-    pub(crate) forced: Vec<(usize, usize)>,
+    /// Unconditional predecessors of each transaction: real time, the
+    /// criterion's edges whose target always commits, and the forced
+    /// edges from singleton candidate sets (edge `i → j` iff `preds[j]`
+    /// contains `i`). Acyclic.
+    pub(crate) preds: Vec<BitSet>,
+    /// Commit-conditional predecessors: placing `j` with the *commit*
+    /// fate requires `commit_preds[j]` to be placed. A "cycle" through one
+    /// only means the target cannot commit, which the fate gate handles.
+    pub(crate) commit_preds: Vec<BitSet>,
+    /// A topological order of `preds`.
+    pub(crate) topo: Vec<usize>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`build_constraints`] calls on this thread, for the test that pins
+    /// one precedence graph per query.
+    pub(crate) static CONSTRAINT_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// [`topo_order`] calls on this thread.
+    pub(crate) static TOPO_ORDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Builds the precedence constraints of `query` over `spec`:
 /// unconditional predecessors (real time + extra edges + commit edges
 /// whose target is already committed) and commit-conditional predecessors
 /// (commit edges gating a commit-pending target's fate).
-pub(crate) fn build_constraints(spec: &Spec, query: &Query) -> (Vec<BitSet>, Vec<BitSet>) {
+pub(crate) fn build_constraints(spec: &Spec, query: &Query<'_>) -> (Vec<BitSet>, Vec<BitSet>) {
+    #[cfg(test)]
+    CONSTRAINT_BUILDS.with(|c| c.set(c.get() + 1));
     let n = spec.txns.len();
     let mut preds = spec.rt_preds.clone();
-    for (a, b) in &query.extra_edges {
-        if let (Some(&ia), Some(&ib)) = (spec.index.get(a), spec.index.get(b)) {
-            if ia != ib {
-                preds[ib].insert(ia);
-            }
+    for (a, b) in query.extra_edges.iter() {
+        if a != b {
+            preds[b].insert(a);
         }
     }
     let mut commit_preds: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for (a, b) in &query.commit_edges {
-        if let (Some(&ia), Some(&ib)) = (spec.index.get(a), spec.index.get(b)) {
-            if ia == ib {
-                continue;
+    for (a, b) in query.commit_edges.iter() {
+        if a == b {
+            continue;
+        }
+        match spec.txns[b].capability {
+            // Always committed: the condition always holds, so the edge
+            // is unconditional.
+            CommitCapability::Committed => {
+                preds[b].insert(a);
             }
-            match spec.txns[ib].capability {
-                // Always committed: the condition always holds, so the
-                // edge is unconditional.
-                CommitCapability::Committed => {
-                    preds[ib].insert(ia);
-                }
-                // The search decides the fate: gate the commit branch.
-                CommitCapability::CommitPending => {
-                    commit_preds[ib].insert(ia);
-                }
-                // Never commits: the edge is vacuous.
-                CommitCapability::NeverCommitted => {}
+            // The search decides the fate: gate the commit branch.
+            CommitCapability::CommitPending => {
+                commit_preds[b].insert(a);
             }
+            // Never commits: the edge is vacuous.
+            CommitCapability::NeverCommitted => {}
         }
     }
     (preds, commit_preds)
@@ -98,6 +124,8 @@ pub(crate) fn build_constraints(spec: &Spec, query: &Query) -> (Vec<BitSet>, Vec
 /// leftover (DESIGN.md §6). Unblocked nodes finish after all their
 /// predecessors, so the finish order is topological.
 pub(crate) fn topo_order(preds: &[BitSet]) -> Result<Vec<usize>, Vec<usize>> {
+    #[cfg(test)]
+    TOPO_ORDERS.with(|c| c.set(c.get() + 1));
     let n = preds.len();
     let mut visited = BitSet::new(n);
     // Nodes on the stack, plus finished nodes that are blocked.
@@ -215,18 +243,15 @@ pub(crate) fn order_components(preds: &[BitSet], commit_preds: &[BitSet]) -> Vec
 
 /// Pooled scratch for repeated planning, so a caller that extracts
 /// components in a loop — the sharding coordinator replans every incoming
-/// history — reuses the union-find, component and bitset buffers instead
-/// of reallocating them per call (the same discipline `search.rs` applies
-/// to its undo logs). The topological checks allocate their own small
-/// working sets.
+/// history — reuses the union-find and component buffers instead of
+/// reallocating them per call (the same discipline `search.rs` applies to
+/// its undo logs). The precedence graph a plan keeps, and the topological
+/// checks' working sets, are allocated per plan.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     dsu: Dsu,
     /// Component slot per union-find root; `usize::MAX` = unassigned.
     slot_of_root: Vec<usize>,
-    /// The constraint graph with forced edges added, copied word-for-word
-    /// from the base constraints into pooled bit sets.
-    preds_forced: Vec<BitSet>,
     /// Spare component vectors, recycled between plans.
     spare: Vec<Vec<usize>>,
 }
@@ -271,26 +296,33 @@ impl PlanScratch {
 impl Plan {
     /// Plans `query` over the spec of `p` with a private scratch pool;
     /// see [`Plan::build_with`].
-    pub(crate) fn build(p: &Prepared<'_>, query: &Query) -> Result<Plan, Violation> {
-        Plan::build_with(p, query, &mut PlanScratch::new())
+    pub(crate) fn build(
+        p: &Prepared<'_>,
+        query: &Query<'_>,
+        decompose: bool,
+    ) -> Result<Plan, Violation> {
+        Plan::build_with(p, query, decompose, &mut PlanScratch::new())
     }
 
     /// Plans `query` over the spec of `p`, reading its supplier sets;
     /// fails fast with the violation when the planning analysis alone
-    /// already refutes the query. All internal buffers come from (and
-    /// the caller may return component vectors to) `scratch`.
+    /// already refutes the query. With `decompose` off the plan has no
+    /// forced edges and one component, and no union-find runs. All
+    /// internal buffers come from (and the caller may return component
+    /// vectors to) `scratch`.
     pub(crate) fn build_with(
         p: &Prepared<'_>,
-        query: &Query,
+        query: &Query<'_>,
+        decompose: bool,
         scratch: &mut PlanScratch,
     ) -> Result<Plan, Violation> {
         let spec = p.indexed();
         let n = spec.txns.len();
+        let (mut preds, commit_preds) = build_constraints(spec, query);
         let suppliers = p.suppliers(query.deferred_update);
 
         // Zero candidates for a non-initial value: no serialization can
-        // ever serve the read (same condition as `search::precheck`, which
-        // the planner subsumes).
+        // ever serve the read — `T_0` can always supply the initial value.
         for (slot, r) in spec.reads.iter().enumerate() {
             if r.value != Value::INITIAL && suppliers[slot].count_ones() == 0 {
                 return Err(Violation::MissingWriter {
@@ -301,68 +333,53 @@ impl Plan {
             }
         }
 
-        // Singleton candidates: the sole supplier must commit before the
-        // reader in every satisfying serialization, so the edge is sound
-        // and complete. Initial-value reads never force — `T_0` can always
-        // supply the initial value.
-        let mut forced: Vec<(usize, usize)> = Vec::new();
-        for (slot, r) in spec.reads.iter().enumerate() {
-            if r.value == Value::INITIAL {
-                continue;
-            }
-            if suppliers[slot].count_ones() == 1 {
-                let w = suppliers[slot].iter_ones().next().expect("one element");
-                forced.push((w, r.txn));
-            }
-        }
-        forced.sort_unstable();
-        forced.dedup();
-
-        let (preds, commit_preds) = build_constraints(spec, query);
         // A cycle among the caller's own constraints is a crisp
-        // ConstraintCycle, exactly like the monolithic engine reports.
-        if let Err(cyc) = topo_order(&preds) {
-            return Err(Violation::ConstraintCycle {
-                txns: cyc.into_iter().map(|i| spec.txns[i].id).collect(),
-            });
-        }
-        // A cycle only through forced edges refutes the query without a
-        // search: forced edges hold in every satisfying serialization.
-        // The augmented graph lives in pooled bit sets.
-        scratch.preds_forced.truncate(n);
-        let copied = scratch.preds_forced.len();
-        for (dst, src) in scratch.preds_forced.iter_mut().zip(&preds) {
-            dst.copy_from(src);
-        }
-        for src in &preds[copied..] {
-            scratch.preds_forced.push(src.clone());
-        }
-        for &(a, b) in &forced {
-            scratch.preds_forced[b].insert(a);
-        }
-        if topo_order(&scratch.preds_forced).is_err() {
-            return Err(Violation::NoSerialization {
-                criterion: query.name.to_owned(),
-                explored: 0,
-            });
-        }
-
-        // Conflict graph: shared objects ∪ all order edges (including
-        // commit-conditional ones, which constrain the order whenever the
-        // target commits).
-        scratch.dsu.reset(n);
-        scratch
-            .dsu
-            .join_order_edges(&scratch.preds_forced, &commit_preds);
-        for accessors in spec.accessors_per_obj() {
-            for w in accessors.windows(2) {
-                scratch.dsu.union(w[0], w[1]);
+        // ConstraintCycle. Conditional edges are excluded: a "cycle"
+        // through one only means the target cannot commit.
+        let mut topo = topo_order(&preds).map_err(|cyc| Violation::ConstraintCycle {
+            txns: cyc.into_iter().map(|i| spec.txns[i].id).collect(),
+        })?;
+        let components = if decompose {
+            // Singleton candidates: the sole supplier must commit before
+            // the reader in every satisfying serialization, so the edge is
+            // sound and complete. Initial-value reads never force.
+            let mut forced = false;
+            for (slot, r) in spec.reads.iter().enumerate() {
+                if r.value != Value::INITIAL && suppliers[slot].count_ones() == 1 {
+                    let w = suppliers[slot].iter_ones().next().expect("one element");
+                    forced |= !preds[r.txn].contains(w);
+                    preds[r.txn].insert(w);
+                }
             }
-        }
-
-        let components = scratch.components(n);
-
-        Ok(Plan { components, forced })
+            // A cycle only through forced edges refutes the query without
+            // a search: forced edges hold in every satisfying serialization.
+            if forced {
+                topo = topo_order(&preds).map_err(|_| Violation::NoSerialization {
+                    criterion: query.name.to_owned(),
+                    explored: 0,
+                })?;
+            }
+            // Conflict graph: shared objects ∪ all order edges (including
+            // commit-conditional ones, which constrain the order whenever
+            // the target commits).
+            scratch.dsu.reset(n);
+            scratch.dsu.join_order_edges(&preds, &commit_preds);
+            for accessors in spec.accessors_per_obj() {
+                for w in accessors.windows(2) {
+                    scratch.dsu.union(w[0], w[1]);
+                }
+            }
+            scratch.components(n)
+        } else {
+            // One component holding every transaction (none when empty).
+            (n > 0).then(|| (0..n).collect()).into_iter().collect()
+        };
+        Ok(Plan {
+            components,
+            preds,
+            commit_preds,
+            topo,
+        })
     }
 }
 
@@ -456,12 +473,11 @@ impl PlanCriterion {
 
     /// Builds the serialization query over a prepared query, taking its
     /// commit-order edges from the query's facts.
-    pub(crate) fn query(self, p: &Prepared<'_>) -> Query {
-        let h = p.history();
+    pub(crate) fn query<'p>(self, p: &'p Prepared<'_>) -> Query<'p> {
         let (extra_edges, commit_edges) = match self {
-            PlanCriterion::Rco => (Vec::new(), crate::criteria::id_pairs(h, p.rco())),
-            PlanCriterion::Tms2 => (crate::criteria::id_pairs(h, p.tms2()), Vec::new()),
-            _ => (Vec::new(), Vec::new()),
+            PlanCriterion::Rco => (Edges::NONE, Edges::Facts(p.rco())),
+            PlanCriterion::Tms2 => (Edges::Facts(p.tms2()), Edges::NONE),
+            _ => (Edges::NONE, Edges::NONE),
         };
         Query {
             name: self.display_name(),
@@ -532,7 +548,7 @@ fn components_of(
         Err(v) => return PlanOutcome::Decided(Verdict::Violated(v.clone())),
     };
     let query = criterion.query(p);
-    let plan = match Plan::build_with(p, &query, scratch) {
+    let plan = match Plan::build_with(p, &query, true, scratch) {
         Ok(plan) => plan,
         Err(v) => return PlanOutcome::Decided(Verdict::Violated(v)),
     };
@@ -704,48 +720,47 @@ fn try_replay(s: &mut Searcher<'_>, spec: &Spec, fragment: &[(TxnId, bool)]) -> 
     false
 }
 
-/// The planned search: decompose, then decide per component, composing
-/// per-component serializations into the global witness.
+/// The planned search: plan the query (decomposed or as one component,
+/// per [`SearchConfig::decompose`]), set up the one search every searcher
+/// borrows, and decide per component, composing per-component
+/// serializations into the global witness.
 pub(crate) fn planned_search(
     p: &Prepared<'_>,
-    query: &Query,
+    query: &Query<'_>,
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let plan = match Plan::build(p, query) {
+    let plan = match Plan::build(p, query, cfg.decompose) {
         Ok(plan) => plan,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
+    let setup = Setup::new(p, cfg, query, &plan);
     if cfg.effective_threads() > 1 {
         if plan.components.len() > 1 {
-            return crate::parallel::par_search_components(p, query, cfg, &plan);
+            return crate::parallel::par_search_components(&setup);
         }
-        return crate::parallel::par_search_spec(p, query, cfg, &plan.forced);
+        return crate::parallel::par_search_spec(&setup);
     }
-    seq_planned(p, query, cfg, &plan, cache)
+    seq_planned(&setup, cache)
 }
 
-fn seq_planned(
-    p: &Prepared<'_>,
-    query: &Query,
-    cfg: &SearchConfig,
-    plan: &Plan,
+/// The sequential planned driver: one searcher serializes the plan's
+/// components in turn.
+pub(crate) fn seq_planned(
+    setup: &Setup<'_>,
     mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let spec = p.indexed();
-    let mut s = match Searcher::new(p, cfg, query, &plan.forced) {
-        Ok(s) => s,
-        Err(v) => return (Verdict::Violated(v), SearchStats::default()),
-    };
+    let (spec, query) = (setup.spec, setup.query);
+    let mut s = Searcher::new(setup);
     // One searcher serializes every component in turn without unwinding:
     // components are independent, so searching component k with components
     // 1..k already placed explores exactly the tree a fresh per-component
     // searcher would (their objects and constraints are disjoint), and the
     // accumulated path *is* the composed serialization. The state budget
     // and the explored counter are naturally global this way.
-    let total = plan.components.len() as u64;
+    let total = setup.plan.components.len() as u64;
     let mut decided: u64 = 0;
-    for comp in &plan.components {
+    for comp in &setup.plan.components {
         // The in-search deadline sampling only runs while expanding; a
         // between-components check keeps many-small-component specs
         // responsive too. The interrupt flag shares the slot.
@@ -760,7 +775,7 @@ fn seq_planned(
                 stats,
             );
         }
-        if cfg.interruptible && crate::snapshot::interrupt_requested() {
+        if setup.cfg.interruptible && crate::snapshot::interrupt_requested() {
             let stats = s.stats();
             return (
                 Verdict::Unknown {
@@ -847,12 +862,12 @@ mod tests {
         Value::new(n)
     }
 
-    fn du_query() -> Query {
+    fn du_query() -> Query<'static> {
         Query {
             name: "du-opacity",
             deferred_update: true,
-            extra_edges: Vec::new(),
-            commit_edges: Vec::new(),
+            extra_edges: Edges::NONE,
+            commit_edges: Edges::NONE,
             lint_scope: crate::lint::LintScope::Du,
             criterion: Some(PlanCriterion::Du),
         }
@@ -878,7 +893,7 @@ mod tests {
     #[test]
     fn splits_independent_clusters() {
         let h = two_cluster_history();
-        let plan = Plan::build(&Prepared::of(&h), &du_query()).unwrap();
+        let plan = Plan::build(&Prepared::of(&h), &du_query(), true).unwrap();
         assert_eq!(plan.components.len(), 2, "plan: {plan:?}");
         let sizes: Vec<usize> = plan.components.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![2, 2]);
@@ -897,7 +912,7 @@ mod tests {
             .committed_writer(t(1), x, v(1))
             .committed_writer(t(2), y, v(2))
             .build();
-        let plan = Plan::build(&Prepared::of(&h), &du_query()).unwrap();
+        let plan = Plan::build(&Prepared::of(&h), &du_query(), true).unwrap();
         assert_eq!(plan.components.len(), 1);
     }
 
@@ -914,13 +929,15 @@ mod tests {
             .build();
         let p = Prepared::of(&h);
         let spec = p.indexed();
-        let plan = Plan::build(&p, &du_query()).unwrap();
+        let plan = Plan::build(&p, &du_query(), true).unwrap();
         let i1 = spec.index[&t(1)];
         let i2 = spec.index[&t(2)];
+        // Not a real-time edge: T1's tryC is still pending.
+        assert!(!spec.rt_preds[i2].contains(i1));
         assert!(
-            plan.forced.contains(&(i1, i2)),
+            plan.preds[i2].contains(i1),
             "expected forced edge ({i1}, {i2}) in {:?}",
-            plan.forced
+            plan.preds
         );
     }
 
@@ -930,7 +947,7 @@ mod tests {
         let h = HistoryBuilder::new()
             .committed_reader(t(1), x, v(9))
             .build();
-        let err = Plan::build(&Prepared::of(&h), &du_query()).unwrap_err();
+        let err = Plan::build(&Prepared::of(&h), &du_query(), true).unwrap_err();
         assert!(matches!(err, Violation::MissingWriter { .. }));
     }
 
@@ -953,20 +970,28 @@ mod tests {
             .commit(t(4))
             .build();
         let p = Prepared::of(&h);
+        let spec = p.indexed();
         // Forced edges exist but no cycle here (two readers, two writers is
         // satisfiable); build a real cycle via extra edges instead.
-        let plan = Plan::build(&p, &du_query()).unwrap();
-        assert!(plan.forced.len() >= 2);
+        let plan = Plan::build(&p, &du_query(), true).unwrap();
+        let forced: usize = plan
+            .preds
+            .iter()
+            .zip(&spec.rt_preds)
+            .map(|(preds, rt)| preds.iter_difference(rt).count())
+            .sum();
+        assert!(forced >= 2);
         // A user-level cycle is still a ConstraintCycle.
+        let (i1, i2) = (spec.index[&t(1)], spec.index[&t(2)]);
         let q = Query {
             name: "test",
             deferred_update: false,
-            extra_edges: vec![(t(1), t(2)), (t(2), t(1))],
-            commit_edges: Vec::new(),
+            extra_edges: Edges::Pairs(vec![(i1, i2), (i2, i1)]),
+            commit_edges: Edges::NONE,
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
-        let err = Plan::build(&p, &q).unwrap_err();
+        let err = Plan::build(&p, &q, true).unwrap_err();
         assert!(matches!(err, Violation::ConstraintCycle { .. }));
     }
 

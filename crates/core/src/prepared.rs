@@ -137,12 +137,18 @@ impl<'h> Prepared<'h> {
 
 #[cfg(test)]
 mod tests {
+    use super::Prepared;
     use crate::online::OnlineChecker;
-    use crate::plan::{check_planned, PlanCriterion};
+    use crate::plan::{
+        check_planned, plan_components, Plan, PlanCriterion, PlanScratch, CONSTRAINT_BUILDS,
+        TOPO_ORDERS,
+    };
+    use crate::search::CLOSURES;
     use crate::spec::BUILDS;
     use crate::SearchConfig;
     use duop_gen::{anomalies, HistoryGen, HistoryGenConfig};
     use duop_history::{History, HistoryBuilder, ObjId, TxnId, Value};
+    use std::cell::Cell;
 
     /// `Spec::build` calls on this thread while `f` runs.
     fn spec_builds(f: impl FnOnce()) -> usize {
@@ -210,6 +216,87 @@ mod tests {
                     });
                     assert_eq!(builds, 1, "{criterion:?} {cfg:?} on {h:?}");
                 }
+            }
+        }
+    }
+
+    /// Precedence-graph work on this thread while `f` runs: calls of
+    /// `build_constraints`, `topo_order` and the must-follow closure.
+    fn graph_work(f: impl FnOnce()) -> [usize; 3] {
+        let read = || {
+            [
+                CONSTRAINT_BUILDS.with(Cell::get),
+                TOPO_ORDERS.with(Cell::get),
+                CLOSURES.with(Cell::get),
+            ]
+        };
+        let before = read();
+        f();
+        let after = read();
+        [0, 1, 2].map(|k| after[k] - before[k])
+    }
+
+    /// The planner builds one precedence graph per query that reaches it,
+    /// and the search computes one closure from it, in either planner
+    /// setting and at any thread count: searchers only borrow. A query
+    /// that lint or saturation decides builds neither, and component
+    /// extraction for the shard coordinator computes no closure.
+    #[test]
+    fn one_precedence_graph_per_query() {
+        let criteria = [
+            PlanCriterion::FinalState,
+            PlanCriterion::Du,
+            PlanCriterion::Rco,
+            PlanCriterion::Tms2,
+            PlanCriterion::Strict,
+        ];
+        for h in corpus() {
+            for criterion in criteria {
+                for bits in 0..32u8 {
+                    let cfg = SearchConfig {
+                        prelint: bits & 1 != 0,
+                        saturate: bits & 2 != 0,
+                        decompose: bits & 4 != 0,
+                        max_states: (bits & 8 != 0).then_some(1),
+                        threads: (bits & 16 != 0).then_some(2),
+                        ..SearchConfig::default()
+                    };
+                    // Which stage decides, found without a graph.
+                    let p = Prepared::new(&h, criterion);
+                    let query = criterion.query(&p);
+                    let reaches_planner = p.spec().is_ok()
+                        && !(cfg.prelint
+                            && crate::lint::prelint(&p, query.lint_scope, query.name).is_some())
+                        && !(cfg.saturate
+                            && crate::saturate::verdict_of(
+                                crate::saturate::saturate_prepared(&p, criterion),
+                                criterion,
+                            )
+                            .is_some());
+                    let reaches_search =
+                        reaches_planner && Plan::build(&p, &query, cfg.decompose).is_ok();
+
+                    let [constraints, topos, closures] = graph_work(|| {
+                        check_planned(&h, criterion, &cfg, None);
+                    });
+                    let at = format!("{criterion:?} {cfg:?} on {h:?}");
+                    assert_eq!(constraints, usize::from(reaches_planner), "{at}");
+                    assert_eq!(closures, usize::from(reaches_search), "{at}");
+                    // Lint's cycle rules share the topological check; where
+                    // lint runs neither as the prefilter nor as the tier of
+                    // a budgeted search's ladder, the planner's checks are
+                    // the only ones.
+                    if !cfg.prelint && cfg.max_states.is_none() {
+                        assert!(topos <= 2, "{topos} topological checks: {at}");
+                    }
+                }
+                let prepared = criterion.prepare(&h);
+                let hp = prepared.as_ref().unwrap_or(&h);
+                let [constraints, topos, closures] = graph_work(|| {
+                    plan_components(hp, criterion, &mut PlanScratch::new());
+                });
+                assert!(constraints <= 1 && topos <= 2, "{criterion:?} on {h:?}");
+                assert_eq!(closures, 0, "{criterion:?} on {h:?}");
             }
         }
     }

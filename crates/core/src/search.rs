@@ -22,8 +22,12 @@
 //!
 //! Before any backtracking, the [`crate::plan`] module preprocesses the
 //! query (conflict-graph decomposition into independent components,
-//! candidate-writer analysis with forced precedence edges); set
-//! [`SearchConfig::decompose`] to `false` for the monolithic ablation.
+//! candidate-writer analysis with forced precedence edges) and builds its
+//! precedence graph, once. A [`Setup`] then computes what every searcher
+//! of the search shares — the must-follow closure, the fail-first order
+//! and the resolved [`Budget`] — and each [`Searcher`] borrows it. With
+//! [`SearchConfig::decompose`] off, the monolithic ablation, the plan is
+//! one component without forced edges, run by the same drivers.
 //!
 //! Failed states are memoized by a sound canonical key: the set of placed
 //! transactions plus exactly the state the future can observe (per-object
@@ -60,8 +64,9 @@
 
 use crate::bitset::BitSet;
 use crate::fxhash::{FxBuildHasher, Hash128};
+use crate::must_precede::CommitEdge;
 use crate::parallel::SharedSearch;
-use crate::plan::ComponentCache;
+use crate::plan::{ComponentCache, Plan};
 use crate::prepared::Prepared;
 use crate::spec::Spec;
 use crate::{UnknownReason, Verdict, Violation, Witness};
@@ -88,10 +93,12 @@ pub struct SearchConfig {
     /// Worker threads for the parallel engine. `None`, `Some(0)` and
     /// `Some(1)` all mean sequential.
     pub threads: Option<usize>,
-    /// Run the search planner (conflict-graph decomposition, candidate
-    /// writer analysis, forced precedence edges) before backtracking
-    /// (default `true`). `false` is the `--no-decompose` ablation: one
-    /// monolithic search, no forced edges.
+    /// Decompose the query before backtracking (default `true`): search
+    /// conflict-graph components one at a time, and add the forced
+    /// precedence edges of singleton candidate writer sets. `false` is
+    /// the `--no-decompose` ablation: the planner still checks candidate
+    /// writers and builds the precedence graph, but its plan is one
+    /// component holding every transaction, with no forced edges.
     pub decompose: bool,
     /// Run the polynomial lint prefilter ([`crate::lint`]) before the
     /// search and return an immediate
@@ -110,7 +117,8 @@ pub struct SearchConfig {
     /// the `--no-saturate` ablation.
     pub saturate: bool,
     /// Wall-clock deadline for one check. The clock starts when the search
-    /// does; expiry returns [`Verdict::Unknown`] with
+    /// does, once: every component, worker and pass of the search races
+    /// the same instant. Expiry returns [`Verdict::Unknown`] with
     /// [`UnknownReason::Deadline`]. Checked cooperatively (roughly every
     /// thousand expansions), so overruns are bounded by a handful of node
     /// expansions. `None` means no deadline.
@@ -163,8 +171,9 @@ impl SearchConfig {
 }
 
 /// Resource limits of one search run, resolved from a [`SearchConfig`]
-/// when the search starts: the relative [`SearchConfig::deadline`] becomes
-/// an absolute instant, so nested and parallel searches all race the same
+/// once, when the search starts ([`Setup::new`]): the relative
+/// [`SearchConfig::deadline`] becomes an absolute instant, so every
+/// component task, parallel worker and pass of the search races the same
 /// clock.
 #[derive(Clone, Copy, Debug)]
 pub struct Budget {
@@ -223,20 +232,46 @@ impl SearchStats {
     }
 }
 
+/// Precedence edges `(before, after)` between spec indices (the
+/// history's transaction slots).
+#[derive(Clone, Debug)]
+pub(crate) enum Edges<'e> {
+    /// A criterion's commit-order edges, borrowed from the query's facts:
+    /// their `before` and `after` slots, with no copy.
+    Facts(&'e [CommitEdge]),
+    /// Edges a caller assembles.
+    Pairs(Vec<(usize, usize)>),
+}
+
+impl<'e> Edges<'e> {
+    /// No edges.
+    pub(crate) const NONE: Edges<'e> = Edges::Facts(&[]);
+
+    /// Every edge, as `(before, after)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (facts, pairs): (&[CommitEdge], &[(usize, usize)]) = match self {
+            Edges::Facts(facts) => (facts, &[]),
+            Edges::Pairs(pairs) => (&[], pairs),
+        };
+        let facts = facts.iter().map(|e| (e.before, e.after));
+        facts.chain(pairs.iter().copied())
+    }
+}
+
 /// What the engine is asked to decide.
 #[derive(Clone, Debug)]
-pub(crate) struct Query {
+pub(crate) struct Query<'e> {
     /// Human-readable criterion name, used in violations.
     pub name: &'static str,
     /// Enforce Definition 3(3) (du-opacity's local serializations).
     pub deferred_update: bool,
     /// Criterion-specific precedence edges `(before, after)` in addition
     /// to the real-time order.
-    pub extra_edges: Vec<(TxnId, TxnId)>,
+    pub extra_edges: Edges<'e>,
     /// Commit-conditional edges `(a, b)`: `a` must precede `b` whenever
     /// the serialization *commits* `b`; vacuous when `b` aborts. For an
     /// already-committed `b` this is equivalent to an `extra_edges` entry.
-    pub commit_edges: Vec<(TxnId, TxnId)>,
+    pub commit_edges: Edges<'e>,
     /// The criterion family the lint prefilter treats this query as (which
     /// `Error`-severity rules may refute it).
     pub lint_scope: crate::lint::LintScope,
@@ -254,15 +289,91 @@ fn encode(v: Value) -> u64 {
     v.get().wrapping_add(1)
 }
 
+/// What every searcher of one search borrows: the plan's precedence graph
+/// and the query's facts, with the must-follow closure, the fail-first
+/// order and the resolved [`Budget`] computed from them once, when the
+/// search starts. The sequential driver's searcher, each component task
+/// and each parallel worker of every pass share one `Setup`, so none of
+/// them rebuilds the graph or restarts the clock.
+pub(crate) struct Setup<'a> {
+    pub(crate) spec: &'a Spec,
+    pub(crate) cfg: &'a SearchConfig,
+    pub(crate) query: &'a Query<'a>,
+    pub(crate) plan: &'a Plan,
+    suppliers: &'a [BitSet],
+    elig: &'a [BitSet],
+    writers: &'a [BitSet],
+    /// Must-follow sets: `desc[i]` holds every transaction that must come
+    /// after `i`, the closure of the plan's `preds`.
+    desc: Vec<BitSet>,
+    /// Fail-first candidate order over *all* transactions.
+    order: Vec<usize>,
+    budget: Budget,
+}
+
+impl<'a> Setup<'a> {
+    /// Sets up the search of `plan`, the plan of `query` over `p`.
+    pub(crate) fn new(
+        p: &'a Prepared<'_>,
+        cfg: &'a SearchConfig,
+        query: &'a Query<'a>,
+        plan: &'a Plan,
+    ) -> Self {
+        let spec = p.indexed();
+        // Reachability closure of the precedence edges, for fail-first
+        // ordering and dead-end checks: desc[i] = transactions that must
+        // come after i.
+        let mut desc = descendants(&plan.preds, &plan.topo);
+
+        // Most-constrained first: a transaction with many forced
+        // successors prunes hardest when it fails, and unblocks the most
+        // candidates when it succeeds. Ties fall back to the history-order
+        // priority the sequential engine always used, then the index, so
+        // the order (and hence every witness) stays deterministic.
+        let mut order: Vec<usize> = (0..spec.txns.len()).collect();
+        order.sort_by_key(|&i| {
+            (
+                std::cmp::Reverse(desc[i].count_ones()),
+                spec.txns[i].priority,
+                i,
+            )
+        });
+        if p.plain_dead_ends() {
+            // The test-only reference rule: no writer is known to follow
+            // its reader.
+            desc.iter_mut().for_each(BitSet::clear);
+        }
+
+        let du = query.deferred_update;
+        let (elig, writers) = if du {
+            (p.eligibility(), p.suppliers(false))
+        } else {
+            (&[][..], &[][..])
+        };
+        Setup {
+            spec,
+            cfg,
+            query,
+            plan,
+            suppliers: p.suppliers(du),
+            elig,
+            writers,
+            desc,
+            order,
+            budget: Budget::resolve(cfg),
+        }
+    }
+}
+
 pub(crate) struct Searcher<'a> {
     spec: &'a Spec,
     cfg: &'a SearchConfig,
     du: bool,
-    preds: Vec<BitSet>,
+    preds: &'a [BitSet],
     /// Conditional predecessors: placing `i` with the *commit* fate
     /// requires `commit_preds[i] ⊆ placed`. Empty sets for transactions
     /// without incoming commit-conditional edges.
-    commit_preds: Vec<BitSet>,
+    commit_preds: &'a [BitSet],
     /// Eligible writers per read slot (du mode): transactions whose
     /// `tryC` invocation precedes the read's response in `H`.
     elig: &'a [BitSet],
@@ -281,7 +392,7 @@ pub(crate) struct Searcher<'a> {
     /// after `i`, the closure of `preds`. A transaction is placed only
     /// after all its predecessors, so no member of `desc[i]` is ever placed
     /// before `i`, and none can supply a value `i` reads.
-    pub(crate) desc: Vec<BitSet>,
+    pub(crate) desc: &'a [BitSet],
     /// Du mode: prune as if only eligible writers could restore a read's
     /// global value — the first pass of [`Self::search`], which finds
     /// exactly the witnesses whose global writers are all eligible.
@@ -289,7 +400,7 @@ pub(crate) struct Searcher<'a> {
     /// Fail-first candidate order over *all* transactions: most successors
     /// in the precedence closure first, `priority` then index as
     /// tie-breakers (deterministic).
-    order: Vec<usize>,
+    order: &'a [usize],
     /// The transactions the current search covers (all of them by
     /// default; one conflict-graph component under the planner).
     scope: BitSet,
@@ -344,89 +455,28 @@ pub(crate) enum Outcome {
 }
 
 impl<'a> Searcher<'a> {
-    /// Builds a searcher over the whole spec of `p`, borrowing its
-    /// supplier and eligibility sets. `forced` carries the planner's
-    /// forced precedence edges as `(before, after)` index pairs (empty for
-    /// the monolithic ablation).
-    pub(crate) fn new(
-        p: &'a Prepared<'_>,
-        cfg: &'a SearchConfig,
-        query: &Query,
-        forced: &[(usize, usize)],
-    ) -> Result<Self, Violation> {
-        let spec = p.indexed();
+    /// A searcher over the whole spec, borrowing the precedence graph,
+    /// the facts, the closure, the order and the budget of `setup`.
+    pub(crate) fn new(setup: &'a Setup<'_>) -> Self {
+        let spec = setup.spec;
         let n = spec.txns.len();
-        let (mut preds, commit_preds) = crate::plan::build_constraints(spec, query);
-        for &(a, b) in forced {
-            if a != b {
-                preds[b].insert(a);
-            }
-        }
-
-        // Cycle check so cyclic constraints produce a crisp violation
-        // instead of an exhausted search, and a topological order for the
-        // closure below. Conditional edges are excluded: a "cycle" through
-        // one only means the target cannot commit, which the fate gate
-        // handles.
-        let topo = match crate::plan::topo_order(&preds) {
-            Ok(t) => t,
-            Err(cyc) => {
-                return Err(Violation::ConstraintCycle {
-                    txns: cyc.into_iter().map(|i| spec.txns[i].id).collect(),
-                });
-            }
-        };
-
-        // Reachability closure of the precedence edges, for fail-first
-        // ordering and dead-end checks: desc[i] = transactions that must
-        // come after i.
-        let mut desc = descendants(&preds, &topo);
-
-        // Most-constrained first: a transaction with many forced
-        // successors prunes hardest when it fails, and unblocks the most
-        // candidates when it succeeds. Ties fall back to the history-order
-        // priority the sequential engine always used, then the index, so
-        // the order (and hence every witness) stays deterministic.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(desc[i].count_ones()),
-                spec.txns[i].priority,
-                i,
-            )
-        });
-
-        let du = query.deferred_update;
-        let suppliers = p.suppliers(du);
-        let (elig, writers) = if du {
-            (p.eligibility(), p.suppliers(false))
-        } else {
-            (&[][..], &[][..])
-        };
-
         let mut pending_reads = vec![0usize; spec.objs.len()];
         for r in &spec.reads {
             pending_reads[r.obj] += 1;
         }
-        if p.plain_dead_ends() {
-            // The test-only reference rule: no writer is known to follow
-            // its reader.
-            desc.iter_mut().for_each(BitSet::clear);
-        }
-
-        Ok(Searcher {
+        Searcher {
             spec,
-            cfg,
-            du: query.deferred_update,
-            preds,
-            commit_preds,
-            elig,
-            suppliers,
-            writers,
-            desc,
+            cfg: setup.cfg,
+            du: setup.query.deferred_update,
+            preds: &setup.plan.preds,
+            commit_preds: &setup.plan.commit_preds,
+            elig: setup.elig,
+            suppliers: setup.suppliers,
+            writers: setup.writers,
+            desc: &setup.desc,
             eligible_global: false,
-            active: order.clone(),
-            order,
+            order: &setup.order,
+            active: setup.order.clone(),
             scope: BitSet::full(n),
             scope_target: n,
             placed: BitSet::new(n),
@@ -443,9 +493,9 @@ impl<'a> Searcher<'a> {
             explored: 0,
             memo_hits: 0,
             dead_ends: 0,
-            budget: Budget::resolve(cfg),
+            budget: setup.budget,
             unknown: None,
-        })
+        }
     }
 
     /// Turns this searcher into a parallel worker: memo lookups, the state
@@ -864,6 +914,13 @@ impl<'a> Searcher<'a> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`descendants`] calls on this thread, for the test that pins one
+    /// closure per search.
+    pub(crate) static CLOSURES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Descendant sets of an acyclic precedence graph (edge `i → j` iff
 /// `preds[j]` contains `i`), given a topological order of it:
 /// `desc[i]` holds every transaction that must come after `i`.
@@ -874,6 +931,8 @@ impl<'a> Searcher<'a> {
 /// successors, so a covered `j` brings nothing new. Successors are found
 /// a word at a time from transposed bit sets.
 pub(crate) fn descendants(preds: &[BitSet], topo: &[usize]) -> Vec<BitSet> {
+    #[cfg(test)]
+    CLOSURES.with(|c| c.set(c.get() + 1));
     let n = preds.len();
     let mut succs: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
     for (j, p) in preds.iter().enumerate() {
@@ -899,32 +958,6 @@ pub(crate) struct UndoLog {
     local: Vec<(usize, Value)>,
 }
 
-/// Cheap sound prechecks that reject obviously unserializable histories
-/// and produce precise violations. Used by the monolithic (`--no-decompose`)
-/// path; the planner's candidate-writer analysis subsumes it.
-pub(crate) fn precheck(spec: &Spec, query: &Query) -> Result<(), Violation> {
-    for r in &spec.reads {
-        if r.value == Value::INITIAL {
-            continue; // T0 can always supply the initial value.
-        }
-        let found = spec.txns.iter().enumerate().any(|(j, t)| {
-            j != r.txn
-                && t.capability != CommitCapability::NeverCommitted
-                && t.writes.iter().any(|&(o, v)| o == r.obj && v == r.value)
-                && (!query.deferred_update
-                    || t.try_commit_inv.is_some_and(|inv| inv < r.resp_index))
-        });
-        if !found {
-            return Err(Violation::MissingWriter {
-                txn: spec.txns[r.txn].id,
-                obj: spec.objs[r.obj],
-                value: r.value,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Builds the satisfied-verdict witness from a complete placement path.
 pub(crate) fn witness_from_path(spec: &Spec, path: &[(usize, bool)]) -> Witness {
     let order: Vec<TxnId> = path.iter().map(|&(i, _)| spec.txns[i].id).collect();
@@ -937,74 +970,35 @@ pub(crate) fn witness_from_path(spec: &Spec, path: &[(usize, bool)]) -> Witness 
     Witness::new(order, choices)
 }
 
-/// Sequential monolithic search over a prepared query's spec (optionally
-/// with the planner's forced edges).
-pub(crate) fn seq_search_spec(
-    p: &Prepared<'_>,
-    query: &Query,
-    cfg: &SearchConfig,
-    forced: &[(usize, usize)],
-) -> (Verdict, SearchStats) {
-    let spec = p.indexed();
-    let mut searcher = match Searcher::new(p, cfg, query, forced) {
-        Ok(s) => s,
-        Err(v) => return (Verdict::Violated(v), SearchStats::default()),
-    };
-    let outcome = searcher.search();
-    let stats = searcher.stats();
-    let verdict = match outcome {
-        Outcome::Found => Verdict::Satisfied(witness_from_path(spec, &searcher.path)),
-        Outcome::Exhausted => Verdict::Violated(Violation::NoSerialization {
-            criterion: query.name.to_owned(),
-            explored: searcher.explored,
-        }),
-        Outcome::Budget => Verdict::Unknown {
-            explored: searcher.explored,
-            reason: searcher.unknown_reason(),
-            partial: Some(crate::PartialProgress::components(0, 1)),
-        },
-        Outcome::Cancelled => unreachable!("sequential search cannot be cancelled"),
-    };
-    (verdict, stats)
-}
-
-/// Decides `query` over a prepared query whose history has a spec,
-/// dispatching between the planned (decomposed) and monolithic paths and
-/// the sequential and parallel engines. `cache` optionally carries the
-/// online monitor's per-component serialization cache.
+/// Decides `query` over a prepared query whose history has a spec, by the
+/// planned search in either planner setting. `cache` optionally carries
+/// the online monitor's per-component serialization cache; it is used
+/// only with decomposition on, so the monolithic ablation stores no
+/// fragments.
 pub(crate) fn decide_spec(
     p: &Prepared<'_>,
-    query: &Query,
+    query: &Query<'_>,
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    if cfg.decompose {
-        return crate::plan::planned_search(p, query, cfg, cache);
-    }
-    if let Err(v) = precheck(p.indexed(), query) {
-        return (Verdict::Violated(v), SearchStats::default());
-    }
-    if cfg.effective_threads() > 1 {
-        return crate::parallel::par_search_spec(p, query, cfg, &[]);
-    }
-    seq_search_spec(p, query, cfg, &[])
+    crate::plan::planned_search(p, query, cfg, cache.filter(|_| cfg.decompose))
 }
 
 /// Decides whether `h` has a serialization satisfying `query`.
-pub(crate) fn search_serialization(h: &History, query: &Query, cfg: &SearchConfig) -> Verdict {
+pub(crate) fn search_serialization(h: &History, query: &Query<'_>, cfg: &SearchConfig) -> Verdict {
     search_serialization_with_stats(&Prepared::of(h), query, cfg, None).0
 }
 
 /// The check pipeline every serialization query goes through: lint
-/// prefilter, saturation, spec prechecks, the planned or monolithic
-/// search, and the degradation ladder — each per `cfg`, all over the one
-/// spec and the must-precede facts of `p`. `cache` carries a persistent
+/// prefilter, saturation, spec prechecks, the planned search (decomposed
+/// or monolithic), and the degradation ladder — each per `cfg`, all over
+/// the one spec and the must-precede facts of `p`. `cache` carries a persistent
 /// component cache across calls (the anytime driver
 /// [`crate::snapshot::ResumableCheck`]); it is advanced to a new
 /// generation only when the search itself runs.
 pub(crate) fn search_serialization_with_stats(
     p: &Prepared<'_>,
-    query: &Query,
+    query: &Query<'_>,
     cfg: &SearchConfig,
     mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
@@ -1072,7 +1066,7 @@ pub(crate) fn search_serialization_with_stats(
 /// [`crate::PartialProgress`] payload annotated with the tiers that ran.
 pub(crate) fn ladder_fallback(
     p: &Prepared<'_>,
-    query: &Query,
+    query: &Query<'_>,
     cfg: &SearchConfig,
     explored: u64,
     reason: UnknownReason,
@@ -1088,11 +1082,9 @@ pub(crate) fn ladder_fallback(
     } else {
         tiers.push("lint");
     }
-    // Theorem 11 applies to the du-opacity query itself (deferred update,
-    // no criterion-specific edges) under the unique-writes hypothesis.
-    if query.deferred_update
-        && query.extra_edges.is_empty()
-        && query.commit_edges.is_empty()
+    // Theorem 11 applies to the du-opacity query itself (no edges a
+    // caller added) under the unique-writes hypothesis.
+    if query.criterion == Some(crate::plan::PlanCriterion::Du)
         && crate::unique::has_unique_writes(h)
     {
         tiers.push("unique-writes");
@@ -1123,24 +1115,30 @@ mod tests {
     fn v(n: u64) -> Value {
         Value::new(n)
     }
+    /// The spec index of `T<k>` in `h`: its transaction slot.
+    fn ix(h: &History, k: u32) -> usize {
+        h.txn_ids()
+            .position(|id| id == t(k))
+            .expect("txn in history")
+    }
 
-    fn plain_query() -> Query {
+    fn plain_query() -> Query<'static> {
         Query {
             name: "final-state opacity",
             deferred_update: false,
-            extra_edges: Vec::new(),
-            commit_edges: Vec::new(),
+            extra_edges: Edges::NONE,
+            commit_edges: Edges::NONE,
             lint_scope: crate::lint::LintScope::Plain,
             criterion: Some(crate::plan::PlanCriterion::FinalState),
         }
     }
 
-    fn du_query() -> Query {
+    fn du_query() -> Query<'static> {
         Query {
             name: "du-opacity",
             deferred_update: true,
-            extra_edges: Vec::new(),
-            commit_edges: Vec::new(),
+            extra_edges: Edges::NONE,
+            commit_edges: Edges::NONE,
             lint_scope: crate::lint::LintScope::Du,
             criterion: Some(crate::plan::PlanCriterion::Du),
         }
@@ -1397,8 +1395,8 @@ mod tests {
         let constrained = Query {
             name: "tms2",
             deferred_update: false,
-            extra_edges: vec![(t(1), t(2))],
-            commit_edges: Vec::new(),
+            extra_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2))]),
+            commit_edges: Edges::NONE,
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
@@ -1421,8 +1419,8 @@ mod tests {
         let q = Query {
             name: "test",
             deferred_update: false,
-            extra_edges: vec![(t(1), t(2)), (t(2), t(1))],
-            commit_edges: Vec::new(),
+            extra_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2)), (ix(&h, 2), ix(&h, 1))]),
+            commit_edges: Edges::NONE,
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
@@ -1449,8 +1447,8 @@ mod tests {
         let q = Query {
             name: "test",
             deferred_update: false,
-            extra_edges: Vec::new(),
-            commit_edges: vec![(t(2), t(1))],
+            extra_edges: Edges::NONE,
+            commit_edges: Edges::Pairs(vec![(ix(&h, 2), ix(&h, 1))]),
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
@@ -1482,8 +1480,8 @@ mod tests {
         let q = Query {
             name: "test",
             deferred_update: false,
-            extra_edges: vec![(t(1), t(2))],
-            commit_edges: vec![(t(2), t(1))],
+            extra_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2))]),
+            commit_edges: Edges::Pairs(vec![(ix(&h, 2), ix(&h, 1))]),
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
@@ -1510,8 +1508,8 @@ mod tests {
         let q = Query {
             name: "test",
             deferred_update: false,
-            extra_edges: Vec::new(),
-            commit_edges: vec![(t(1), t(2))],
+            extra_edges: Edges::NONE,
+            commit_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2))]),
             lint_scope: crate::lint::LintScope::Plain,
             criterion: None,
         };
@@ -1541,7 +1539,7 @@ mod tests {
             .commit(t(5))
             .build();
         // The read of 9 precedes T5's own write of 9 (external read with
-        // no other writer) — precheck kills it. Use a different shape:
+        // no other writer) — the planner's candidate-writer check kills it.
         let verdict = search_serialization(
             &h,
             &plain_query(),
@@ -1550,7 +1548,7 @@ mod tests {
                 ..SearchConfig::default()
             },
         );
-        // Either violated by precheck or unknown; accept both shapes but
+        // Either violated by that check or unknown; accept both shapes but
         // require non-satisfied.
         assert!(!verdict.is_satisfied());
     }

@@ -116,8 +116,8 @@ pub fn check_unique_writes_fast(h: &History) -> (Verdict, FastPathStats) {
         &crate::search::Query {
             name: "du-opacity (unique-writes fallback)",
             deferred_update: true,
-            extra_edges: edges,
-            commit_edges: Vec::new(),
+            extra_edges: crate::search::Edges::Pairs(edges),
+            commit_edges: crate::search::Edges::NONE,
             lint_scope: crate::lint::LintScope::Du,
             criterion,
         },
@@ -157,9 +157,9 @@ pub fn propagate_unique_writes(h: &History) -> Option<Verdict> {
 
 /// Shared propagation pass: returns the decided verdict (if propagation
 /// resolved everything) or `None` plus the inferred precedence edges for
-/// the search fallback, along with the pass's statistics.
-#[allow(clippy::type_complexity)]
-fn propagate(h: &History) -> (Option<Verdict>, Vec<(TxnId, TxnId)>, FastPathStats) {
+/// the search fallback, as transaction slots of `h` (the spec indices the
+/// search reads), along with the pass's statistics.
+fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStats) {
     let mut stats = FastPathStats::default();
 
     let ids: Vec<TxnId> = h.txn_ids().collect();
@@ -383,12 +383,13 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(TxnId, TxnId)>, FastPathStat
         // Hand the inferred edges to the caller; only
         // `check_unique_writes_fast` escalates to the general search.
         let mut edges = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if adj[i][j] {
-                    edges.push((ids[i], ids[j]));
-                }
-            }
+        for (i, row) in adj.iter().enumerate() {
+            edges.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &e)| e)
+                    .map(|(j, _)| (i, j)),
+            );
         }
         return (None, edges, stats);
     }

@@ -1503,13 +1503,14 @@ fn e21_serve_equivalence(samples: u64, threads: usize) -> ExperimentResult {
 /// and the in-process checker both run the default pipeline.
 fn e22_remote_shard(samples: u64) -> ExperimentResult {
     use duop_core::{check_criterion_with_stats, PlanCriterion, UnknownReason, Verdict};
+    use duop_serve::ShutdownHandle;
     use duop_shard::protocol::{
         auth_tag, decode_challenge, encode_auth, write_frame, FrameReader, FRAME_AUTH,
         FRAME_CHALLENGE, FRAME_HEARTBEAT, FRAME_HELLO,
     };
     use duop_shard::{
-        run_sharded, ShardConfig, ShardCriterion, ShardJob, ShardServeConfig, ShardServeHandle,
-        ShardServer, NET_TIMEOUT_ENV,
+        run_sharded, ShardConfig, ShardCriterion, ShardJob, ShardServeConfig, ShardServer,
+        NET_TIMEOUT_ENV,
     };
     use std::net::{SocketAddr, TcpStream};
 
@@ -1522,7 +1523,7 @@ fn e22_remote_shard(samples: u64) -> ExperimentResult {
     fn start_daemon(
         drop_conn: Option<u64>,
         stall_conn: Option<u64>,
-    ) -> (SocketAddr, ShardServeHandle) {
+    ) -> (SocketAddr, ShutdownHandle) {
         let server = ShardServer::bind(ShardServeConfig {
             listen: "127.0.0.1:0".to_owned(),
             secret: SECRET.to_vec(),

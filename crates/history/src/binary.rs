@@ -816,6 +816,10 @@ impl<'a> EventStream<'a> {
 /// Sums the event counts declared by `'E'` frame headers without decoding
 /// events, so the bulk decoder can size its vector exactly. Returns `None`
 /// on any structural problem — the real decode will surface the error.
+///
+/// Every event takes at least two payload bytes, so each frame's count is
+/// capped by what the bytes present of its payload can hold: a hostile
+/// count sizes no allocation beyond the input's own length.
 fn scan_event_count(bytes: &[u8]) -> Option<usize> {
     let mut pos = MAGIC.len() + 1;
     let mut total = 0u64;
@@ -826,12 +830,14 @@ fn scan_event_count(bytes: &[u8]) -> Option<usize> {
         if len > MAX_FRAME_BYTES as u64 {
             return None;
         }
-        let len = len as usize;
+        let end = pos.checked_add(len as usize)?;
         if ty == FRAME_EVENTS {
             let mut ppos = pos;
-            total = total.checked_add(read_varint(bytes, &mut ppos, 0).ok()?)?;
+            let declared = read_varint(bytes, &mut ppos, 0).ok()?;
+            let room = end.min(bytes.len()).saturating_sub(ppos) / 2;
+            total = total.checked_add(declared.min(room as u64))?;
         }
-        pos = pos.checked_add(len)?.checked_add(CRC_BYTES)?;
+        pos = end.checked_add(CRC_BYTES)?;
     }
     usize::try_from(total).ok()
 }
@@ -1155,8 +1161,24 @@ mod tests {
         let h = b.build();
         assert!(h.len() > EVENTS_PER_FRAME);
         let bytes = encode(&h);
+        // The bulk decoders size their buffers exactly.
+        assert_eq!(scan_event_count(&bytes), Some(h.len()));
         let back = decode(&bytes).unwrap();
         assert_eq!(back, h);
+    }
+
+    #[test]
+    fn declared_event_count_is_capped_by_the_payload() {
+        // An events frame declaring 2^40 events and carrying none.
+        let mut bytes: Vec<u8> = MAGIC.iter().copied().chain([VERSION]).collect();
+        let mut payload = Vec::new();
+        write_varint(&mut payload, 1 << 40);
+        push_frame(&mut bytes, FRAME_EVENTS, &payload);
+        assert_eq!(scan_event_count(&bytes), Some(0));
+        assert!(matches!(
+            decode(&bytes),
+            Err(BinaryParseError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub mod listener;
 pub mod server;
 pub mod session;
 
+pub use listener::ShutdownHandle;
 pub use server::{
-    ServeConfig, ServeError, Server, ShutdownHandle, DROP_CONN_ENV, KILL_CHECKPOINT_ENV,
-    KILL_EXIT_CODE, KILL_INGEST_ENV,
+    ServeConfig, ServeError, Server, DROP_CONN_ENV, KILL_CHECKPOINT_ENV, KILL_EXIT_CODE,
+    KILL_INGEST_ENV,
 };
 pub use session::{verdict_line, IngestReport, Session};

@@ -8,12 +8,37 @@
 //! handle) can interrupt the loop, and set `TCP_NODELAY` on every
 //! accepted connection because both protocols are small request/ack
 //! round-trips that Nagle + delayed ACK would stall ~40ms each. This
-//! module owns that skeleton so the two daemons cannot drift apart.
+//! module owns that skeleton, and the one [`ShutdownHandle`] both daemons
+//! hand out, so the two cannot drift apart.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// A cloneable handle that asks a running daemon to drain and stop: the
+/// in-process equivalent of SIGTERM, for tests that share the
+/// process-wide interrupt flag with other tests. Both `duop serve` and
+/// `duop shard-serve` hand one out over the stop flag their accept loop
+/// polls.
+#[derive(Clone, Debug)]
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+}
+
+impl ShutdownHandle {
+    /// A handle that raises `flag`, the stop flag a daemon passes to
+    /// [`poll_accept`].
+    pub fn new(flag: Arc<AtomicBool>) -> ShutdownHandle {
+        ShutdownHandle { flag }
+    }
+
+    /// Requests a graceful drain.
+    pub fn shutdown(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+    }
+}
 
 /// How long `poll_accept` sleeps when no connection is pending — the
 /// latency bound on noticing a shutdown request.

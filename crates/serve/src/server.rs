@@ -17,7 +17,7 @@ use duop_history::reader::TraceReader;
 use duop_history::Event;
 
 use crate::http::{self, HttpError, Request, Response};
-use crate::listener::{self, Accepted};
+use crate::listener::{self, Accepted, ShutdownHandle};
 use crate::session::{verdict_line, Session};
 
 /// Exit code of a fault-hook-induced death (same value as the shard
@@ -142,27 +142,6 @@ struct State {
     drop_conn: Option<u64>,
 }
 
-/// A cloneable handle that asks a running server to drain and stop (the
-/// in-process equivalent of SIGTERM, used by tests that share the
-/// process-wide interrupt flag with other tests).
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl std::fmt::Debug for ShutdownHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShutdownHandle").finish()
-    }
-}
-
-impl ShutdownHandle {
-    /// Requests a graceful drain.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-}
-
 /// The daemon. [`Server::bind`] opens the socket and recovers any
 /// checkpointed sessions; [`Server::run`] blocks in the accept loop
 /// until a drain is requested.
@@ -244,9 +223,7 @@ impl Server {
 
     /// A handle that triggers the same graceful drain as SIGTERM.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            flag: Arc::clone(&self.shutdown),
-        }
+        ShutdownHandle::new(Arc::clone(&self.shutdown))
     }
 
     /// Runs the accept loop until SIGINT/SIGTERM (the process-wide

@@ -33,7 +33,7 @@ pub mod worker;
 
 pub use coordinator::{run_sharded, ShardConfig, ShardCriterion, ShardError, ShardJob};
 pub use transport::{
-    connect_remote, load_secret, Backoff, ShardServeConfig, ShardServeHandle, ShardServer,
-    NET_BAD_HELLO_ENV, NET_DROP_CONN_ENV, NET_STALL_ENV, NET_TIMEOUT_ENV,
+    connect_remote, load_secret, Backoff, ShardServeConfig, ShardServer, NET_BAD_HELLO_ENV,
+    NET_DROP_CONN_ENV, NET_STALL_ENV, NET_TIMEOUT_ENV,
 };
 pub use worker::{run_worker_io, worker_main, KILL_AFTER_HELLO_ENV, KILL_TASK_ENV};

@@ -33,7 +33,7 @@ use crate::protocol::{
     NONCE_LEN,
 };
 use crate::worker::run_worker_io;
-use duop_serve::listener::{bind_nonblocking, poll_accept, Accepted};
+use duop_serve::listener::{bind_nonblocking, poll_accept, Accepted, ShutdownHandle};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Write};
@@ -262,20 +262,6 @@ impl ShardServeConfig {
     }
 }
 
-/// A cloneable handle that asks a running daemon to drain and stop (the
-/// in-process equivalent of SIGTERM).
-#[derive(Clone, Debug)]
-pub struct ShardServeHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl ShardServeHandle {
-    /// Requests a graceful stop.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-}
-
 /// The worker daemon: accepts authenticated coordinator connections and
 /// runs one worker loop per connection.
 pub struct ShardServer {
@@ -318,14 +304,12 @@ impl ShardServer {
     }
 
     /// A handle that triggers the same graceful stop as SIGTERM.
-    pub fn shutdown_handle(&self) -> ShardServeHandle {
-        ShardServeHandle {
-            flag: Arc::clone(&self.shutdown),
-        }
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        ShutdownHandle::new(Arc::clone(&self.shutdown))
     }
 
     /// Runs the accept loop until SIGINT/SIGTERM or the
-    /// [`ShardServeHandle`] asks for a stop, then drains: open
+    /// [`ShutdownHandle`] asks for a stop, then drains: open
     /// connections notice the flag and wind down after their current
     /// task.
     ///
