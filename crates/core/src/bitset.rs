@@ -18,8 +18,9 @@ impl BitSet {
     /// Creates a set containing every index in `0..n`.
     pub(crate) fn full(n: usize) -> Self {
         let mut s = BitSet::new(n);
-        for i in 0..n {
-            s.insert(i);
+        s.words[..n / 64].fill(!0);
+        if !n.is_multiple_of(64) {
+            s.words[n / 64] = (1 << (n % 64)) - 1;
         }
         s
     }
@@ -94,6 +95,21 @@ impl BitSet {
             })
     }
 
+    /// The smallest element of `self` that is at least `from`, if any:
+    /// the next open position when `self` is a frontier walked in
+    /// increasing order while it changes. Skips a word at a time.
+    pub(crate) fn next_one(&self, from: usize) -> Option<usize> {
+        let mut wi = from / 64;
+        let mut w = self.words.get(wi)? & (!0 << (from % 64));
+        loop {
+            if w != 0 {
+                return Some(wi * 64 + w.trailing_zeros() as usize);
+            }
+            wi += 1;
+            w = *self.words.get(wi)?;
+        }
+    }
+
     /// The smallest element of both `self` and `other`, if any.
     pub(crate) fn first_common(&self, other: &BitSet) -> Option<usize> {
         self.words
@@ -147,6 +163,65 @@ impl BitSet {
 
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
+    }
+}
+
+/// The transpose of the square bit matrix whose row `i` is `rows[i]`
+/// (each of capacity `rows.len()`): row `j` of the result holds `i` iff
+/// `rows[i]` holds `j`.
+///
+/// Matrices wider than one word go through 64×64 blocks, each transposed
+/// in registers by [`transpose_block`], and all-zero blocks are skipped.
+/// A one-word matrix keeps the per-bit loop, which is cheaper there than
+/// one block.
+pub(crate) fn transpose(rows: &[BitSet]) -> Vec<BitSet> {
+    let n = rows.len();
+    let mut out: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+    if n <= 64 {
+        for (i, row) in rows.iter().enumerate() {
+            for j in row.iter_ones() {
+                out[j].insert(i);
+            }
+        }
+        return out;
+    }
+    let words = n.div_ceil(64);
+    let mut block = [0u64; 64];
+    for (bi, band) in rows.chunks(64).enumerate() {
+        for bj in 0..words {
+            for (b, row) in block.iter_mut().zip(band) {
+                debug_assert_eq!(row.words.len(), words);
+                *b = row.words[bj];
+            }
+            block[band.len()..].fill(0);
+            if block.iter().all(|&b| b == 0) {
+                continue;
+            }
+            transpose_block(&mut block);
+            for (row, &b) in out[bj * 64..].iter_mut().zip(&block) {
+                row.words[bi] = b;
+            }
+        }
+    }
+    out
+}
+
+/// Transposes a 64×64 bit matrix in place (row `r` is `block[r]`, column
+/// `c` its bit `c`): swaps the off-diagonal halves of every 2k×2k
+/// sub-block, for k = 32, 16, …, 1.
+fn transpose_block(block: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((block[k] >> j) ^ block[k + j]) & mask;
+            block[k] ^= t << j;
+            block[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
@@ -292,6 +367,94 @@ mod tests {
         assert!(new.is_empty());
     }
 
+    /// The sizes the word-parallel kernels must agree at: empty, one
+    /// word, and either side of each word boundary.
+    const SIZES: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 200];
+
+    /// A set of capacity `n` holding each index with probability about
+    /// `density`, drawn from the splitmix64 stream at `state`.
+    fn random_set(n: usize, density: f64, state: &mut u64) -> BitSet {
+        let mut s = BitSet::new(n);
+        for j in 0..n {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            if ((z ^ (z >> 31)) as f64 / u64::MAX as f64) < density {
+                s.insert(j);
+            }
+        }
+        s
+    }
+
+    /// A square bit matrix of size `n` of [`random_set`] rows.
+    fn random_matrix(n: usize, density: f64, mut seed: u64) -> Vec<BitSet> {
+        (0..n).map(|_| random_set(n, density, &mut seed)).collect()
+    }
+
+    #[test]
+    fn transpose_matches_bit_by_bit() {
+        for n in SIZES {
+            for (density, seed) in [(0.5, 1), (0.9, 2), (0.02, 3), (0.0, 4), (1.0, 5)] {
+                let rows = random_matrix(n, density, seed + n as u64);
+                let got = transpose(&rows);
+                assert_eq!(got.len(), n);
+                for (j, col) in got.iter().enumerate() {
+                    assert_eq!(col.words().len(), n.div_ceil(64).max(1));
+                    for (i, row) in rows.iter().enumerate() {
+                        assert_eq!(
+                            col.contains(i),
+                            row.contains(j),
+                            "n {n}, density {density}: entry ({i}, {j})"
+                        );
+                    }
+                    // Nothing beyond the matrix.
+                    assert!(col.iter_ones().all(|i| i < n));
+                }
+                assert_eq!(transpose(&got), rows, "n {n}: transpose is an involution");
+            }
+        }
+    }
+
+    #[test]
+    fn next_one_matches_linear_scan() {
+        for n in SIZES {
+            for (density, mut seed) in [(0.5, 7), (0.05, 8), (0.0, 9), (1.0, 10)] {
+                let s = random_set(n, density, &mut seed);
+                for from in 0..=n + 65 {
+                    let want = (from..n).find(|&i| s.contains(i));
+                    assert_eq!(
+                        s.next_one(from),
+                        want,
+                        "n {n}, density {density}, from {from}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_one_walks_a_changing_frontier() {
+        // The search's walk: clear the position it stands on and restore
+        // it before asking for the next one.
+        let mut open = BitSet::full(130);
+        for i in [0, 5, 63, 64, 100] {
+            open.remove(i);
+        }
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(p) = open.next_one(from) {
+            open.remove(p);
+            open.insert(p);
+            seen.push(p);
+            from = p + 1;
+        }
+        let want: Vec<usize> = (0..130)
+            .filter(|i| ![0, 5, 63, 64, 100].contains(i))
+            .collect();
+        assert_eq!(seen, want);
+    }
+
     #[test]
     fn full_contains_everything() {
         let s = BitSet::full(70);
@@ -300,5 +463,12 @@ mod tests {
         assert!(s.contains(69));
         let empty = BitSet::full(0);
         assert_eq!(empty.count_ones(), 0);
+        for n in SIZES {
+            let s = BitSet::full(n);
+            assert_eq!(
+                s.iter_ones().collect::<Vec<_>>(),
+                (0..n).collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -13,6 +13,11 @@
 //! restore it is placed. [`check_plain_dead_ends`] and
 //! [`opacity_plain_dead_ends`] run the whole check pipeline with it, for
 //! the differential suite `tests/dead_end_pruning.rs`.
+//!
+//! In debug builds the searcher checks its incremental memo key and its
+//! open-position frontier against their from-scratch definitions at
+//! every expansion; `search_cross_checks` counts those checks, so
+//! `tests/incremental_search_state.rs` can prove they ran.
 
 use crate::bitset::BitSet;
 use crate::must_precede::AntiDep;
@@ -50,6 +55,15 @@ pub fn descendants(preds: &[Vec<usize>]) -> Option<Vec<Vec<usize>>> {
     let preds = bitsets(preds);
     let topo = crate::plan::topo_order(&preds).ok()?;
     Some(members(&crate::search::descendants(&preds, &topo)))
+}
+
+/// Debug builds: how many times, in this process, a searcher has checked
+/// its incremental memo key against the XOR of every term of its state,
+/// and its open-position frontier against the scan of the fail-first
+/// order.
+#[cfg(debug_assertions)]
+pub fn search_cross_checks() -> u64 {
+    crate::search::CROSS_CHECKS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// The planner's union-find over order edges: the connected components

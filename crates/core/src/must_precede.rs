@@ -21,8 +21,10 @@
 //! * real-time order: `O(n log n + n²/64)` — one binary search per
 //!   t-complete transaction, then a cumulative sweep;
 //! * supplier sets: `O(R · (w + n/64))`;
-//! * eligibility: `O(n log n + R · n/64)` plus the size of each set — a
-//!   prefix of the `tryC` invocation order;
+//! * eligibility: `O(n log n + R log R + R · n/64)` — each set is a
+//!   prefix of the `tryC` invocation order, copied a word at a time from
+//!   the previous read's in response order, so each transaction is
+//!   inserted once in all;
 //! * anti-dependencies: `O(initial-value reads · w)`;
 //! * read-commit-order edges: `O(ops · log objects)` to build the table,
 //!   then `O(w)` per value-returning read;
@@ -285,7 +287,9 @@ pub(crate) fn supplier_sets(spec: &Spec, du: bool) -> Vec<BitSet> {
 /// invocation precedes the read's response in `H` (Definition 3(3)'s
 /// local serialization keeps exactly these writers). Each set is the
 /// prefix of the `tryC` invocation order that the read's response cuts
-/// off, so building it costs its size.
+/// off, so the sets are built in response order, each from the previous
+/// one: a copy of its words plus the transactions whose `tryC` falls in
+/// between.
 pub(crate) fn eligibility(spec: &Spec) -> Vec<BitSet> {
     let n = spec.txns.len();
     let mut by_inv: Vec<(usize, usize)> = spec
@@ -295,16 +299,22 @@ pub(crate) fn eligibility(spec: &Spec) -> Vec<BitSet> {
         .filter_map(|(j, t)| t.try_commit_inv.map(|inv| (inv, j)))
         .collect();
     by_inv.sort_unstable();
-    spec.reads
-        .iter()
-        .map(|r| {
-            let mut s = BitSet::new(n);
-            for &(_, j) in by_inv.iter().take_while(|&&(inv, _)| inv < r.resp_index) {
-                s.insert(j);
-            }
-            s
-        })
-        .collect()
+    let mut by_resp: Vec<usize> = (0..spec.reads.len()).collect();
+    by_resp.sort_unstable_by_key(|&slot| spec.reads[slot].resp_index);
+
+    let mut sets = vec![BitSet::default(); spec.reads.len()];
+    let mut invs = by_inv.iter().peekable();
+    let mut prev: Option<usize> = None;
+    for slot in by_resp {
+        let mut set = prev.map_or_else(|| BitSet::new(n), |p| sets[p].clone());
+        let resp = spec.reads[slot].resp_index;
+        while let Some(&(_, j)) = invs.next_if(|&&(inv, _)| inv < resp) {
+            set.insert(j);
+        }
+        sets[slot] = set;
+        prev = Some(slot);
+    }
+    sets
 }
 
 /// The initial-value anti-dependencies (see [`AntiDep`]), by read slot

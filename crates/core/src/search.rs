@@ -38,11 +38,21 @@
 //! is lossless up to the 128-bit key hash: keys are stored hash-compacted
 //! (fixed-width, allocation-free probes), making the memo *probabilistically*
 //! sound with collision probability below 2⁻⁸⁰ for any feasible search.
+//! The key is the XOR of one independent 128-bit term per component of
+//! that state — a placed transaction, an observed object value, an
+//! unplaced read's eligible value (none for the initial value) — so
+//! [`Searcher::place`] updates it for exactly the components it changes
+//! and [`Searcher::unplace`] restores it from the undo log: reading the
+//! key costs nothing per state.
 //!
 //! Children are expanded **fail-first**: transactions with the most
 //! not-yet-placed successors in the precedence closure are tried earliest,
 //! so an infeasible branch is discovered near the root instead of after
-//! permuting the unconstrained remainder.
+//! permuting the unconstrained remainder. The searcher walks an
+//! **open-position frontier**, a bit set over positions of the fail-first
+//! order holding the in-scope transactions still unplaced; walking it in
+//! increasing position visits the candidates in the same order as
+//! scanning the whole order would, without stepping over placed ones.
 //!
 //! **Dead ends** are cut as soon as they appear. A state is dead when some
 //! unplaced read can no longer be served: its value is gone from the state
@@ -284,10 +294,42 @@ pub(crate) struct Query<'e> {
     pub criterion: Option<crate::plan::PlanCriterion>,
 }
 
-/// Sentinel encoding of `Value` for memo keys: 0 = don't-care.
-fn encode(v: Value) -> u64 {
-    v.get().wrapping_add(1)
+/// Memo-key term kinds: a placed transaction, an object's last
+/// committed value while a read of it is pending, and (du mode) an
+/// unplaced read's last eligible value.
+const PLACED: u64 = 0;
+const GLOBAL: u64 = 1;
+const LOCAL: u64 = 2;
+
+/// One component of the memo key: a full-avalanche 128-bit hash of
+/// `(kind, index, value)`, the kind packed into the index's low bits. The
+/// key is the XOR of the terms of every component of a state, so two
+/// distinct states differ by the XOR of a non-empty set of distinct
+/// terms.
+fn key_term(kind: u64, index: usize, value: u64) -> u128 {
+    let mut h = Hash128::new();
+    h.write((index as u64) << 2 | kind);
+    h.write(value);
+    h.finish()
 }
+
+/// The term of a value component (kind [`GLOBAL`] or [`LOCAL`]): none
+/// for the initial value. Which value components a state has is a
+/// function of its placed set, which the key holds, so a component at
+/// the initial value needs no term to tell it apart, and the key of the
+/// root — nothing placed, every value initial — is 0.
+fn value_term(kind: u64, index: usize, value: Value) -> u128 {
+    if value == Value::INITIAL {
+        0
+    } else {
+        key_term(kind, index, value.get())
+    }
+}
+
+/// Cross-checks [`Searcher::cross_check`] has run in this process, for
+/// the test that proves the debug checks are exercised.
+#[cfg(debug_assertions)]
+pub(crate) static CROSS_CHECKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// What every searcher of one search borrows: the plan's precedence graph
 /// and the query's facts, with the must-follow closure, the fail-first
@@ -308,6 +350,8 @@ pub(crate) struct Setup<'a> {
     desc: Vec<BitSet>,
     /// Fail-first candidate order over *all* transactions.
     order: Vec<usize>,
+    /// Position of each transaction in `order`.
+    rank: Vec<usize>,
     budget: Budget,
 }
 
@@ -330,14 +374,14 @@ impl<'a> Setup<'a> {
         // candidates when it succeeds. Ties fall back to the history-order
         // priority the sequential engine always used, then the index, so
         // the order (and hence every witness) stays deterministic.
+        // Each closure's size is counted once, into the buffer that then
+        // becomes each transaction's position in the order.
+        let mut rank: Vec<usize> = desc.iter().map(BitSet::count_ones).collect();
         let mut order: Vec<usize> = (0..spec.txns.len()).collect();
-        order.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(desc[i].count_ones()),
-                spec.txns[i].priority,
-                i,
-            )
-        });
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(rank[i]), spec.txns[i].priority, i));
+        for (pos, &i) in order.iter().enumerate() {
+            rank[i] = pos;
+        }
         if p.plain_dead_ends() {
             // The test-only reference rule: no writer is known to follow
             // its reader.
@@ -360,6 +404,7 @@ impl<'a> Setup<'a> {
             writers,
             desc,
             order,
+            rank,
             budget: Budget::resolve(cfg),
         }
     }
@@ -401,17 +446,27 @@ pub(crate) struct Searcher<'a> {
     /// in the precedence closure first, `priority` then index as
     /// tie-breakers (deterministic).
     order: &'a [usize],
+    /// Position of each transaction in `order`.
+    rank: &'a [usize],
     /// The transactions the current search covers (all of them by
     /// default; one conflict-graph component under the planner).
     scope: BitSet,
     /// `dfs` succeeds when `placed_count` reaches this (scope members may
     /// sit on top of already-placed earlier components).
     scope_target: usize,
-    /// `order` filtered to the scope — the exact iteration order of `dfs`.
-    active: Vec<usize>,
+    /// The open-position frontier: the positions in `order` of the scope's
+    /// unplaced transactions. `dfs` walks it in increasing position — the
+    /// order of scanning `order` and skipping the placed and the
+    /// out-of-scope — and `place`/`unplace` keep it.
+    open: BitSet,
 
     placed: BitSet,
     placed_count: usize,
+    /// The memo key of the current state (see module docs): the XOR of
+    /// one [`key_term`] per placed transaction and one [`value_term`] per
+    /// object with a pending read and, in du mode, per unplaced read
+    /// slot, maintained by `place` and restored by `unplace`.
+    key: u128,
     /// Last committed value per interned object.
     global_last: Vec<Value>,
     /// Last eligible committed value per read slot (du mode).
@@ -476,11 +531,14 @@ impl<'a> Searcher<'a> {
             desc: &setup.desc,
             eligible_global: false,
             order: &setup.order,
-            active: setup.order.clone(),
+            rank: &setup.rank,
             scope: BitSet::full(n),
             scope_target: n,
+            open: BitSet::full(n),
             placed: BitSet::new(n),
             placed_count: 0,
+            // The root's key (see `value_term`).
+            key: 0,
             global_last: vec![Value::INITIAL; spec.objs.len()],
             local_last: vec![Value::INITIAL; spec.reads.len()],
             pending_reads,
@@ -510,14 +568,14 @@ impl<'a> Searcher<'a> {
     /// sets differ); they are dropped to bound memory, tracking the peak.
     pub(crate) fn restrict(&mut self, members: &[usize]) {
         self.scope.clear();
+        self.open.clear();
         for &i in members {
             self.scope.insert(i);
+            if !self.placed.contains(i) {
+                self.open.insert(self.rank[i]);
+            }
         }
         self.scope_target = self.placed_count + members.len();
-        self.active.clear();
-        let scope = &self.scope;
-        self.active
-            .extend(self.order.iter().copied().filter(|&i| scope.contains(i)));
         self.clear_memo();
     }
 
@@ -546,33 +604,62 @@ impl<'a> Searcher<'a> {
         &self.path[from..]
     }
 
-    /// Sound canonical key of the current state (see module docs),
-    /// hash-compacted to 128 bits.
-    fn memo_key(&self) -> u128 {
-        let mut h = Hash128::new();
-        for &w in self.placed.words() {
-            h.write(w);
+    /// The memo key of the current state computed from scratch: the XOR
+    /// of every component's term. Objects with no pending external read,
+    /// and reads already placed, cannot influence the future, so they are
+    /// no components and permutations collapse. Debug builds check that
+    /// the key `place` and `unplace` maintain equals this at every
+    /// expansion.
+    #[cfg(debug_assertions)]
+    fn full_key(&self) -> u128 {
+        let mut key = 0;
+        for i in self.placed.iter_ones() {
+            key ^= key_term(PLACED, i, 0);
         }
-        for (o, v) in self.global_last.iter().enumerate() {
-            // Objects with no pending external read cannot influence the
-            // future; mask them so permutations collapse.
-            h.write(if self.pending_reads[o] > 0 {
-                encode(*v)
-            } else {
-                0
-            });
-        }
-        if self.du {
-            for (slot, v) in self.local_last.iter().enumerate() {
-                let owner = self.spec.reads[slot].txn;
-                h.write(if self.placed.contains(owner) {
-                    0
-                } else {
-                    encode(*v)
-                });
+        for (o, &v) in self.global_last.iter().enumerate() {
+            if self.pending_reads[o] > 0 {
+                key ^= value_term(GLOBAL, o, v);
             }
         }
-        h.finish()
+        if self.du {
+            for (slot, &v) in self.local_last.iter().enumerate() {
+                if !self.placed.contains(self.spec.reads[slot].txn) {
+                    key ^= value_term(LOCAL, slot, v);
+                }
+            }
+        }
+        key
+    }
+
+    /// The scope's unplaced transactions, in fail-first order.
+    fn open_txns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.open.iter_ones().map(|pos| self.order[pos])
+    }
+
+    /// Debug builds: checks the incremental state against its
+    /// from-scratch definition — the memo key against
+    /// [`Self::full_key`], and the frontier against the scan of `order`
+    /// for in-scope unplaced transactions — and counts the check in
+    /// [`CROSS_CHECKS`].
+    #[cfg(debug_assertions)]
+    fn cross_check(&self) {
+        debug_assert_eq!(
+            self.key,
+            self.full_key(),
+            "incremental memo key after path {:?}",
+            self.path
+        );
+        let scan = self
+            .order
+            .iter()
+            .copied()
+            .filter(|&i| self.scope.contains(i) && !self.placed.contains(i));
+        debug_assert!(
+            self.open_txns().eq(scan),
+            "open-position frontier after path {:?}",
+            self.path
+        );
+        CROSS_CHECKS.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Forward feasibility: returns `true` if some unplaced in-scope
@@ -591,9 +678,8 @@ impl<'a> Searcher<'a> {
     /// [`Self::dead_end_after`] and checks it against this scan in debug
     /// builds.
     pub(crate) fn dead_end(&self) -> bool {
-        self.active
-            .iter()
-            .flat_map(|&i| &self.spec.txns[i].external_reads)
+        self.open_txns()
+            .flat_map(|i| &self.spec.txns[i].external_reads)
             .any(|&slot| self.slot_lost(slot))
     }
 
@@ -706,62 +792,101 @@ impl<'a> Searcher<'a> {
         fate_ok && (!committed || self.commit_preds[i].is_subset_of(&self.placed))
     }
 
+    /// The first candidate at or after frontier position `from`, as
+    /// `(position, txn index)`: an open transaction whose predecessors
+    /// are placed and whose reads are legal now. [`Self::dfs`] and
+    /// [`Self::children_into`] both walk the candidates this way.
+    fn next_candidate(&self, mut from: usize) -> Option<(usize, usize)> {
+        while let Some(pos) = self.open.next_one(from) {
+            let i = self.order[pos];
+            if self.preds[i].is_subset_of(&self.placed) && self.reads_legal(i) {
+                return Some((pos, i));
+            }
+            from = pos + 1;
+        }
+        None
+    }
+
+    /// The fates candidate `i` may take now, abort first: those its
+    /// commit capability allows, with commit only once the
+    /// commit-conditional gate holds.
+    fn fates(&self, i: usize) -> &'static [bool] {
+        let gate = || self.commit_preds[i].is_subset_of(&self.placed);
+        match self.spec.txns[i].capability {
+            CommitCapability::NeverCommitted => &[false],
+            CommitCapability::Committed if gate() => &[true],
+            CommitCapability::Committed => &[],
+            CommitCapability::CommitPending if gate() => &[false, true],
+            CommitCapability::CommitPending => &[false],
+        }
+    }
+
     /// Appends the current state's children as `(txn index, committed)` in
     /// the exact order [`Self::dfs`] tries them. Used by the parallel
     /// engine's task enumerator, which must mirror `dfs` so the
     /// lowest-indexed task containing a witness is also the one sequential
-    /// DFS reaches first. Keep in sync with the loop in `dfs`.
+    /// DFS reaches first.
     pub(crate) fn children_into(&self, out: &mut Vec<(usize, bool)>) {
+        #[cfg(debug_assertions)]
+        self.cross_check();
         out.clear();
-        for &i in &self.active {
-            if self.placed.contains(i) || !self.preds[i].is_subset_of(&self.placed) {
-                continue;
-            }
-            if !self.reads_legal(i) {
-                continue;
-            }
-            let fates: &[bool] = match self.spec.txns[i].capability {
-                CommitCapability::Committed => &[true],
-                CommitCapability::NeverCommitted => &[false],
-                CommitCapability::CommitPending => &[false, true],
-            };
-            for &committed in fates {
-                if committed && !self.commit_preds[i].is_subset_of(&self.placed) {
-                    continue;
-                }
-                out.push((i, committed));
-            }
+        let mut from = 0;
+        while let Some((pos, i)) = self.next_candidate(from) {
+            from = pos + 1;
+            out.extend(self.fates(i).iter().map(|&committed| (i, committed)));
         }
     }
 
     /// Places transaction `i` with the given fate and returns an undo log.
+    /// Updates the memo key for exactly the components placing `i`
+    /// changes: `i` joins the placed set; an object `i` reads drops out
+    /// once no read of it is pending, and `i`'s own read slots drop out
+    /// in du mode; each value `i` commits replaces its object's term and
+    /// the terms of the unplaced reads it is eligible for.
     pub(crate) fn place(&mut self, i: usize, committed: bool) -> UndoLog {
         let mut undo = self.undo_pool.pop().unwrap_or_default();
+        undo.key = self.key;
         self.placed.insert(i);
         self.placed_count += 1;
+        self.open.remove(self.rank[i]);
+        let mut key = self.key ^ key_term(PLACED, i, 0);
         for &slot in &self.spec.txns[i].external_reads {
             let obj = self.spec.reads[slot].obj;
             self.pending_reads[obj] -= 1;
+            if self.pending_reads[obj] == 0 {
+                key ^= value_term(GLOBAL, obj, self.global_last[obj]);
+            }
+            if self.du {
+                key ^= value_term(LOCAL, slot, self.local_last[slot]);
+            }
         }
         if committed {
             for &(obj, v) in &self.spec.txns[i].writes {
-                undo.global.push((obj, self.global_last[obj]));
-                self.global_last[obj] = v;
+                let old = std::mem::replace(&mut self.global_last[obj], v);
+                undo.global.push((obj, old));
+                if self.pending_reads[obj] > 0 && old != v {
+                    key ^= value_term(GLOBAL, obj, old) ^ value_term(GLOBAL, obj, v);
+                }
                 if self.du {
                     for &slot in &self.spec.reads_on_obj[obj] {
                         let owner = self.spec.reads[slot].txn;
                         if !self.placed.contains(owner) && self.elig[slot].contains(i) {
-                            undo.local.push((slot, self.local_last[slot]));
-                            self.local_last[slot] = v;
+                            let old = std::mem::replace(&mut self.local_last[slot], v);
+                            undo.local.push((slot, old));
+                            if old != v {
+                                key ^= value_term(LOCAL, slot, old) ^ value_term(LOCAL, slot, v);
+                            }
                         }
                     }
                 }
             }
         }
+        self.key = key;
         self.path.push((i, committed));
         undo
     }
 
+    /// Undoes [`Self::place`] of `i`, restoring the memo key from `undo`.
     pub(crate) fn unplace(&mut self, i: usize, mut undo: UndoLog) {
         self.path.pop();
         for &(slot, v) in undo.local.iter().rev() {
@@ -776,12 +901,18 @@ impl<'a> Searcher<'a> {
         }
         self.placed.remove(i);
         self.placed_count -= 1;
+        if self.scope.contains(i) {
+            self.open.insert(self.rank[i]);
+        }
+        self.key = undo.key;
         undo.global.clear();
         undo.local.clear();
         self.undo_pool.push(undo);
     }
 
     pub(crate) fn dfs(&mut self) -> Outcome {
+        #[cfg(debug_assertions)]
+        self.cross_check();
         if self.placed_count == self.scope_target {
             return Outcome::Found;
         }
@@ -824,7 +955,7 @@ impl<'a> Searcher<'a> {
             }
         }
         let key = if self.cfg.memo {
-            let key = self.memo_key();
+            let key = self.key;
             let hit = match self.shared {
                 Some(shared) => shared.memo_contains(key),
                 None => self.memo.contains(&key),
@@ -838,23 +969,12 @@ impl<'a> Searcher<'a> {
             None
         };
 
-        for idx in 0..self.active.len() {
-            let i = self.active[idx];
-            if self.placed.contains(i) || !self.preds[i].is_subset_of(&self.placed) {
-                continue;
-            }
-            if !self.reads_legal(i) {
-                continue;
-            }
-            let fates: &[bool] = match self.spec.txns[i].capability {
-                CommitCapability::Committed => &[true],
-                CommitCapability::NeverCommitted => &[false],
-                CommitCapability::CommitPending => &[false, true],
-            };
-            for &committed in fates {
-                if committed && !self.commit_preds[i].is_subset_of(&self.placed) {
-                    continue;
-                }
+        // Each placement below is undone before the walk moves on, so the
+        // frontier past `pos` is the one this state entered with.
+        let mut from = 0;
+        while let Some((pos, i)) = self.next_candidate(from) {
+            from = pos + 1;
+            for &committed in self.fates(i) {
                 let undo = self.place(i, committed);
                 let dead = self.dead_end_after(i);
                 debug_assert_eq!(dead, self.dead_end(), "dead-end check after placing {i}");
@@ -929,17 +1049,13 @@ thread_local! {
 /// desc[j]` over the successors `j` of `i`, skipping every successor
 /// already covered: a union of descendant sets is closed under
 /// successors, so a covered `j` brings nothing new. Successors are found
-/// a word at a time from transposed bit sets.
+/// a word at a time from the transpose of `preds`, itself built 64×64
+/// bits at a time ([`crate::bitset::transpose`]).
 pub(crate) fn descendants(preds: &[BitSet], topo: &[usize]) -> Vec<BitSet> {
     #[cfg(test)]
     CLOSURES.with(|c| c.set(c.get() + 1));
     let n = preds.len();
-    let mut succs: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for (j, p) in preds.iter().enumerate() {
-        for i in p.iter_ones() {
-            succs[i].insert(j);
-        }
-    }
+    let succs = crate::bitset::transpose(preds);
     let mut desc: Vec<BitSet> = vec![BitSet::default(); n];
     for &i in topo.iter().rev() {
         let mut d = BitSet::new(n);
@@ -952,8 +1068,11 @@ pub(crate) fn descendants(preds: &[BitSet], topo: &[usize]) -> Vec<BitSet> {
     desc
 }
 
+/// What [`Searcher::unplace`] needs to undo one placement: the memo key
+/// before it, and the object and read-slot values it overwrote.
 #[derive(Default)]
 pub(crate) struct UndoLog {
+    key: u128,
     global: Vec<(usize, Value)>,
     local: Vec<(usize, Value)>,
 }
