@@ -6,12 +6,12 @@
 //! numbers pin that down:
 //!
 //! * `check/no_sink_ns` — a du-opacity sweep through the resumable
-//!   pipeline with no checkpoint sink installed (the default path; the
+//!   pipeline with no checkpoint sink set (the default path; the
 //!   per-component notification finds no sink and returns).
-//! * `check/sink_every1_ns` — the same sweep with a sink installed at
-//!   `--checkpoint-every 1`, writing a real snapshot file (temp file +
-//!   rename) on every decided component — the worst case a user can
-//!   configure.
+//! * `check/sink_every1_ns` — the same sweep with a sink set on each
+//!   check at `--checkpoint-every 1`, writing a real snapshot file (temp
+//!   file + rename) on every decided component — the worst case a user
+//!   can configure.
 //! * `snapshot/save_ns` / `snapshot/load_ns` — one atomic save and one
 //!   verified load of a representative mid-flight snapshot, isolating
 //!   the per-flush file cost from the search.
@@ -22,8 +22,7 @@
 //! smoke pass without touching the JSON.
 
 use duop_core::snapshot::{
-    install_checkpoint_sink, load, remove_checkpoint_sink, save, CheckSnapshot, CheckableCriterion,
-    InFlight, ResumableCheck, Snapshot,
+    load, save, CheckSnapshot, CheckableCriterion, InFlight, ResumableCheck, Snapshot,
 };
 use duop_core::SearchConfig;
 use duop_gen::{HistoryGen, HistoryGenConfig};
@@ -102,7 +101,8 @@ fn main() {
         for h in &corpus {
             let base = base_snapshot(h);
             let path = ck_path.clone();
-            install_checkpoint_sink(
+            let mut rc = ResumableCheck::new();
+            rc.set_checkpoint_sink(
                 1,
                 Box::new(move |fragments, explored| {
                     let mut snap = base.clone();
@@ -114,10 +114,8 @@ fn main() {
                     let _ = save(&path, &Snapshot::Check(snap));
                 }),
             );
-            let mut rc = ResumableCheck::new();
             let (verdict, _) = rc.check(h, CheckableCriterion::DuOpacity, &cfg());
             assert!(!matches!(verdict, duop_core::Verdict::Unknown { .. }));
-            remove_checkpoint_sink();
         }
     });
     println!(

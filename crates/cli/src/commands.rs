@@ -8,8 +8,7 @@ use duop_core::snapshot::{
 };
 use duop_core::tms2_automaton::{check_tms2_automaton, Tms2Verdict};
 use duop_core::{
-    available_threads, Criterion, DuOpacity, FinalStateOpacity, Opacity, ReadCommitOrderOpacity,
-    SearchConfig, StrictSerializability, Tms2, UnknownReason, Verdict,
+    available_threads, Criterion, DuOpacity, Opacity, SearchConfig, UnknownReason, Verdict,
 };
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::reader::{self, TraceReader};
@@ -369,7 +368,7 @@ fn criterion_token(name: CriterionName) -> &'static str {
 }
 
 /// The criteria whose exact check runs through the resumable anytime
-/// driver (single serialization query, sequential engine).
+/// driver: the single serialization queries.
 fn resumable_criterion(name: CriterionName) -> Option<CheckableCriterion> {
     match name {
         CriterionName::DuOpacity => Some(CheckableCriterion::DuOpacity),
@@ -520,141 +519,86 @@ fn check(
                 ("TMS2 (full automaton)", ok, detail)
             }
             other => {
-                let verdict = match (resumable_criterion(other), opts.search.effective_threads()) {
-                    (Some(cc), 1) => {
-                        // Anytime path: persistent component cache,
-                        // checkpoint sink, escalation with fragment reuse.
-                        let mut rc = ResumableCheck::new();
-                        if let Some(f) = in_flight.as_ref().filter(|f| f.name == token) {
-                            rc.preload(f.fragments.clone());
-                        }
-                        if let Some(path) = &opts.checkpoint {
-                            let sink_snap = CheckSnapshot {
-                                completed: completed.clone(),
-                                attempt,
-                                ..snap_base.clone()
-                            };
-                            let sink_path = path.clone();
-                            snapshot::install_checkpoint_sink(
-                                opts.checkpoint_every,
-                                Box::new(move |fragments, explored| {
-                                    let mut snap = sink_snap.clone();
-                                    snap.current = Some(InFlight {
-                                        name: token.to_owned(),
-                                        explored,
-                                        fragments: fragments.to_vec(),
-                                    });
-                                    // Mid-flight flushes are best-effort;
-                                    // the final flush reports errors.
-                                    let _ = snapshot::save(&sink_path, &Snapshot::Check(snap));
-                                }),
-                            );
-                        }
-                        let verdict = loop {
-                            let cfg = search_config(opts, attempt);
-                            let (verdict, _stats) = rc.check(h, cc, &cfg);
-                            if retryable(&verdict) && attempt < opts.retry {
-                                attempt += 1;
-                                if !json {
-                                    writeln!(
-                                        out,
-                                        "{:<28} {verdict}; retrying (attempt {attempt}, budget ×{})",
-                                        checker_label(other),
-                                        (opts.escalate_milli as f64 / 1000.0),
-                                    )?;
-                                }
-                                continue;
-                            }
-                            break verdict;
-                        };
-                        snapshot::remove_checkpoint_sink();
-                        if let (
-                            Some(path),
-                            Verdict::Unknown {
-                                reason, explored, ..
-                            },
-                        ) = (&opts.checkpoint, &verdict)
-                        {
-                            // Leave the criterion in-flight with its decided
-                            // fragments so `duop resume` picks it back up.
-                            let mut snap = snap_base.clone();
-                            snap.completed = completed.clone();
-                            snap.attempt = attempt;
+                // One retry loop for every criterion: the serialization
+                // criteria run through the anytime driver (persistent
+                // component cache, checkpoint sink, fragment reuse on the
+                // sequential engine), opacity through its prefix loop.
+                let resumable = resumable_criterion(other);
+                let mut rc = ResumableCheck::new();
+                if let Some(f) = in_flight.as_ref().filter(|f| f.name == token) {
+                    rc.preload(f.fragments.clone());
+                }
+                if let Some(path) = &opts.checkpoint {
+                    let sink_snap = CheckSnapshot {
+                        completed: completed.clone(),
+                        attempt,
+                        ..snap_base.clone()
+                    };
+                    let sink_path = path.clone();
+                    rc.set_checkpoint_sink(
+                        opts.checkpoint_every,
+                        Box::new(move |fragments, explored| {
+                            let mut snap = sink_snap.clone();
                             snap.current = Some(InFlight {
                                 name: token.to_owned(),
-                                explored: *explored,
-                                fragments: rc.fragments(),
+                                explored,
+                                fragments: fragments.to_vec(),
                             });
-                            snapshot::save(path, &Snapshot::Check(snap))?;
-                            if *reason == UnknownReason::Interrupted {
-                                if !json {
-                                    writeln!(
-                                        out,
-                                        "interrupted; progress checkpointed to {path} \
-                                         (continue with: duop resume {path})"
-                                    )?;
-                                }
-                                return Ok(false);
-                            }
+                            // Mid-flight flushes are best-effort; the
+                            // final flush reports errors.
+                            let _ = snapshot::save(&sink_path, &Snapshot::Check(snap));
+                        }),
+                    );
+                }
+                let verdict = loop {
+                    let cfg = search_config(opts, attempt);
+                    let verdict = match resumable {
+                        Some(cc) => rc.check(h, cc, &cfg).0,
+                        None => Opacity::with_config(cfg).check(h),
+                    };
+                    if retryable(&verdict) && attempt < opts.retry {
+                        attempt += 1;
+                        if !json {
+                            writeln!(
+                                out,
+                                "{:<28} {verdict}; retrying (attempt {attempt}, budget ×{})",
+                                checker_label(other),
+                                (opts.escalate_milli as f64 / 1000.0),
+                            )?;
                         }
-                        verdict
+                        continue;
                     }
-                    _ => {
-                        // Parallel engine / prefix-loop criteria: escalation
-                        // re-runs from scratch (no fragment reuse).
-                        let verdict = loop {
-                            let cfg = search_config(opts, attempt);
-                            let checker: Box<dyn Criterion> = match other {
-                                CriterionName::DuOpacity => Box::new(DuOpacity::with_config(cfg)),
-                                CriterionName::FinalState => {
-                                    Box::new(FinalStateOpacity::with_config(cfg))
-                                }
-                                CriterionName::Opacity => Box::new(Opacity::with_config(cfg)),
-                                CriterionName::Rco => {
-                                    Box::new(ReadCommitOrderOpacity::with_config(cfg))
-                                }
-                                CriterionName::Tms2 => Box::new(Tms2::with_config(cfg)),
-                                CriterionName::Strict => {
-                                    Box::new(StrictSerializability::with_config(cfg))
-                                }
-                                CriterionName::Tms2Automaton => unreachable!("handled above"),
-                            };
-                            let verdict = checker.check(h);
-                            if retryable(&verdict) && attempt < opts.retry {
-                                attempt += 1;
-                                continue;
-                            }
-                            break verdict;
-                        };
-                        if let Verdict::Unknown {
-                            reason: UnknownReason::Interrupted,
-                            explored,
-                            ..
-                        } = &verdict
-                        {
-                            if let Some(path) = &opts.checkpoint {
-                                let mut snap = snap_base.clone();
-                                snap.completed = completed.clone();
-                                snap.attempt = attempt;
-                                snap.current = Some(InFlight {
-                                    name: token.to_owned(),
-                                    explored: *explored,
-                                    fragments: Vec::new(),
-                                });
-                                snapshot::save(path, &Snapshot::Check(snap))?;
-                                if !json {
-                                    writeln!(
-                                        out,
-                                        "interrupted; progress checkpointed to {path} \
-                                         (continue with: duop resume {path})"
-                                    )?;
-                                }
-                            }
-                            return Ok(false);
-                        }
-                        verdict
-                    }
+                    break verdict;
                 };
+                if let (
+                    Some(path),
+                    Verdict::Unknown {
+                        reason, explored, ..
+                    },
+                ) = (&opts.checkpoint, &verdict)
+                {
+                    // Leave the criterion in-flight with its decided
+                    // fragments so `duop resume` picks it back up.
+                    let mut snap = snap_base.clone();
+                    snap.completed = completed.clone();
+                    snap.attempt = attempt;
+                    snap.current = Some(InFlight {
+                        name: token.to_owned(),
+                        explored: *explored,
+                        fragments: rc.fragments(),
+                    });
+                    snapshot::save(path, &Snapshot::Check(snap))?;
+                    if *reason == UnknownReason::Interrupted {
+                        if !json {
+                            writeln!(
+                                out,
+                                "interrupted; progress checkpointed to {path} \
+                                 (continue with: duop resume {path})"
+                            )?;
+                        }
+                        return Ok(false);
+                    }
+                }
                 if opts.certify {
                     validate_certified(h, &verdict)?;
                 }
@@ -1387,14 +1331,7 @@ fn monitor_snapshot(
         violated_at,
         witness: mon.witness().cloned(),
         stats: mon.stats(),
-        fragments: mon
-            .export_fragments()
-            .into_iter()
-            .map(|(members, placements)| duop_core::snapshot::Fragment {
-                members,
-                placements,
-            })
-            .collect(),
+        fragments: mon.export_fragments(),
         status_every: opts.status_every,
         checkpoint_every: opts.checkpoint_every,
     }
@@ -1470,12 +1407,7 @@ fn resume_monitor(ms: MonitorSnapshot, file: &str, out: &mut dyn Write) -> CmdRe
         ms.stats,
         SearchConfig::default(),
     );
-    mon.preload_fragments(
-        ms.fragments
-            .iter()
-            .map(|f| (f.members.clone(), f.placements.clone()))
-            .collect(),
-    );
+    mon.preload_fragments(ms.fragments);
     writeln!(
         out,
         "resuming monitor at event {done} of {} from {file}",

@@ -149,3 +149,75 @@ fn sigterm_flushes_a_resumable_checkpoint() {
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&ck);
 }
+
+/// `duop shard` stops on SIGTERM: the coordinator stops dispatching,
+/// finishes every undecided job as interrupted and kills the worker still
+/// searching. Final-state opacity's search of this trace runs for
+/// minutes, so one second in, the worker is mid-search.
+#[test]
+fn sigterm_stops_a_sharded_check() {
+    use std::os::unix::process::CommandExt as _;
+    use std::time::{Duration, Instant};
+
+    let trace = temp_path("shard-trace.txt");
+    let out = Command::new(DUOP)
+        .args([
+            "generate",
+            "--mode",
+            "simulated",
+            "--txns",
+            "400",
+            "--concurrency",
+            "3",
+            "--objs",
+            "32",
+            "--seed",
+            "5",
+        ])
+        .output()
+        .expect("run duop generate");
+    assert!(out.status.success());
+    std::fs::write(&trace, &out.stdout).expect("write trace");
+
+    // Its own process group, so a coordinator that ignores the signal
+    // can be killed together with its workers.
+    let mut child = Command::new(DUOP)
+        .args([
+            "shard",
+            &trace,
+            "--workers",
+            "1",
+            "--criterion",
+            "final-state",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .process_group(0)
+        .spawn()
+        .expect("spawn duop shard");
+    std::thread::sleep(Duration::from_secs(1));
+    let _ = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status();
+    let signalled = Instant::now();
+    let exited = loop {
+        if child.try_wait().expect("poll duop shard").is_some() {
+            break true;
+        }
+        if signalled.elapsed() > Duration::from_secs(10) {
+            break false;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    if !exited {
+        let _ = Command::new("kill")
+            .args(["-KILL", "--", &format!("-{}", child.id())])
+            .status();
+    }
+    let out = child.wait_with_output().expect("wait for duop shard");
+    let _ = std::fs::remove_file(&trace);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(exited, "duop shard still running 10 s after SIGTERM");
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("unknown (interrupted"), "{stdout}");
+}

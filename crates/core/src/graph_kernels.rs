@@ -108,7 +108,7 @@ pub fn check_plain_dead_ends(
     cfg: &SearchConfig,
 ) -> (Verdict, SearchStats) {
     let p = Prepared::new(h, criterion).with_plain_dead_ends();
-    crate::search::search_serialization_with_stats(&p, &criterion.query(&p), cfg, None)
+    crate::search::check_prepared(&p, criterion, cfg, None)
 }
 
 /// Checks `h` against opacity as [`crate::Opacity`] does, with every
@@ -165,8 +165,7 @@ pub fn dead_end_audit(
     if p.spec().is_err() {
         return Ok(audit);
     }
-    let query = criterion.query(&p);
-    let Ok(plan) = Plan::build(&p, &query, true) else {
+    let Ok(plan) = Plan::build(&p, criterion, true) else {
         return Ok(audit);
     };
     let cfg = SearchConfig {
@@ -175,7 +174,7 @@ pub fn dead_end_audit(
     };
     let n = plan.preds.len();
     let plain = vec![BitSet::new(n); n];
-    let setup = Setup::new(&p, &cfg, &query, &plan);
+    let setup = Setup::new(&p, &cfg, criterion, &plan);
     let mut s = Searcher::new(&setup);
     let mut walker = Walker {
         plain: &plain,
@@ -183,11 +182,7 @@ pub fn dead_end_audit(
         budget: 0,
         audit: &mut audit,
     };
-    let passes: &[bool] = if query.deferred_update {
-        &[true, false]
-    } else {
-        &[false]
-    };
+    let passes = setup.passes();
     for comp in &plan.components {
         s.restrict(comp);
         for &eligible_global in passes {

@@ -51,6 +51,7 @@ mod rules;
 
 pub(crate) use rules::an005_pairs;
 
+use crate::plan::PlanCriterion;
 use crate::prepared::Prepared;
 use crate::Violation;
 use duop_history::History;
@@ -320,18 +321,19 @@ pub fn lint(h: &History) -> LintReport {
 }
 
 /// The search prefilter: the `Error` that `lint(h).first_error_for(scope)`
-/// returns for the prepared query's history, as a
-/// [`Violation::LintRefuted`] for `criterion`. Runs only the rules that
-/// can refute `scope` (see the module docs).
+/// returns for the prepared query's history, where `scope` is
+/// `criterion`'s lint scope, as a [`Violation::LintRefuted`] for
+/// `criterion`. Runs only the rules that can refute `scope` (see the
+/// module docs).
 ///
 /// Sound by the `Error` contract — each such rule is a proven necessary
 /// condition for every criterion its applicability names — so a checker
 /// returning this violation instead of searching is verdict-equivalent.
-pub(crate) fn prelint(p: &Prepared<'_>, scope: LintScope, criterion: &str) -> Option<Violation> {
-    let errors = rules::run(p, Emit::Refuting(scope));
+pub(crate) fn prelint(p: &Prepared<'_>, criterion: PlanCriterion) -> Option<Violation> {
+    let errors = rules::run(p, Emit::Refuting(criterion.lint_scope()));
     let first = first_error(&errors)?;
     Some(Violation::LintRefuted {
-        criterion: criterion.to_owned(),
+        criterion: criterion.display_name().to_owned(),
         // A clone is sized exactly, where the emitted strings and vectors
         // may carry spare capacity; a batch can hold many verdicts.
         diagnostic: Box::new(first.clone()),

@@ -41,6 +41,7 @@
 use crate::plan::{ComponentCache, PlanCriterion};
 use crate::prepared::Prepared;
 use crate::search::decide_spec;
+use crate::snapshot::Fragment;
 use crate::verdict::committed_in_s;
 use crate::witness_check::{latest_writes, own_write_before, positions};
 use crate::{check_witness, CriterionKind, SearchConfig, Verdict, Witness};
@@ -206,14 +207,14 @@ impl OnlineChecker {
 
     /// Exports the component cache's serialization fragments for
     /// checkpointing (sorted, deterministic).
-    pub fn export_fragments(&self) -> Vec<crate::snapshot::RawFragment> {
-        self.cache.export_fragments()
+    pub fn export_fragments(&self) -> Vec<Fragment> {
+        self.cache.fragments()
     }
 
     /// Preloads checkpointed component fragments into the cache. They are
     /// replay-validated before any reuse, exactly like fragments the
     /// monitor cached itself.
-    pub fn preload_fragments(&mut self, fragments: Vec<crate::snapshot::RawFragment>) {
+    pub fn preload_fragments(&mut self, fragments: Vec<Fragment>) {
         self.cache.preload(fragments);
     }
 
@@ -268,7 +269,7 @@ impl OnlineChecker {
         // read one prepared spec and its facts.
         let p = Prepared::of(&self.history);
         if self.cfg.prelint {
-            if let Some(v) = crate::lint::prelint(&p, crate::lint::LintScope::Du, "du-opacity") {
+            if let Some(v) = crate::lint::prelint(&p, PlanCriterion::Du) {
                 self.stats.lint_refutations += 1;
                 let verdict = Verdict::Violated(v);
                 self.violated = Some(verdict.clone());
@@ -280,10 +281,9 @@ impl OnlineChecker {
         // previous search's fragments for components the event left alone.
         self.stats.full_searches += 1;
         self.cache.begin_generation();
-        let query = PlanCriterion::Du.query(&p);
         let verdict = match p.spec() {
             Err(v) => Verdict::Violated(v.clone()),
-            Ok(_) => decide_spec(&p, &query, &self.cfg, Some(&mut self.cache)).0,
+            Ok(_) => decide_spec(&p, PlanCriterion::Du, &self.cfg, Some(&mut self.cache)).0,
         };
         self.stats.component_reuses = self.cache.reuses;
         match &verdict {

@@ -262,7 +262,7 @@ pub(crate) fn par_search_components(setup: &Setup<'_>) -> (Verdict, SearchStats)
     let verdict = match failure {
         None => Verdict::Satisfied(witness_from_path(setup.spec, &path)),
         Some(CompOutcome::Exhausted) => Verdict::Violated(Violation::NoSerialization {
-            criterion: setup.query.name.to_owned(),
+            criterion: setup.criterion.display_name().to_owned(),
             explored: stats.explored,
         }),
         Some(CompOutcome::Budget(reason)) => Verdict::Unknown {
@@ -281,7 +281,7 @@ pub(crate) fn par_search_components(setup: &Setup<'_>) -> (Verdict, SearchStats)
 /// Multi-threaded subtree search of a plan with at most one component:
 /// the task enumerator and every worker borrow `setup`.
 pub(crate) fn par_search_spec(setup: &Setup<'_>) -> (Verdict, SearchStats) {
-    let (cfg, query) = (setup.cfg, setup.query);
+    let cfg = setup.cfg;
     let threads = cfg.effective_threads();
     debug_assert!(threads > 1);
     debug_assert!(setup.plan.components.len() <= 1);
@@ -299,11 +299,7 @@ pub(crate) fn par_search_spec(setup: &Setup<'_>) -> (Verdict, SearchStats) {
     // `Searcher::search`; each pass is a complete parallel search and the
     // second runs only when the first finds nothing, so the lowest-indexed
     // winning task is the sequential engine's witness in either pass.
-    let passes: &[bool] = if query.deferred_update {
-        &[true, false]
-    } else {
-        &[false]
-    };
+    let passes = setup.passes();
     let mut carried = SearchStats::default();
     for &eligible_global in passes {
         enumerator.eligible_global = eligible_global;
@@ -471,7 +467,7 @@ pub(crate) fn par_search_spec(setup: &Setup<'_>) -> (Verdict, SearchStats) {
         return (verdict, stats);
     }
     let verdict = Verdict::Violated(Violation::NoSerialization {
-        criterion: query.name.to_owned(),
+        criterion: setup.criterion.display_name().to_owned(),
         explored: carried.explored,
     });
     (verdict, carried)

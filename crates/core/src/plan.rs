@@ -26,7 +26,10 @@
 //!
 //! The planner is the one place that builds the query's **precedence
 //! graph** ([`Plan`]); every searcher borrows it through one [`Setup`].
-//! With decomposition off the plan is one component without forced
+//! A query is its [`PlanCriterion`]: [`build_constraints`] takes the
+//! criterion's edges from the prepared facts itself, TMS2's as
+//! unconditional edges and read-commit-order's as commit-conditional
+//! ones. With decomposition off the plan is one component without forced
 //! edges, run by the same drivers.
 //!
 //! A cycle among real-time/criterion edges alone is reported as
@@ -37,9 +40,8 @@
 
 use crate::bitset::BitSet;
 use crate::prepared::Prepared;
-use crate::search::{
-    witness_from_path, Edges, Outcome, Query, SearchConfig, SearchStats, Searcher, Setup,
-};
+use crate::search::{witness_from_path, Outcome, SearchConfig, SearchStats, Searcher, Setup};
+use crate::snapshot::{Fragment, SinkState};
 use crate::spec::Spec;
 use crate::{Verdict, Violation};
 use duop_history::{CommitCapability, History, TxnId, Value};
@@ -75,38 +77,38 @@ thread_local! {
     pub(crate) static TOPO_ORDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Builds the precedence constraints of `query` over `spec`:
-/// unconditional predecessors (real time + extra edges + commit edges
-/// whose target is already committed) and commit-conditional predecessors
-/// (commit edges gating a commit-pending target's fate).
-pub(crate) fn build_constraints(spec: &Spec, query: &Query<'_>) -> (Vec<BitSet>, Vec<BitSet>) {
+/// Builds the precedence constraints of `criterion`'s query over the
+/// spec of `p`: unconditional predecessors (real time, TMS2's commit-order
+/// edges) and commit-conditional ones (read-commit-order's edges, which
+/// bind a writer only when the serialization commits it). An RCO edge
+/// into an always-committed target is unconditional. Neither fact list
+/// holds a self-edge.
+pub(crate) fn build_constraints(
+    p: &Prepared<'_>,
+    criterion: PlanCriterion,
+) -> (Vec<BitSet>, Vec<BitSet>) {
     #[cfg(test)]
     CONSTRAINT_BUILDS.with(|c| c.set(c.get() + 1));
+    let spec = p.indexed();
     let n = spec.txns.len();
     let mut preds = spec.rt_preds.clone();
-    for (a, b) in query.extra_edges.iter() {
-        if a != b {
-            preds[b].insert(a);
-        }
-    }
     let mut commit_preds: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for (a, b) in query.commit_edges.iter() {
-        if a == b {
-            continue;
-        }
-        match spec.txns[b].capability {
-            // Always committed: the condition always holds, so the edge
-            // is unconditional.
-            CommitCapability::Committed => {
-                preds[b].insert(a);
+    match criterion {
+        PlanCriterion::Tms2 => {
+            for e in p.tms2() {
+                preds[e.after].insert(e.before);
             }
-            // The search decides the fate: gate the commit branch.
-            CommitCapability::CommitPending => {
-                commit_preds[b].insert(a);
-            }
-            // Never commits: the edge is vacuous.
-            CommitCapability::NeverCommitted => {}
         }
+        PlanCriterion::Rco => {
+            for e in p.rco() {
+                match spec.txns[e.after].capability {
+                    CommitCapability::Committed => preds[e.after].insert(e.before),
+                    CommitCapability::CommitPending => commit_preds[e.after].insert(e.before),
+                    CommitCapability::NeverCommitted => {}
+                }
+            }
+        }
+        PlanCriterion::FinalState | PlanCriterion::Du | PlanCriterion::Strict => {}
     }
     (preds, commit_preds)
 }
@@ -294,32 +296,32 @@ impl PlanScratch {
 }
 
 impl Plan {
-    /// Plans `query` over the spec of `p` with a private scratch pool;
-    /// see [`Plan::build_with`].
+    /// Plans `criterion`'s query over the spec of `p` with a private
+    /// scratch pool; see [`Plan::build_with`].
     pub(crate) fn build(
         p: &Prepared<'_>,
-        query: &Query<'_>,
+        criterion: PlanCriterion,
         decompose: bool,
     ) -> Result<Plan, Violation> {
-        Plan::build_with(p, query, decompose, &mut PlanScratch::new())
+        Plan::build_with(p, criterion, decompose, &mut PlanScratch::new())
     }
 
-    /// Plans `query` over the spec of `p`, reading its supplier sets;
-    /// fails fast with the violation when the planning analysis alone
-    /// already refutes the query. With `decompose` off the plan has no
-    /// forced edges and one component, and no union-find runs. All
-    /// internal buffers come from (and the caller may return component
-    /// vectors to) `scratch`.
+    /// Plans `criterion`'s query over the spec of `p`, reading its
+    /// supplier sets; fails fast with the violation when the planning
+    /// analysis alone already refutes the query. With `decompose` off
+    /// the plan has no forced edges and one component, and no union-find
+    /// runs. All internal buffers come from (and the caller may return
+    /// component vectors to) `scratch`.
     pub(crate) fn build_with(
         p: &Prepared<'_>,
-        query: &Query<'_>,
+        criterion: PlanCriterion,
         decompose: bool,
         scratch: &mut PlanScratch,
     ) -> Result<Plan, Violation> {
         let spec = p.indexed();
         let n = spec.txns.len();
-        let (mut preds, commit_preds) = build_constraints(spec, query);
-        let suppliers = p.suppliers(query.deferred_update);
+        let (mut preds, commit_preds) = build_constraints(p, criterion);
+        let suppliers = p.suppliers(criterion == PlanCriterion::Du);
 
         // Zero candidates for a non-initial value: no serialization can
         // ever serve the read — `T_0` can always supply the initial value.
@@ -355,7 +357,7 @@ impl Plan {
             // a search: forced edges hold in every satisfying serialization.
             if forced {
                 topo = topo_order(&preds).map_err(|_| Violation::NoSerialization {
-                    criterion: query.name.to_owned(),
+                    criterion: criterion.display_name().to_owned(),
                     explored: 0,
                 })?;
             }
@@ -438,7 +440,9 @@ impl PlanCriterion {
         }
     }
 
-    fn lint_scope(self) -> crate::lint::LintScope {
+    /// The criterion family the lint prefilter treats this query as:
+    /// which `Error`-severity rules may refute it.
+    pub(crate) fn lint_scope(self) -> crate::lint::LintScope {
         match self {
             PlanCriterion::FinalState | PlanCriterion::Strict => crate::lint::LintScope::Plain,
             PlanCriterion::Du => crate::lint::LintScope::Du,
@@ -470,29 +474,10 @@ impl PlanCriterion {
             _ => None,
         }
     }
-
-    /// Builds the serialization query over a prepared query, taking its
-    /// commit-order edges from the query's facts.
-    pub(crate) fn query<'p>(self, p: &'p Prepared<'_>) -> Query<'p> {
-        let (extra_edges, commit_edges) = match self {
-            PlanCriterion::Rco => (Edges::NONE, Edges::Facts(p.rco())),
-            PlanCriterion::Tms2 => (Edges::Facts(p.tms2()), Edges::NONE),
-            _ => (Edges::NONE, Edges::NONE),
-        };
-        Query {
-            name: self.display_name(),
-            deferred_update: self == PlanCriterion::Du,
-            extra_edges,
-            commit_edges,
-            lint_scope: self.lint_scope(),
-            criterion: Some(self),
-        }
-    }
 }
 
-/// Checks `h` against `criterion`: prepares the history, builds the
-/// criterion's query, and runs the check pipeline
-/// ([`crate::search::search_serialization_with_stats`]), optionally
+/// Checks `h` against `criterion`: prepares the history and runs the
+/// check pipeline ([`crate::search::check_prepared`]), optionally
 /// through a persistent component cache. Every criterion struct, the
 /// shard worker and [`crate::snapshot::ResumableCheck`] come through here.
 pub(crate) fn check_planned(
@@ -501,8 +486,7 @@ pub(crate) fn check_planned(
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let p = Prepared::new(h, criterion);
-    crate::search::search_serialization_with_stats(&p, &criterion.query(&p), cfg, cache)
+    crate::search::check_prepared(&Prepared::new(h, criterion), criterion, cfg, cache)
 }
 
 /// Outcome of standalone component extraction ([`plan_components`]).
@@ -547,8 +531,7 @@ fn components_of(
         Ok(s) => s,
         Err(v) => return PlanOutcome::Decided(Verdict::Violated(v.clone())),
     };
-    let query = criterion.query(p);
-    let plan = match Plan::build_with(p, &query, true, scratch) {
+    let plan = match Plan::build_with(p, criterion, true, scratch) {
         Ok(plan) => plan,
         Err(v) => return PlanOutcome::Decided(Verdict::Violated(v)),
     };
@@ -574,31 +557,17 @@ pub fn plan_query(
     scratch: &mut PlanScratch,
 ) -> PlanOutcome {
     let p = Prepared::of(h);
-    if cfg.prelint {
-        if let Some(v) = crate::lint::prelint(&p, criterion.lint_scope(), criterion.display_name())
-        {
-            return PlanOutcome::Decided(Verdict::Violated(v));
-        }
+    match crate::search::prefilter(&p, criterion, cfg) {
+        Some(verdict) => PlanOutcome::Decided(verdict),
+        None => components_of(&p, criterion, scratch),
     }
-    if cfg.saturate {
-        let outcome = crate::saturate::saturate_prepared(&p, criterion);
-        if let Some(v) = crate::saturate::verdict_of(outcome, criterion) {
-            return PlanOutcome::Decided(v);
-        }
-    }
-    components_of(&p, criterion, scratch)
 }
 
 /// Runs the lint prefilter for `criterion` over an already-prepared
 /// history, exactly as the in-process search path does when
 /// [`SearchConfig::prelint`] is on. `Some` is the refuting verdict.
 pub fn prelint_verdict(h: &History, criterion: PlanCriterion) -> Option<Verdict> {
-    crate::lint::prelint(
-        &Prepared::of(h),
-        criterion.lint_scope(),
-        criterion.display_name(),
-    )
-    .map(Verdict::Violated)
+    crate::lint::prelint(&Prepared::of(h), criterion).map(Verdict::Violated)
 }
 
 /// Applies the verdict-degradation ladder to an undecided sharded check,
@@ -614,7 +583,7 @@ pub fn ladder_verdict(
     partial: Option<crate::PartialProgress>,
 ) -> Verdict {
     let p = Prepared::new(h, criterion);
-    crate::search::ladder_fallback(&p, &criterion.query(&p), cfg, explored, reason, partial)
+    crate::search::ladder_fallback(&p, criterion, cfg, explored, reason, partial)
 }
 
 /// Checks `h` against `criterion` through the full in-process search path
@@ -631,8 +600,8 @@ pub fn check_criterion_with_stats(
 }
 
 /// Serializations of previously decided components, for the online
-/// monitor: keyed by the component's member ids, holding the placement
-/// order with chosen commit fates.
+/// monitor and the anytime driver: keyed by the component's member ids,
+/// holding the placement order with chosen commit fates.
 ///
 /// Entries are validated by *replay* against the current spec before
 /// reuse (every placement re-checked for legality), so a stale entry can
@@ -646,6 +615,9 @@ pub(crate) struct ComponentCache {
     cur: HashMap<Vec<TxnId>, Vec<(TxnId, bool)>>,
     /// Components certified by replaying a cached fragment.
     pub(crate) reuses: u64,
+    /// The checkpoint sink of the [`crate::snapshot::ResumableCheck`]
+    /// owning this cache, told of every decided component.
+    pub(crate) sink: Option<SinkState>,
 }
 
 impl ComponentCache {
@@ -659,17 +631,27 @@ impl ComponentCache {
         self.prev.get(members).map(Vec::as_slice)
     }
 
-    fn store(&mut self, members: Vec<TxnId>, fragment: Vec<(TxnId, bool)>) {
-        self.cur.insert(members, fragment);
+    /// Records a decided component's fragment in the current generation
+    /// and tells the checkpoint sink, if any, with the explored-state
+    /// count so far.
+    fn store(&mut self, fragment: Fragment, explored: u64) {
+        self.cur.insert(fragment.members, fragment.placements);
+        if let Some(mut sink) = self.sink.take() {
+            sink.progress(explored, || self.fragments());
+            self.sink = Some(sink);
+        }
     }
 
-    /// Exports the current generation's fragments, sorted by member ids
-    /// for deterministic checkpoints.
-    pub(crate) fn export_fragments(&self) -> Vec<crate::snapshot::RawFragment> {
-        let mut out: Vec<_> = self
+    /// The current generation's fragments, sorted by member ids for
+    /// deterministic checkpoints.
+    pub(crate) fn fragments(&self) -> Vec<Fragment> {
+        let mut out: Vec<Fragment> = self
             .cur
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(members, placements)| Fragment {
+                members: members.clone(),
+                placements: placements.clone(),
+            })
             .collect();
         out.sort();
         out
@@ -681,12 +663,9 @@ impl ComponentCache {
     /// entries go through the same replay validation as any other cached
     /// fragment, so a corrupt or stale fragment costs a failed replay —
     /// never a wrong answer.
-    pub(crate) fn preload(
-        &mut self,
-        fragments: impl IntoIterator<Item = (Vec<TxnId>, Vec<(TxnId, bool)>)>,
-    ) {
-        for (members, frag) in fragments {
-            self.cur.insert(members, frag);
+    pub(crate) fn preload(&mut self, fragments: Vec<Fragment>) {
+        for f in fragments {
+            self.cur.insert(f.members, f.placements);
         }
     }
 }
@@ -726,15 +705,15 @@ fn try_replay(s: &mut Searcher<'_>, spec: &Spec, fragment: &[(TxnId, bool)]) -> 
 /// serializations into the global witness.
 pub(crate) fn planned_search(
     p: &Prepared<'_>,
-    query: &Query<'_>,
+    criterion: PlanCriterion,
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let plan = match Plan::build(p, query, cfg.decompose) {
+    let plan = match Plan::build(p, criterion, cfg.decompose) {
         Ok(plan) => plan,
         Err(v) => return (Verdict::Violated(v), SearchStats::default()),
     };
-    let setup = Setup::new(p, cfg, query, &plan);
+    let setup = Setup::new(p, cfg, criterion, &plan);
     if cfg.effective_threads() > 1 {
         if plan.components.len() > 1 {
             return crate::parallel::par_search_components(&setup);
@@ -750,7 +729,7 @@ pub(crate) fn seq_planned(
     setup: &Setup<'_>,
     mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    let (spec, query) = (setup.spec, setup.query);
+    let spec = setup.spec;
     let mut s = Searcher::new(setup);
     // One searcher serializes every component in turn without unwinding:
     // components are independent, so searching component k with components
@@ -795,16 +774,17 @@ pub(crate) fn seq_planned(
                 let frag = frag.to_vec();
                 if frag.len() == comp.len() && try_replay(&mut s, spec, &frag) {
                     c.reuses += 1;
-                    c.store(members, frag);
+                    let fragment = Fragment {
+                        members,
+                        placements: frag,
+                    };
+                    c.store(fragment, s.stats().explored);
                     replayed = true;
                 }
             }
         }
         if replayed {
             decided += 1;
-            if let Some(c) = cache.as_deref_mut() {
-                crate::snapshot::notify_component_progress(c, s.stats().explored);
-            }
             continue;
         }
         let outcome = s.search();
@@ -812,20 +792,21 @@ pub(crate) fn seq_planned(
             Outcome::Found => {
                 decided += 1;
                 if let Some(c) = cache.as_deref_mut() {
-                    let members: Vec<TxnId> = comp.iter().map(|&i| spec.txns[i].id).collect();
-                    let frag: Vec<(TxnId, bool)> = s
-                        .path_slice(path_start)
-                        .iter()
-                        .map(|&(i, f)| (spec.txns[i].id, f))
-                        .collect();
-                    c.store(members, frag);
-                    crate::snapshot::notify_component_progress(c, s.stats().explored);
+                    let fragment = Fragment {
+                        members: comp.iter().map(|&i| spec.txns[i].id).collect(),
+                        placements: s
+                            .path_slice(path_start)
+                            .iter()
+                            .map(|&(i, f)| (spec.txns[i].id, f))
+                            .collect(),
+                    };
+                    c.store(fragment, s.stats().explored);
                 }
             }
             Outcome::Exhausted => {
                 let stats = s.stats();
                 let verdict = Verdict::Violated(Violation::NoSerialization {
-                    criterion: query.name.to_owned(),
+                    criterion: setup.criterion.display_name().to_owned(),
                     explored: stats.explored,
                 });
                 return (verdict, stats);
@@ -862,17 +843,6 @@ mod tests {
         Value::new(n)
     }
 
-    fn du_query() -> Query<'static> {
-        Query {
-            name: "du-opacity",
-            deferred_update: true,
-            extra_edges: Edges::NONE,
-            commit_edges: Edges::NONE,
-            lint_scope: crate::lint::LintScope::Du,
-            criterion: Some(PlanCriterion::Du),
-        }
-    }
-
     /// Two independent clusters on distinct objects, fully concurrent.
     fn two_cluster_history() -> duop_history::History {
         let (x, y) = (ObjId::new(0), ObjId::new(1));
@@ -893,7 +863,7 @@ mod tests {
     #[test]
     fn splits_independent_clusters() {
         let h = two_cluster_history();
-        let plan = Plan::build(&Prepared::of(&h), &du_query(), true).unwrap();
+        let plan = Plan::build(&Prepared::of(&h), PlanCriterion::Du, true).unwrap();
         assert_eq!(plan.components.len(), 2, "plan: {plan:?}");
         let sizes: Vec<usize> = plan.components.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![2, 2]);
@@ -912,7 +882,7 @@ mod tests {
             .committed_writer(t(1), x, v(1))
             .committed_writer(t(2), y, v(2))
             .build();
-        let plan = Plan::build(&Prepared::of(&h), &du_query(), true).unwrap();
+        let plan = Plan::build(&Prepared::of(&h), PlanCriterion::Du, true).unwrap();
         assert_eq!(plan.components.len(), 1);
     }
 
@@ -929,7 +899,7 @@ mod tests {
             .build();
         let p = Prepared::of(&h);
         let spec = p.indexed();
-        let plan = Plan::build(&p, &du_query(), true).unwrap();
+        let plan = Plan::build(&p, PlanCriterion::Du, true).unwrap();
         let i1 = spec.index[&t(1)];
         let i2 = spec.index[&t(2)];
         // Not a real-time edge: T1's tryC is still pending.
@@ -947,52 +917,54 @@ mod tests {
         let h = HistoryBuilder::new()
             .committed_reader(t(1), x, v(9))
             .build();
-        let err = Plan::build(&Prepared::of(&h), &du_query(), true).unwrap_err();
+        let err = Plan::build(&Prepared::of(&h), PlanCriterion::Du, true).unwrap_err();
         assert!(matches!(err, Violation::MissingWriter { .. }));
     }
 
     #[test]
     fn forced_cycle_refutes_without_search() {
-        let x = ObjId::new(0);
-        // T1 and T2 each read the *other's* write while both tryCs are
-        // invoked after both reads responded: both forced edges point
-        // backwards across the pair, a cycle.
+        let (x, y) = (ObjId::new(0), ObjId::new(1));
+        // T2 reads T1's x = 1 before T1 invokes tryC, and T1 commits:
+        // read-commit-order's edge T2 → T1 is acyclic with real time, but
+        // T1, the read's sole supplier, is forced before T2 — a cycle
+        // only through a forced edge.
         let h = HistoryBuilder::new()
-            .inv_write(t(1), x, v(1))
-            .inv_write(t(2), x, v(2))
-            .resp_ok(t(1))
-            .resp_ok(t(2))
-            .inv_try_commit(t(1))
-            .inv_try_commit(t(2))
-            .read(t(3), x, v(1))
-            .read(t(4), x, v(2))
-            .commit(t(3))
-            .commit(t(4))
+            .write(t(1), x, v(1))
+            .read(t(2), x, v(1))
+            .commit(t(1))
+            .commit(t(2))
             .build();
         let p = Prepared::of(&h);
-        let spec = p.indexed();
-        // Forced edges exist but no cycle here (two readers, two writers is
-        // satisfiable); build a real cycle via extra edges instead.
-        let plan = Plan::build(&p, &du_query(), true).unwrap();
-        let forced: usize = plan
-            .preds
-            .iter()
-            .zip(&spec.rt_preds)
-            .map(|(preds, rt)| preds.iter_difference(rt).count())
-            .sum();
-        assert!(forced >= 2);
-        // A user-level cycle is still a ConstraintCycle.
-        let (i1, i2) = (spec.index[&t(1)], spec.index[&t(2)]);
-        let q = Query {
-            name: "test",
-            deferred_update: false,
-            extra_edges: Edges::Pairs(vec![(i1, i2), (i2, i1)]),
-            commit_edges: Edges::NONE,
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: None,
-        };
-        let err = Plan::build(&p, &q, true).unwrap_err();
-        assert!(matches!(err, Violation::ConstraintCycle { .. }));
+        assert_eq!(
+            Plan::build(&p, PlanCriterion::Rco, true).unwrap_err(),
+            Violation::NoSerialization {
+                criterion: "read-commit-order opacity".to_owned(),
+                explored: 0,
+            }
+        );
+        // Without forced edges, or without the criterion's edge, the
+        // graph is acyclic.
+        assert!(Plan::build(&p, PlanCriterion::Rco, false).is_ok());
+        assert!(Plan::build(&p, PlanCriterion::FinalState, true).is_ok());
+
+        // A cycle among the criterion's own edges is a ConstraintCycle:
+        // a write skew whose reads each respond before the other
+        // writer's tryC.
+        let h = HistoryBuilder::new()
+            .read(t(1), x, v(0))
+            .read(t(2), y, v(0))
+            .write(t(1), y, v(1))
+            .write(t(2), x, v(2))
+            .commit(t(1))
+            .commit(t(2))
+            .build();
+        let err = Plan::build(&Prepared::of(&h), PlanCriterion::Rco, true).unwrap_err();
+        assert_eq!(
+            err,
+            Violation::ConstraintCycle {
+                txns: vec![t(1), t(2)]
+            }
+        );
     }
 
     #[test]

@@ -263,10 +263,8 @@ mod tests {
                     };
                     // Which stage decides, found without a graph.
                     let p = Prepared::new(&h, criterion);
-                    let query = criterion.query(&p);
                     let reaches_planner = p.spec().is_ok()
-                        && !(cfg.prelint
-                            && crate::lint::prelint(&p, query.lint_scope, query.name).is_some())
+                        && !(cfg.prelint && crate::lint::prelint(&p, criterion).is_some())
                         && !(cfg.saturate
                             && crate::saturate::verdict_of(
                                 crate::saturate::saturate_prepared(&p, criterion),
@@ -274,7 +272,7 @@ mod tests {
                             )
                             .is_some());
                     let reaches_search =
-                        reaches_planner && Plan::build(&p, &query, cfg.decompose).is_ok();
+                        reaches_planner && Plan::build(&p, criterion, cfg.decompose).is_ok();
 
                     let [constraints, topos, closures] = graph_work(|| {
                         check_planned(&h, criterion, &cfg, None);

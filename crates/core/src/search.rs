@@ -1,10 +1,12 @@
 //! The backtracking serialization search shared by every criterion.
 //!
-//! The search explores total orders of the history's transactions that
-//! extend the real-time order (plus any criterion-specific precedence
-//! edges), choosing a commit/abort fate for every commit-pending
-//! transaction, and checking each transaction's external reads at its
-//! placement:
+//! A query is one of five serialization criteria ([`PlanCriterion`]):
+//! the criterion is the whole query, and every stage reads what it needs
+//! of it from the query's [`Prepared`] facts. The search explores total
+//! orders of the history's transactions that extend the real-time order
+//! (plus the criterion's precedence edges), choosing a commit/abort fate
+//! for every commit-pending transaction, and checking each transaction's
+//! external reads at its placement:
 //!
 //! * **global legality** — the read's value must be the last value written
 //!   to the object by a committed transaction placed so far (or the initial
@@ -14,11 +16,12 @@
 //!   response in `H`* must also match (`T_0` always qualifies, supplying
 //!   the initial value).
 //!
-//! Criteria may also supply **commit-conditional edges** `(a, b)`: `a`
-//! must precede `b` in any serialization that *commits* `b`. They encode
-//! constraints like read-commit-order, which only binds writers the chosen
-//! completion actually commits; for a commit-pending `b` they gate the
-//! commit fate instead of constraining the order unconditionally.
+//! TMS2's commit-order edges constrain the order unconditionally.
+//! Read-commit-order's are **commit-conditional** `(a, b)`: `a` must
+//! precede `b` in any serialization that *commits* `b`, since the
+//! criterion only binds writers the chosen completion actually commits;
+//! for a commit-pending `b` they gate the commit fate instead of
+//! constraining the order ([`crate::plan::build_constraints`]).
 //!
 //! Before any backtracking, the [`crate::plan`] module preprocesses the
 //! query (conflict-graph decomposition into independent components,
@@ -74,13 +77,12 @@
 
 use crate::bitset::BitSet;
 use crate::fxhash::{FxBuildHasher, Hash128};
-use crate::must_precede::CommitEdge;
 use crate::parallel::SharedSearch;
-use crate::plan::{ComponentCache, Plan};
+use crate::plan::{ComponentCache, Plan, PlanCriterion};
 use crate::prepared::Prepared;
 use crate::spec::Spec;
-use crate::{UnknownReason, Verdict, Violation, Witness};
-use duop_history::{CommitCapability, History, TxnId, Value};
+use crate::{UnknownReason, Verdict, Witness};
+use duop_history::{CommitCapability, TxnId, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -242,58 +244,6 @@ impl SearchStats {
     }
 }
 
-/// Precedence edges `(before, after)` between spec indices (the
-/// history's transaction slots).
-#[derive(Clone, Debug)]
-pub(crate) enum Edges<'e> {
-    /// A criterion's commit-order edges, borrowed from the query's facts:
-    /// their `before` and `after` slots, with no copy.
-    Facts(&'e [CommitEdge]),
-    /// Edges a caller assembles.
-    Pairs(Vec<(usize, usize)>),
-}
-
-impl<'e> Edges<'e> {
-    /// No edges.
-    pub(crate) const NONE: Edges<'e> = Edges::Facts(&[]);
-
-    /// Every edge, as `(before, after)`.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (facts, pairs): (&[CommitEdge], &[(usize, usize)]) = match self {
-            Edges::Facts(facts) => (facts, &[]),
-            Edges::Pairs(pairs) => (&[], pairs),
-        };
-        let facts = facts.iter().map(|e| (e.before, e.after));
-        facts.chain(pairs.iter().copied())
-    }
-}
-
-/// What the engine is asked to decide.
-#[derive(Clone, Debug)]
-pub(crate) struct Query<'e> {
-    /// Human-readable criterion name, used in violations.
-    pub name: &'static str,
-    /// Enforce Definition 3(3) (du-opacity's local serializations).
-    pub deferred_update: bool,
-    /// Criterion-specific precedence edges `(before, after)` in addition
-    /// to the real-time order.
-    pub extra_edges: Edges<'e>,
-    /// Commit-conditional edges `(a, b)`: `a` must precede `b` whenever
-    /// the serialization *commits* `b`; vacuous when `b` aborts. For an
-    /// already-committed `b` this is equivalent to an `extra_edges` entry.
-    pub commit_edges: Edges<'e>,
-    /// The criterion family the lint prefilter treats this query as (which
-    /// `Error`-severity rules may refute it).
-    pub lint_scope: crate::lint::LintScope,
-    /// The criterion this query renders when built by
-    /// [`PlanCriterion::query`](crate::PlanCriterion); `None` for queries a
-    /// caller assembles with extra constraints (e.g. the unique-writes
-    /// fallback's seeded edges). Saturation runs only on the former: it
-    /// derives its own seeds from the history, which is verdict-equivalent
-    /// only for the canonical query shapes.
-    pub criterion: Option<crate::plan::PlanCriterion>,
-}
-
 /// Memo-key term kinds: a placed transaction, an object's last
 /// committed value while a read of it is pending, and (du mode) an
 /// unplaced read's last eligible value.
@@ -340,7 +290,9 @@ pub(crate) static CROSS_CHECKS: std::sync::atomic::AtomicU64 = std::sync::atomic
 pub(crate) struct Setup<'a> {
     pub(crate) spec: &'a Spec,
     pub(crate) cfg: &'a SearchConfig,
-    pub(crate) query: &'a Query<'a>,
+    /// The criterion searched for; du-opacity enforces Definition 3(3)'s
+    /// local serializations.
+    pub(crate) criterion: PlanCriterion,
     pub(crate) plan: &'a Plan,
     suppliers: &'a [BitSet],
     elig: &'a [BitSet],
@@ -356,11 +308,11 @@ pub(crate) struct Setup<'a> {
 }
 
 impl<'a> Setup<'a> {
-    /// Sets up the search of `plan`, the plan of `query` over `p`.
+    /// Sets up the search of `plan`, the plan of `criterion` over `p`.
     pub(crate) fn new(
         p: &'a Prepared<'_>,
         cfg: &'a SearchConfig,
-        query: &'a Query<'a>,
+        criterion: PlanCriterion,
         plan: &'a Plan,
     ) -> Self {
         let spec = p.indexed();
@@ -388,7 +340,7 @@ impl<'a> Setup<'a> {
             desc.iter_mut().for_each(BitSet::clear);
         }
 
-        let du = query.deferred_update;
+        let du = criterion == PlanCriterion::Du;
         let (elig, writers) = if du {
             (p.eligibility(), p.suppliers(false))
         } else {
@@ -397,7 +349,7 @@ impl<'a> Setup<'a> {
         Setup {
             spec,
             cfg,
-            query,
+            criterion,
             plan,
             suppliers: p.suppliers(du),
             elig,
@@ -406,6 +358,21 @@ impl<'a> Setup<'a> {
             order,
             rank,
             budget: Budget::resolve(cfg),
+        }
+    }
+
+    /// Whether the search enforces du-opacity's local serializations.
+    pub(crate) fn du(&self) -> bool {
+        self.criterion == PlanCriterion::Du
+    }
+
+    /// The `eligible_global` setting of each pass of the search, in
+    /// order: du-opacity's two passes ([`Searcher::search`]), else one.
+    pub(crate) fn passes(&self) -> &'static [bool] {
+        if self.du() {
+            &[true, false]
+        } else {
+            &[false]
         }
     }
 }
@@ -522,7 +489,7 @@ impl<'a> Searcher<'a> {
         Searcher {
             spec,
             cfg: setup.cfg,
-            du: setup.query.deferred_update,
+            du: setup.du(),
             preds: &setup.plan.preds,
             commit_preds: &setup.plan.commit_preds,
             elig: setup.elig,
@@ -1089,59 +1056,55 @@ pub(crate) fn witness_from_path(spec: &Spec, path: &[(usize, bool)]) -> Witness 
     Witness::new(order, choices)
 }
 
-/// Decides `query` over a prepared query whose history has a spec, by the
-/// planned search in either planner setting. `cache` optionally carries
-/// the online monitor's per-component serialization cache; it is used
+/// Decides `criterion` over a prepared query whose history has a spec,
+/// by the planned search in either planner setting. `cache` optionally
+/// carries a persistent per-component serialization cache; it is used
 /// only with decomposition on, so the monolithic ablation stores no
 /// fragments.
 pub(crate) fn decide_spec(
     p: &Prepared<'_>,
-    query: &Query<'_>,
+    criterion: PlanCriterion,
     cfg: &SearchConfig,
     cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    crate::plan::planned_search(p, query, cfg, cache.filter(|_| cfg.decompose))
+    crate::plan::planned_search(p, criterion, cfg, cache.filter(|_| cfg.decompose))
 }
 
-/// Decides whether `h` has a serialization satisfying `query`.
-pub(crate) fn search_serialization(h: &History, query: &Query<'_>, cfg: &SearchConfig) -> Verdict {
-    search_serialization_with_stats(&Prepared::of(h), query, cfg, None).0
+/// The polynomial stages ahead of the planner, per `cfg`: the lint
+/// prefilter, then saturation. `Some` is the verdict of the first stage
+/// that decides.
+pub(crate) fn prefilter(
+    p: &Prepared<'_>,
+    criterion: PlanCriterion,
+    cfg: &SearchConfig,
+) -> Option<Verdict> {
+    if cfg.prelint {
+        if let Some(v) = crate::lint::prelint(p, criterion) {
+            return Some(Verdict::Violated(v));
+        }
+    }
+    if cfg.saturate {
+        let outcome = crate::saturate::saturate_prepared(p, criterion);
+        return crate::saturate::verdict_of(outcome, criterion);
+    }
+    None
 }
 
 /// The check pipeline every serialization query goes through: lint
 /// prefilter, saturation, spec prechecks, the planned search (decomposed
 /// or monolithic), and the degradation ladder — each per `cfg`, all over
-/// the one spec and the must-precede facts of `p`. `cache` carries a persistent
-/// component cache across calls (the anytime driver
+/// the one spec and the must-precede facts of `p`. `cache` carries a
+/// persistent component cache across calls (the anytime driver
 /// [`crate::snapshot::ResumableCheck`]); it is advanced to a new
 /// generation only when the search itself runs.
-pub(crate) fn search_serialization_with_stats(
+pub(crate) fn check_prepared(
     p: &Prepared<'_>,
-    query: &Query<'_>,
+    criterion: PlanCriterion,
     cfg: &SearchConfig,
     mut cache: Option<&mut ComponentCache>,
 ) -> (Verdict, SearchStats) {
-    if cfg.prelint {
-        if let Some(v) = crate::lint::prelint(p, query.lint_scope, query.name) {
-            return (Verdict::Violated(v), SearchStats::default());
-        }
-    }
-    if let Some(criterion) = query.criterion.filter(|_| cfg.saturate) {
-        match crate::saturate::saturate_prepared(p, criterion) {
-            crate::saturate::SaturationOutcome::Refuted(cert) => {
-                return (
-                    Verdict::Violated(Violation::Certified {
-                        criterion: query.name.into(),
-                        certificate: Box::new(cert),
-                    }),
-                    SearchStats::default(),
-                );
-            }
-            crate::saturate::SaturationOutcome::Decided(w) => {
-                return (Verdict::Satisfied(w), SearchStats::default());
-            }
-            crate::saturate::SaturationOutcome::Inconclusive => {}
-        }
+    if let Some(verdict) = prefilter(p, criterion, cfg) {
+        return (verdict, SearchStats::default());
     }
     if let Err(v) = p.spec() {
         return (Verdict::Violated(v.clone()), SearchStats::default());
@@ -1149,7 +1112,7 @@ pub(crate) fn search_serialization_with_stats(
     if let Some(c) = cache.as_deref_mut() {
         c.begin_generation();
     }
-    let (verdict, stats) = decide_spec(p, query, cfg, cache);
+    let (verdict, stats) = decide_spec(p, criterion, cfg, cache);
     if cfg.ladder {
         if let Verdict::Unknown {
             explored,
@@ -1158,7 +1121,7 @@ pub(crate) fn search_serialization_with_stats(
         } = verdict
         {
             return (
-                ladder_fallback(p, query, cfg, explored, reason, partial),
+                ladder_fallback(p, criterion, cfg, explored, reason, partial),
                 stats,
             );
         }
@@ -1177,7 +1140,7 @@ pub(crate) fn search_serialization_with_stats(
 ///    proven necessary conditions (skipped when `prelint` already ran
 ///    them before the search).
 /// 2. **unique-writes** — Theorem 11's constraint-propagation pass, run
-///    only for the plain du-opacity query on histories satisfying
+///    only for du-opacity on histories satisfying
 ///    [`crate::unique::has_unique_writes`], and only its polynomial
 ///    portion (it abstains instead of recursing into a fresh search).
 ///
@@ -1185,7 +1148,7 @@ pub(crate) fn search_serialization_with_stats(
 /// [`crate::PartialProgress`] payload annotated with the tiers that ran.
 pub(crate) fn ladder_fallback(
     p: &Prepared<'_>,
-    query: &Query<'_>,
+    criterion: PlanCriterion,
     cfg: &SearchConfig,
     explored: u64,
     reason: UnknownReason,
@@ -1196,16 +1159,14 @@ pub(crate) fn ladder_fallback(
     if cfg.prelint {
         // The prefilter already ran the lint tier and found nothing.
         tiers.push("lint");
-    } else if let Some(v) = crate::lint::prelint(p, query.lint_scope, query.name) {
+    } else if let Some(v) = crate::lint::prelint(p, criterion) {
         return Verdict::Violated(v);
     } else {
         tiers.push("lint");
     }
-    // Theorem 11 applies to the du-opacity query itself (no edges a
-    // caller added) under the unique-writes hypothesis.
-    if query.criterion == Some(crate::plan::PlanCriterion::Du)
-        && crate::unique::has_unique_writes(h)
-    {
+    // Theorem 11 applies to du-opacity under the unique-writes
+    // hypothesis.
+    if criterion == PlanCriterion::Du && crate::unique::has_unique_writes(h) {
         tiers.push("unique-writes");
         if let Some(verdict) = crate::unique::propagate_unique_writes(h) {
             return verdict;
@@ -1223,7 +1184,8 @@ pub(crate) fn ladder_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duop_history::{HistoryBuilder, ObjId};
+    use crate::Violation;
+    use duop_history::{History, HistoryBuilder, ObjId};
 
     fn t(k: u32) -> TxnId {
         TxnId::new(k)
@@ -1234,33 +1196,8 @@ mod tests {
     fn v(n: u64) -> Value {
         Value::new(n)
     }
-    /// The spec index of `T<k>` in `h`: its transaction slot.
-    fn ix(h: &History, k: u32) -> usize {
-        h.txn_ids()
-            .position(|id| id == t(k))
-            .expect("txn in history")
-    }
-
-    fn plain_query() -> Query<'static> {
-        Query {
-            name: "final-state opacity",
-            deferred_update: false,
-            extra_edges: Edges::NONE,
-            commit_edges: Edges::NONE,
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: Some(crate::plan::PlanCriterion::FinalState),
-        }
-    }
-
-    fn du_query() -> Query<'static> {
-        Query {
-            name: "du-opacity",
-            deferred_update: true,
-            extra_edges: Edges::NONE,
-            commit_edges: Edges::NONE,
-            lint_scope: crate::lint::LintScope::Du,
-            criterion: Some(crate::plan::PlanCriterion::Du),
-        }
+    fn check(h: &History, criterion: PlanCriterion, cfg: &SearchConfig) -> Verdict {
+        crate::plan::check_planned(h, criterion, cfg, None).0
     }
 
     /// Both planner settings, for tests that must hold under each.
@@ -1291,7 +1228,7 @@ mod tests {
                 saturate: false,
                 ..cfg
             };
-            let verdict = search_serialization(&h, &du_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::Du, &cfg);
             assert!(
                 matches!(
                     verdict,
@@ -1315,7 +1252,7 @@ mod tests {
             deadline: Some(Duration::from_secs(3600)),
             ..SearchConfig::default()
         };
-        assert!(search_serialization(&h, &du_query(), &cfg).is_satisfied());
+        assert!(check(&h, PlanCriterion::Du, &cfg).is_satisfied());
     }
 
     #[test]
@@ -1335,13 +1272,12 @@ mod tests {
             .commit(t(7))
             .commit(t(8))
             .build();
-        let baseline = search_serialization(&h, &du_query(), &SearchConfig::default());
+        let baseline = check(&h, PlanCriterion::Du, &SearchConfig::default());
         let capped_cfg = SearchConfig {
             max_memo_entries: Some(2),
             ..SearchConfig::default()
         };
-        let (capped, stats) =
-            search_serialization_with_stats(&Prepared::of(&h), &du_query(), &capped_cfg, None);
+        let (capped, stats) = crate::plan::check_planned(&h, PlanCriterion::Du, &capped_cfg, None);
         assert_eq!(baseline.is_satisfied(), capped.is_satisfied());
         assert!(stats.peak_memo_entries <= 2, "cap exceeded: {stats:?}");
     }
@@ -1353,7 +1289,7 @@ mod tests {
             .committed_reader(t(2), x(), v(1))
             .build();
         for cfg in both_modes() {
-            let verdict = search_serialization(&h, &plain_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::FinalState, &cfg);
             let w = verdict.witness().expect("satisfied");
             assert_eq!(w.order(), &[t(1), t(2)]);
         }
@@ -1371,7 +1307,7 @@ mod tests {
                 prelint: false,
                 ..cfg
             };
-            let verdict = search_serialization(&h, &plain_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::FinalState, &cfg);
             assert_eq!(
                 verdict.violation(),
                 Some(&Violation::MissingWriter {
@@ -1381,7 +1317,7 @@ mod tests {
                 })
             );
         }
-        let verdict = search_serialization(&h, &plain_query(), &SearchConfig::default());
+        let verdict = check(&h, PlanCriterion::FinalState, &SearchConfig::default());
         assert!(matches!(
             verdict.violation(),
             Some(Violation::LintRefuted { .. })
@@ -1402,7 +1338,7 @@ mod tests {
                 saturate: false,
                 ..cfg
             };
-            let verdict = search_serialization(&h, &plain_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::FinalState, &cfg);
             assert!(matches!(
                 verdict.violation(),
                 Some(Violation::NoSerialization { .. })
@@ -1413,13 +1349,13 @@ mod tests {
             prelint: false,
             ..SearchConfig::default()
         };
-        let verdict = search_serialization(&h, &plain_query(), &cfg);
+        let verdict = check(&h, PlanCriterion::FinalState, &cfg);
         assert!(matches!(
             verdict.violation(),
             Some(Violation::Certified { .. })
         ));
         // With the prefilter on, CY004 refutes without searching.
-        let verdict = search_serialization(&h, &plain_query(), &SearchConfig::default());
+        let verdict = check(&h, PlanCriterion::FinalState, &SearchConfig::default());
         assert!(matches!(
             verdict.violation(),
             Some(Violation::LintRefuted { .. })
@@ -1438,7 +1374,7 @@ mod tests {
             .commit(t(2))
             .build();
         for cfg in both_modes() {
-            let verdict = search_serialization(&h, &plain_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::FinalState, &cfg);
             let w = verdict.witness().expect("satisfied");
             assert!(w.position(t(2)).unwrap() < w.position(t(1)).unwrap());
         }
@@ -1455,7 +1391,7 @@ mod tests {
             .commit(t(2))
             .build();
         for cfg in both_modes() {
-            let verdict = search_serialization(&h, &du_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::Du, &cfg);
             let w = verdict.witness().expect("satisfied");
             assert_eq!(w.commit_choice(t(1)), Some(true));
             assert!(w.position(t(1)).unwrap() < w.position(t(2)).unwrap());
@@ -1478,7 +1414,7 @@ mod tests {
                 prelint: false,
                 ..cfg.clone()
             };
-            let verdict = search_serialization(&h, &du_query(), &no_prelint);
+            let verdict = check(&h, PlanCriterion::Du, &no_prelint);
             assert_eq!(
                 verdict.violation(),
                 Some(&Violation::MissingWriter {
@@ -1488,21 +1424,50 @@ mod tests {
                 })
             );
             // With the prefilter on, DU002 refutes du-opacity first.
-            let verdict = search_serialization(&h, &du_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::Du, &cfg);
             assert!(verdict.is_violated());
             // Without the deferred-update condition the same history
             // passes: T3 can be serialized before T2 (and the du-only
             // lint error must not leak into the plain scope).
-            let verdict = search_serialization(&h, &plain_query(), &cfg);
+            let verdict = check(&h, PlanCriterion::FinalState, &cfg);
             assert!(verdict.is_satisfied());
         }
     }
 
+    /// Both planner settings with lint and saturation off, so the planner
+    /// and the search alone meet the criterion's commit-order edges.
+    fn search_only() -> [SearchConfig; 2] {
+        both_modes().map(|cfg| SearchConfig {
+            prelint: false,
+            saturate: false,
+            ..cfg
+        })
+    }
+
+    /// A read-commit-order write skew: T1 reads x and writes y, T2 reads
+    /// y and writes x, each read responding before the other writer's
+    /// `tryC`, so RCO has an edge each way. T2 commits; T1 commits when
+    /// `t1_commits`, else its `tryC` stays pending.
+    fn rco_write_skew(t1_commits: bool) -> History {
+        let y = ObjId::new(1);
+        let b = HistoryBuilder::new()
+            .read(t(1), x(), v(0))
+            .read(t(2), y, v(0))
+            .write(t(1), y, v(1))
+            .write(t(2), x(), v(2));
+        let b = if t1_commits {
+            b.commit(t(1))
+        } else {
+            b.inv_try_commit(t(1))
+        };
+        b.commit(t(2)).build()
+    }
+
     #[test]
     fn extra_edges_constrain_order() {
-        // T1 and T2 overlap; force T1 < T2 while T2 read 0 and T1 committed
-        // a write of 1 to the same object: unsatisfiable with the edge,
-        // satisfiable without.
+        // T1 and T2 overlap, T2 reads 0 and T1 commits a write of 1 before
+        // T2 invokes tryC: TMS2's edge T1 → T2 makes the read stale, while
+        // final-state opacity serializes T2 first.
         let h = HistoryBuilder::new()
             .inv_write(t(1), x(), v(1))
             .inv_read(t(2), x())
@@ -1511,129 +1476,89 @@ mod tests {
             .commit(t(1))
             .commit(t(2))
             .build();
-        let constrained = Query {
-            name: "tms2",
-            deferred_update: false,
-            extra_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2))]),
-            commit_edges: Edges::NONE,
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: None,
-        };
-        for cfg in both_modes() {
-            let verdict = search_serialization(&h, &constrained, &cfg);
-            assert!(verdict.is_violated());
+        for cfg in search_only() {
+            assert!(check(&h, PlanCriterion::Tms2, &cfg).is_violated());
+            assert!(check(&h, PlanCriterion::FinalState, &cfg).is_satisfied());
         }
     }
 
     #[test]
     fn cyclic_edges_reported() {
-        let h = HistoryBuilder::new()
-            .inv_write(t(1), x(), v(1))
-            .inv_write(t(2), x(), v(2))
-            .resp_ok(t(1))
-            .resp_ok(t(2))
-            .commit(t(1))
-            .commit(t(2))
-            .build();
-        let q = Query {
-            name: "test",
-            deferred_update: false,
-            extra_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2)), (ix(&h, 2), ix(&h, 1))]),
-            commit_edges: Edges::NONE,
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: None,
-        };
-        for cfg in both_modes() {
-            let verdict = search_serialization(&h, &q, &cfg);
-            assert!(matches!(
-                verdict.violation(),
-                Some(Violation::ConstraintCycle { .. })
-            ));
+        // Both transactions commit, so both RCO edges are unconditional.
+        let h = rco_write_skew(true);
+        for cfg in search_only() {
+            let verdict = check(&h, PlanCriterion::Rco, &cfg);
+            assert!(
+                matches!(verdict.violation(), Some(Violation::ConstraintCycle { .. })),
+                "{verdict:?}"
+            );
         }
     }
 
     #[test]
     fn commit_edge_binds_commit_pending_target() {
-        // T1's write of 1 is commit-pending; T2 needs it, so T1 must
-        // commit *and* precede T2. A commit-conditional edge (T2, T1)
-        // demands T2 before T1 if T1 commits — contradiction either way.
+        // T1 writes x = 1 and y = 1, then invokes tryC and never hears
+        // back. T2 reads y (T3's 3) before that tryC — an RCO edge T2 → T1
+        // that binds only if T1 commits — and then x = 1, which only a
+        // committed T1 before T2 supplies: a contradiction either way.
+        let y = ObjId::new(1);
         let h = HistoryBuilder::new()
             .write(t(1), x(), v(1))
+            .write(t(1), y, v(1))
+            .committed_writer(t(3), y, v(3))
+            .read(t(2), y, v(3))
             .inv_try_commit(t(1))
             .read(t(2), x(), v(1))
             .commit(t(2))
             .build();
-        let q = Query {
-            name: "test",
-            deferred_update: false,
-            extra_edges: Edges::NONE,
-            commit_edges: Edges::Pairs(vec![(ix(&h, 2), ix(&h, 1))]),
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: None,
-        };
-        for cfg in both_modes() {
-            let verdict = search_serialization(&h, &q, &cfg);
-            assert!(matches!(
-                verdict.violation(),
-                Some(Violation::NoSerialization { .. })
-            ));
+        for cfg in search_only() {
+            let verdict = check(&h, PlanCriterion::Rco, &cfg);
+            assert!(
+                matches!(verdict.violation(), Some(Violation::NoSerialization { .. })),
+                "{verdict:?}"
+            );
             // Sanity: without the conditional edge the history is
-            // satisfiable (T1 commits before T2).
-            assert!(search_serialization(&h, &plain_query(), &cfg).is_satisfied());
+            // satisfiable (T1 commits, then T3, then T2).
+            assert!(check(&h, PlanCriterion::FinalState, &cfg).is_satisfied());
         }
     }
 
     #[test]
     fn commit_edge_forces_abort_instead_of_cycle() {
-        // Unconditional edges T1 < T2 and T2 < T1 would be a constraint
-        // cycle; making the second conditional on T1 committing instead
-        // lets the search keep T1 by choosing the abort fate.
-        let h = HistoryBuilder::new()
-            .inv_write(t(1), x(), v(1))
-            .inv_write(t(2), x(), v(2))
-            .resp_ok(t(2))
-            .resp_ok(t(1))
-            .inv_try_commit(t(1))
-            .commit(t(2))
-            .build();
-        let q = Query {
-            name: "test",
-            deferred_update: false,
-            extra_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2))]),
-            commit_edges: Edges::Pairs(vec![(ix(&h, 2), ix(&h, 1))]),
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: None,
-        };
-        for cfg in both_modes() {
-            let verdict = search_serialization(&h, &q, &cfg);
+        // The write skew of `cyclic_edges_reported` with T1's tryC left
+        // pending: the edge T2 → T1 now binds only if T1 commits, so the
+        // search keeps T1 by choosing the abort fate instead of reporting
+        // a cycle.
+        let (pending, committed) = (rco_write_skew(false), rco_write_skew(true));
+        for cfg in search_only() {
+            let verdict = check(&pending, PlanCriterion::Rco, &cfg);
             let w = verdict.witness().expect("satisfied with T1 aborted");
             assert_eq!(w.commit_choice(t(1)), Some(false));
+            crate::check_witness(&pending, w, crate::CriterionKind::ReadCommitOrder)
+                .expect("witness validates");
+            // The same two edges, both unconditional once T1 commits.
+            let verdict = check(&committed, PlanCriterion::Rco, &cfg);
+            assert!(
+                matches!(verdict.violation(), Some(Violation::ConstraintCycle { .. })),
+                "{verdict:?}"
+            );
         }
     }
 
     #[test]
     fn commit_edge_on_committed_target_is_unconditional() {
-        // Same shape as extra_edges_constrain_order, but through
-        // commit_edges: the target is a committed transaction, so the
-        // edge must constrain the order exactly like an extra edge.
+        // T2 reads T1's x = 1 before T1 invokes tryC, and T1 commits: the
+        // RCO edge T2 → T1 binds unconditionally, against the order the
+        // read needs (T1 before T2). Final-state opacity accepts it.
         let h = HistoryBuilder::new()
-            .inv_write(t(1), x(), v(1))
-            .inv_read(t(2), x())
-            .resp_value(t(2), v(0))
-            .resp_ok(t(1))
+            .write(t(1), x(), v(1))
+            .read(t(2), x(), v(1))
             .commit(t(1))
             .commit(t(2))
             .build();
-        let q = Query {
-            name: "test",
-            deferred_update: false,
-            extra_edges: Edges::NONE,
-            commit_edges: Edges::Pairs(vec![(ix(&h, 1), ix(&h, 2))]),
-            lint_scope: crate::lint::LintScope::Plain,
-            criterion: None,
-        };
-        for cfg in both_modes() {
-            assert!(search_serialization(&h, &q, &cfg).is_violated());
+        for cfg in search_only() {
+            assert!(check(&h, PlanCriterion::Rco, &cfg).is_violated());
+            assert!(check(&h, PlanCriterion::FinalState, &cfg).is_satisfied());
         }
     }
 
@@ -1659,9 +1584,9 @@ mod tests {
             .build();
         // The read of 9 precedes T5's own write of 9 (external read with
         // no other writer) — the planner's candidate-writer check kills it.
-        let verdict = search_serialization(
+        let verdict = check(
             &h,
-            &plain_query(),
+            PlanCriterion::FinalState,
             &SearchConfig {
                 max_states: Some(0),
                 ..SearchConfig::default()
@@ -1685,10 +1610,10 @@ mod tests {
             .commit(t(2))
             .commit(t(3))
             .build();
-        let with = search_serialization(&h, &plain_query(), &SearchConfig::default());
-        let without = search_serialization(
+        let with = check(&h, PlanCriterion::FinalState, &SearchConfig::default());
+        let without = check(
             &h,
-            &plain_query(),
+            PlanCriterion::FinalState,
             &SearchConfig {
                 memo: false,
                 ..SearchConfig::default()
@@ -1716,8 +1641,8 @@ mod tests {
             .commit(t(4))
             .build();
         let [on, off] = both_modes();
-        let vd_on = search_serialization(&h, &du_query(), &on);
-        let vd_off = search_serialization(&h, &du_query(), &off);
+        let vd_on = check(&h, PlanCriterion::Du, &on);
+        let vd_off = check(&h, PlanCriterion::Du, &off);
         assert!(vd_on.is_satisfied() && vd_off.is_satisfied());
         for vd in [&vd_on, &vd_off] {
             let w = vd.witness().unwrap();

@@ -12,14 +12,15 @@
 //!   poll it in their deadline-sampling slot and stop cooperatively with
 //!   [`UnknownReason::Interrupted`](crate::UnknownReason) so the caller
 //!   can flush a final checkpoint;
-//! * a **per-thread checkpoint sink** ([`install_checkpoint_sink`]) the
-//!   planned search notifies as components are decided, so checkpoints
-//!   land *during* a check, not only after it;
 //! * an anytime check driver ([`ResumableCheck`]) that runs the same
 //!   query as the criterion structs but through a persistent component
 //!   cache, so decided fragments survive budget exhaustion (for
 //!   checkpointing) and seed the next attempt (for `duop resume` and
-//!   `--retry`/`--escalate`).
+//!   `--retry`/`--escalate`);
+//! * a **checkpoint sink** the driver owns
+//!   ([`ResumableCheck::set_checkpoint_sink`]): the sequential planned
+//!   search hands it the decided fragments as components are decided, so
+//!   checkpoints land *during* a check, not only after it.
 //!
 //! Soundness is inherited, never assumed: resumed fragments are *replayed*
 //! through the searcher's own placement rules before reuse, and a resumed
@@ -34,7 +35,6 @@ use crate::search::{SearchConfig, SearchStats};
 use crate::{Verdict, Witness};
 use duop_history::{Event, History, TxnId};
 use serde::{Content, DeError, Deserialize as _};
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,8 +47,9 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 // ---------------------------------------------------------------------------
 
 /// Process-wide cooperative interrupt flag, set by the CLI's
-/// SIGINT/SIGTERM handler. Only searches that opt in via
-/// [`SearchConfig::interruptible`](crate::SearchConfig) poll it.
+/// SIGINT/SIGTERM handler. Searches poll it only when they opt in via
+/// [`SearchConfig::interruptible`](crate::SearchConfig); the shard
+/// coordinator and the serve daemon poll it in their event loops.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 /// Requests a cooperative stop. Async-signal-safe (a single atomic
@@ -82,79 +83,35 @@ pub struct Fragment {
     pub placements: Vec<(TxnId, bool)>,
 }
 
-/// A raw `(members, placements)` fragment pair, as the component cache
-/// stores it and the on-disk snapshot records it.
-pub type RawFragment = (Vec<TxnId>, Vec<(TxnId, bool)>);
-
 /// A checkpoint-sink callback: receives the decided fragments and the
 /// explored-state count at each flush.
-pub type CheckpointSink = Box<dyn FnMut(&[Fragment], u64)>;
+pub type CheckpointSink = Box<dyn FnMut(&[Fragment], u64) + Send>;
 
-struct SinkState {
+/// A [`ResumableCheck`]'s checkpoint sink and its flush cadence.
+pub(crate) struct SinkState {
     every: u64,
     last_flush: u64,
     sink: CheckpointSink,
 }
 
-thread_local! {
-    /// The checkpoint sink is per-thread: the sequential planned search
-    /// runs on the installing thread, and thread-locality means one
-    /// check's sink can never observe another check's fragments (tests
-    /// run checks concurrently in one process).
-    static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
-}
-
-/// Installs a checkpoint sink on the current thread. The planned search
-/// calls it (with the component cache's fragments and the explored-state
-/// count) whenever a component is decided and at least `every` states
-/// have been explored since the last flush. Replaces any previous sink.
-pub fn install_checkpoint_sink(every: u64, sink: CheckpointSink) {
-    SINK.with(|cell| {
-        *cell.borrow_mut() = Some(SinkState {
-            every: every.max(1),
-            last_flush: 0,
-            sink,
-        });
-    });
-}
-
-/// Removes the current thread's checkpoint sink, if any.
-pub fn remove_checkpoint_sink() {
-    SINK.with(|cell| {
-        *cell.borrow_mut() = None;
-    });
-}
-
-/// Called by the sequential planned search after each decided component.
-pub(crate) fn notify_component_progress(cache: &ComponentCache, explored: u64) {
-    SINK.with(|cell| {
-        // try_borrow_mut: if the sink itself somehow triggers a cached
-        // search on this thread, skip the nested notification rather
-        // than panicking the checker.
-        let Ok(mut slot) = cell.try_borrow_mut() else {
-            return;
-        };
-        let Some(state) = slot.as_mut() else {
-            return;
-        };
-        if explored.saturating_sub(state.last_flush) < state.every {
-            return;
+impl SinkState {
+    /// Hands `fragments` to the sink when at least `every` states have
+    /// been explored since the last flush.
+    pub(crate) fn progress(&mut self, explored: u64, fragments: impl FnOnce() -> Vec<Fragment>) {
+        if explored.saturating_sub(self.last_flush) >= self.every {
+            self.last_flush = explored;
+            (self.sink)(&fragments(), explored);
         }
-        state.last_flush = explored;
-        let fragments = export_cache(cache);
-        (state.sink)(&fragments, explored);
-    });
+    }
 }
 
-fn export_cache(cache: &ComponentCache) -> Vec<Fragment> {
-    cache
-        .export_fragments()
-        .into_iter()
-        .map(|(members, placements)| Fragment {
-            members,
-            placements,
-        })
-        .collect()
+impl fmt::Debug for SinkState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SinkState")
+            .field("every", &self.every)
+            .field("last_flush", &self.last_flush)
+            .finish_non_exhaustive()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -766,9 +723,10 @@ impl CheckableCriterion {
 ///   re-searching — validated reuse, identical verdicts, strictly fewer
 ///   explored states.
 ///
-/// Fragment reuse flows through the sequential planned engine; with
-/// `threads > 1` or `decompose = false` the check still works but decides
-/// every component afresh.
+/// Fragment reuse and the checkpoint sink flow through the sequential
+/// planned engine; with `threads > 1` (the parallel engine) or
+/// `decompose = false` the check still works but decides every component
+/// afresh and flushes nothing mid-search.
 #[derive(Debug, Default)]
 pub struct ResumableCheck {
     cache: ComponentCache,
@@ -783,14 +741,26 @@ impl ResumableCheck {
     /// Preloads checkpointed fragments. They are replay-validated before
     /// any reuse, so corrupt or stale fragments are harmless.
     pub fn preload(&mut self, fragments: Vec<Fragment>) {
-        self.cache
-            .preload(fragments.into_iter().map(|f| (f.members, f.placements)));
+        self.cache.preload(fragments);
     }
 
     /// The fragments of every component decided by the most recent
     /// [`ResumableCheck::check`] call (sorted, deterministic).
     pub fn fragments(&self) -> Vec<Fragment> {
-        export_cache(&self.cache)
+        self.cache.fragments()
+    }
+
+    /// Flushes checkpoints while later [`ResumableCheck::check`] calls
+    /// run: after each decided component, once at least `every` states
+    /// have been explored since the last flush, `sink` receives the
+    /// decided fragments and the explored-state count. Replaces any
+    /// previous sink.
+    pub fn set_checkpoint_sink(&mut self, every: u64, sink: CheckpointSink) {
+        self.cache.sink = Some(SinkState {
+            every: every.max(1),
+            last_flush: 0,
+            sink,
+        });
     }
 
     /// Checks `h` against `criterion` under `cfg`: the same pipeline as
@@ -1119,16 +1089,17 @@ mod tests {
 
     #[test]
     fn checkpoint_sink_fires_on_component_progress() {
-        use std::cell::Cell;
-        use std::rc::Rc;
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
 
-        let flushes = Rc::new(Cell::new(0usize));
+        let flushes = Arc::new(AtomicUsize::new(0));
         let seen = flushes.clone();
-        install_checkpoint_sink(
+        let mut check = ResumableCheck::new();
+        check.set_checkpoint_sink(
             1,
             Box::new(move |fragments, _explored| {
                 assert!(!fragments.is_empty());
-                seen.set(seen.get() + 1);
+                seen.fetch_add(1, Ordering::Relaxed);
             }),
         );
         let h = HistoryBuilder::new()
@@ -1137,7 +1108,6 @@ mod tests {
             .committed_writer(t(3), ObjId::new(1), Value::new(7))
             .committed_reader(t(4), ObjId::new(1), Value::new(7))
             .build();
-        let mut check = ResumableCheck::new();
         // Saturation off: this test exercises the planned search's sink
         // notifications, and the prefilter decides this history outright.
         let cfg = SearchConfig {
@@ -1145,9 +1115,14 @@ mod tests {
             ..SearchConfig::default()
         };
         let (verdict, _) = check.check(&h, CheckableCriterion::DuOpacity, &cfg);
-        remove_checkpoint_sink();
         assert!(verdict.is_satisfied());
-        assert!(flushes.get() > 0, "sink never fired");
+        let fired = flushes.load(Ordering::Relaxed);
+        assert!(fired > 0, "sink never fired");
+        // The sink belongs to its check: another check flushes nothing
+        // to it.
+        let (verdict, _) = ResumableCheck::new().check(&h, CheckableCriterion::DuOpacity, &cfg);
+        assert!(verdict.is_satisfied());
+        assert_eq!(flushes.load(Ordering::Relaxed), fired);
     }
 
     #[test]

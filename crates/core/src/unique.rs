@@ -7,10 +7,11 @@
 //! initial value). Theorem 11 shows that opacity and du-opacity coincide
 //! on such histories; operationally, fixing reads-from lets a polynomial
 //! constraint-propagation pass decide most histories outright, falling
-//! back to the general search (seeded with every inferred precedence edge)
-//! only when an anti-dependency disjunction remains unresolved.
+//! back to the general du-opacity check only when an anti-dependency
+//! disjunction remains unresolved. Every edge the pass infers is implied
+//! by du-opacity, so the fallback needs none of them: the general check
+//! derives the same verdict from the history alone.
 
-use crate::search::SearchConfig;
 use crate::{Criterion, DuOpacity, Verdict, Violation, Witness};
 use duop_history::{CommitCapability, History, ObjId, TxnId, Value};
 use std::collections::BTreeMap;
@@ -64,19 +65,19 @@ pub struct FastPathStats {
     pub rounds: usize,
     /// Precedence edges inferred.
     pub edges: usize,
-    /// `true` if the general search had to finish the job.
+    /// `true` if the general du-opacity check had to finish the job.
     pub fell_back: bool,
 }
 
 /// Decides du-opacity of a *unique-writes* history by constraint
 /// propagation over the fixed reads-from relation.
 ///
-/// Sound and complete: if a disjunctive anti-dependency constraint cannot
-/// be resolved by propagation, the general [`DuOpacity`] search is run
-/// with every inferred edge (all of which are implied by the definition)
-/// pre-seeded, so the verdict always matches [`DuOpacity::check`]. By
-/// Theorem 11 the verdict also matches [`Opacity`](crate::Opacity) for
-/// complete unique-writes histories.
+/// Sound and complete: every edge propagation infers is implied by the
+/// definition, so a verdict it reaches is [`DuOpacity`]'s; if a
+/// disjunctive anti-dependency constraint cannot be resolved by
+/// propagation, the verdict is [`DuOpacity::check`]'s own. By Theorem 11
+/// the verdict also matches [`Opacity`](crate::Opacity) for complete
+/// unique-writes histories.
 ///
 /// # Examples
 ///
@@ -101,29 +102,12 @@ pub fn check_unique_writes_fast(h: &History) -> (Verdict, FastPathStats) {
         has_unique_writes(h),
         "fast path requires the unique-writes assumption"
     );
-    let (decided, edges, mut stats) = propagate(h);
+    let (decided, mut stats) = propagate(h);
     if let Some(verdict) = decided {
         return (verdict, stats);
     }
-    // Finish with the general search, seeded with the inferred edges
-    // (each is implied, so this is sound and complete).
     stats.fell_back = true;
-    // Without seeded edges this is the plain du-opacity query, which the
-    // saturation prefilter may decide.
-    let criterion = edges.is_empty().then_some(crate::PlanCriterion::Du);
-    let verdict = crate::search::search_serialization(
-        h,
-        &crate::search::Query {
-            name: "du-opacity (unique-writes fallback)",
-            deferred_update: true,
-            extra_edges: crate::search::Edges::Pairs(edges),
-            commit_edges: crate::search::Edges::NONE,
-            lint_scope: crate::lint::LintScope::Du,
-            criterion,
-        },
-        &SearchConfig::default(),
-    );
-    (verdict, stats)
+    (DuOpacity::new().check(h), stats)
 }
 
 /// The polynomial portion of the Theorem 11 fast path: decides du-opacity
@@ -155,11 +139,10 @@ pub fn propagate_unique_writes(h: &History) -> Option<Verdict> {
     propagate(h).0
 }
 
-/// Shared propagation pass: returns the decided verdict (if propagation
-/// resolved everything) or `None` plus the inferred precedence edges for
-/// the search fallback, as transaction slots of `h` (the spec indices the
-/// search reads), along with the pass's statistics.
-fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStats) {
+/// Shared propagation pass: returns the decided verdict, `None` when an
+/// anti-dependency disjunction remains unresolved, along with the pass's
+/// statistics.
+fn propagate(h: &History) -> (Option<Verdict>, FastPathStats) {
     let mut stats = FastPathStats::default();
 
     let ids: Vec<TxnId> = h.txn_ids().collect();
@@ -225,7 +208,6 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
                     obj: r.obj,
                     value: r.value,
                 })),
-                Vec::new(),
                 stats,
             );
         };
@@ -238,7 +220,6 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
                     obj: r.obj,
                     value: r.value,
                 })),
-                Vec::new(),
                 stats,
             );
         }
@@ -259,7 +240,6 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
                     obj: r.obj,
                     value: r.value,
                 })),
-                Vec::new(),
                 stats,
             );
         }
@@ -329,7 +309,6 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
             let cyc: Vec<TxnId> = (0..n).filter(|&i| reach[i][i]).map(|i| ids[i]).collect();
             return (
                 Some(Verdict::Violated(Violation::ConstraintCycle { txns: cyc })),
-                Vec::new(),
                 stats,
             );
         }
@@ -355,7 +334,6 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
                             Some(Verdict::Violated(Violation::ConstraintCycle {
                                 txns: vec![ids[j], ids[w], ids[r.reader]],
                             })),
-                            Vec::new(),
                             stats,
                         );
                     }
@@ -380,18 +358,8 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
     }
 
     if unresolved {
-        // Hand the inferred edges to the caller; only
-        // `check_unique_writes_fast` escalates to the general search.
-        let mut edges = Vec::new();
-        for (i, row) in adj.iter().enumerate() {
-            edges.extend(
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &e)| e)
-                    .map(|(j, _)| (i, j)),
-            );
-        }
-        return (None, edges, stats);
+        // Only `check_unique_writes_fast` escalates to the general check.
+        return (None, stats);
     }
 
     // All constraints resolved: any topological order is a witness.
@@ -405,7 +373,6 @@ fn propagate(h: &History) -> (Option<Verdict>, Vec<(usize, usize)>, FastPathStat
     }
     (
         Some(Verdict::Satisfied(Witness::new(order, choices))),
-        Vec::new(),
         stats,
     )
 }
@@ -583,6 +550,49 @@ mod tests {
         if let Some(w) = fast.witness() {
             assert_eq!(check_witness(&h, w, CriterionKind::DuOpacity), Ok(()));
         }
+    }
+
+    /// When propagation leaves an anti-dependency disjunction open, the
+    /// fast path returns du-opacity's own verdict.
+    #[test]
+    fn unresolved_disjunction_falls_back_to_du_opacity() {
+        // T2 reads T1's 1 while T3's write of 3 overlaps both: T3 may go
+        // before T1 or after T2, and propagation cannot choose.
+        let concurrent = HistoryBuilder::new()
+            .inv_write(t(1), x(), v(1))
+            .inv_write(t(3), x(), v(3))
+            .resp_ok(t(1))
+            .resp_ok(t(3))
+            .inv_try_commit(t(1))
+            .inv_try_commit(t(3))
+            .read(t(2), x(), v(1))
+            .resp_committed(t(1))
+            .resp_committed(t(3))
+            .commit(t(2))
+            .build();
+        let mut histories = vec![concurrent];
+        for seed in 0..40 {
+            let mut cfg = duop_gen::HistoryGenConfig::small_adversarial().with_txns(8);
+            cfg.unique_writes = true;
+            histories.push(duop_gen::HistoryGen::new(cfg, seed).generate());
+        }
+        let (mut fell_back, mut satisfied) = (0, 0);
+        for h in histories.iter().filter(|h| has_unique_writes(h)) {
+            let (verdict, stats) = check_unique_writes_fast(h);
+            if !stats.fell_back {
+                continue;
+            }
+            fell_back += 1;
+            assert_eq!(verdict, DuOpacity::new().check(h), "{h:?}");
+            if let Some(w) = verdict.witness() {
+                satisfied += 1;
+                assert_eq!(check_witness(h, w, CriterionKind::DuOpacity), Ok(()));
+            }
+        }
+        assert!(
+            fell_back > 0 && satisfied > 0,
+            "{fell_back} fell back, {satisfied} satisfied"
+        );
     }
 
     #[test]

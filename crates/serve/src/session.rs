@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use duop_core::online::{OnlineChecker, OnlineStats};
-use duop_core::snapshot::{Fragment, SessionSnapshot};
+use duop_core::snapshot::SessionSnapshot;
 use duop_core::{Criterion, DuOpacity, PartialProgress, SearchConfig, UnknownReason, Verdict};
 use duop_history::{Event, History, MalformedHistoryError};
 
@@ -177,15 +177,7 @@ impl Session {
             discarded: self.discarded,
             witness: self.checker.witness().cloned(),
             stats: self.checker.stats(),
-            fragments: self
-                .checker
-                .export_fragments()
-                .into_iter()
-                .map(|(members, placements)| Fragment {
-                    members,
-                    placements,
-                })
-                .collect(),
+            fragments: self.checker.export_fragments(),
             budget: self.budget.unwrap_or(0) as u64,
         }
     }
@@ -217,12 +209,7 @@ impl Session {
             SearchConfig::default(),
         );
         checker.set_compact_every(budget);
-        checker.preload_fragments(
-            snap.fragments
-                .into_iter()
-                .map(|f| (f.members, f.placements))
-                .collect(),
-        );
+        checker.preload_fragments(snap.fragments);
         Ok(Session {
             id: snap.session,
             checker,

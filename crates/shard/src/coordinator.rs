@@ -32,6 +32,7 @@ use crate::protocol::{
     VerdictMsg, FRAME_HEARTBEAT, FRAME_HELLO, FRAME_SHUTDOWN, FRAME_TASK, FRAME_VERDICT,
 };
 use crate::transport::{connect_remote, net_timeout, Backoff};
+use duop_core::snapshot::interrupt_requested;
 use duop_core::{
     available_threads, ladder_verdict, plan_query, PartialProgress, PlanCriterion, PlanOutcome,
     PlanScratch, SearchConfig, UnknownReason, Verdict, Violation, Witness,
@@ -235,8 +236,9 @@ enum TaskOutcome {
         explored: u64,
         verdict: Verdict,
     },
-    /// Retry budget exhausted: the component is undecided.
-    Dead,
+    /// Undecided: its retry budget ran out (`WorkerDeath`), or the run
+    /// was interrupted (`Interrupted`).
+    Lost(UnknownReason),
 }
 
 struct TaskState {
@@ -641,7 +643,7 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, pipeline: &SearchC
     if parts.len() == 1 && parts[0].spec.whole {
         return match parts[0].outcome.as_ref().expect("job is complete") {
             TaskOutcome::Answered { verdict, .. } => verdict.clone(),
-            TaskOutcome::Dead => finish_unknown(0, UnknownReason::WorkerDeath, None, job, pipeline),
+            TaskOutcome::Lost(reason) => finish_unknown(0, *reason, None, job, pipeline),
         };
     }
 
@@ -687,10 +689,10 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, pipeline: &SearchC
                     );
                 }
             },
-            TaskOutcome::Dead => {
+            TaskOutcome::Lost(reason) => {
                 return finish_unknown(
                     explored_before,
-                    UnknownReason::WorkerDeath,
+                    *reason,
                     Some(PartialProgress::components(
                         decided_before,
                         job.components_total,
@@ -852,7 +854,7 @@ impl Coordinator<'_> {
                 "task {task_id} lost to its {}th worker death ({detail}); retry budget exhausted",
                 task.deaths
             ));
-            self.finish_task(task_id, TaskOutcome::Dead);
+            self.finish_task(task_id, TaskOutcome::Lost(UnknownReason::WorkerDeath));
             return;
         }
         log_line(&format!(
@@ -934,6 +936,10 @@ impl Coordinator<'_> {
     }
 
     fn dispatch(&mut self) -> Result<(), ShardError> {
+        if interrupt_requested() {
+            // An interrupted run hands out no more work.
+            return Ok(());
+        }
         loop {
             // Drop queue entries whose task got answered speculatively or
             // re-queued under a newer entry.
@@ -985,7 +991,10 @@ impl Coordinator<'_> {
                         // degrade to WorkerDeath so each job still merges
                         // to a sound `Unknown{partial}` — never a wrong
                         // Satisfied/Violation, and never a hang.
-                        self.degrade_undecided_tasks();
+                        self.degrade_undecided_tasks(
+                            "no live or recoverable workers",
+                            UnknownReason::WorkerDeath,
+                        );
                         continue;
                     }
                     return Err(ShardError::AllWorkersDead(format!(
@@ -1001,9 +1010,11 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Marks every undecided task dead: the terminal degradation when
-    /// the whole (remote-inclusive) pool is unrecoverable.
-    fn degrade_undecided_tasks(&mut self) {
+    /// Finishes every undecided task as lost for `reason`: the terminal
+    /// degradation when the whole (remote-inclusive) pool is
+    /// unrecoverable (`WorkerDeath`) or the run is interrupted
+    /// (`Interrupted`).
+    fn degrade_undecided_tasks(&mut self, why: &str, reason: UnknownReason) {
         let undecided: Vec<u64> = self
             .tasks
             .values()
@@ -1014,11 +1025,11 @@ impl Coordinator<'_> {
             return;
         }
         log_line(&format!(
-            "no live or recoverable workers; degrading {} undecided task(s) to WorkerDeath",
+            "{why}; degrading {} undecided task(s) to {reason:?}",
             undecided.len()
         ));
         for task_id in undecided {
-            self.finish_task(task_id, TaskOutcome::Dead);
+            self.finish_task(task_id, TaskOutcome::Lost(reason));
         }
     }
 
@@ -1272,6 +1283,19 @@ pub fn run_sharded(jobs: Vec<ShardJob>, cfg: &ShardConfig) -> Result<Vec<Verdict
     let result = loop {
         if coordinator.completed == total {
             break Ok(());
+        }
+        // On SIGINT/SIGTERM, once the planner has handed over every job
+        // (lint and saturation may have decided some), each undecided job
+        // finishes as interrupted through the ladder, as `duop check`'s
+        // do; `shutdown` then kills the workers still searching.
+        if interrupt_requested() && coordinator.plan_done {
+            coordinator.degrade_undecided_tasks("interrupted", UnknownReason::Interrupted);
+            if coordinator.completed < total {
+                break Err(ShardError::Internal(
+                    "interrupted with jobs outstanding".to_owned(),
+                ));
+            }
+            continue;
         }
         let event = match rx.recv_timeout(LIVENESS_INTERVAL) {
             Ok(event) => event,
