@@ -6,7 +6,7 @@ use duop_core::snapshot::{
     self, CheckSnapshot, CheckableCriterion, CompletedCriterion, InFlight, MonitorSnapshot,
     ResumableCheck, Snapshot,
 };
-use duop_core::tms2_automaton::{check_tms2_automaton, Tms2Verdict};
+use duop_core::tms2_automaton::{check_tms2_automaton_interruptible, Tms2Verdict};
 use duop_core::{
     available_threads, Criterion, DuOpacity, Opacity, SearchConfig, UnknownReason, Verdict,
 };
@@ -444,11 +444,20 @@ fn search_config(opts: &CheckOpts, attempt: u64) -> SearchConfig {
 }
 
 /// Runs the full-automaton TMS2 check and renders the `ok` flag and
-/// detail field of its output line. Shared by `check` and `shard`
+/// detail field of its output line, with the states explored when
+/// SIGINT/SIGTERM stopped it. Shared by `check` and `shard`
 /// ([`Tms2Verdict`] is not a [`Verdict`], so the shard pipeline runs
 /// this criterion in the coordinator).
-fn tms2_automaton_detail(h: &History, json: bool) -> (bool, String) {
-    match check_tms2_automaton(h, Some(10_000_000)) {
+fn tms2_automaton_detail(h: &History, json: bool) -> (bool, String, Option<u64>) {
+    let verdict = check_tms2_automaton_interruptible(h, Some(10_000_000));
+    let interrupted = match verdict {
+        Tms2Verdict::Unknown {
+            explored,
+            reason: UnknownReason::Interrupted,
+        } => Some(explored),
+        _ => None,
+    };
+    let (ok, detail) = match verdict {
         Tms2Verdict::Accepted(_) => (
             true,
             if json {
@@ -465,7 +474,20 @@ fn tms2_automaton_detail(h: &History, json: bool) -> (bool, String) {
                 format!("rejected ({explored} states)")
             },
         ),
-        Tms2Verdict::Unknown { explored } => (
+        Tms2Verdict::Unknown {
+            explored,
+            reason: UnknownReason::Interrupted,
+        } => (
+            false,
+            if json {
+                format!(
+                    "{{\"status\":\"unknown\",\"explored\":{explored},\"reason\":\"interrupted\"}}"
+                )
+            } else {
+                format!("unknown (interrupted after {explored} states)")
+            },
+        ),
+        Tms2Verdict::Unknown { explored, .. } => (
             false,
             if json {
                 format!("{{\"status\":\"unknown\",\"explored\":{explored}}}")
@@ -473,7 +495,8 @@ fn tms2_automaton_detail(h: &History, json: bool) -> (bool, String) {
                 format!("unknown (budget after {explored} states)")
             },
         ),
-    }
+    };
+    (ok, detail, interrupted)
 }
 
 fn check(
@@ -515,7 +538,27 @@ fn check(
         };
         let (label, ok, detail): (&str, bool, String) = match name {
             CriterionName::Tms2Automaton => {
-                let (ok, detail) = tms2_automaton_detail(h, json);
+                let (ok, detail, interrupted) = tms2_automaton_detail(h, json);
+                if let (Some(path), Some(explored)) = (&opts.checkpoint, interrupted) {
+                    // The automaton keeps no progress to resume from:
+                    // leave it in flight, and `duop resume` runs it again.
+                    let mut snap = snap_base.clone();
+                    snap.completed = completed.clone();
+                    snap.current = Some(InFlight {
+                        name: token.to_owned(),
+                        explored,
+                        fragments: Vec::new(),
+                    });
+                    snapshot::save(path, &Snapshot::Check(snap))?;
+                    if !json {
+                        writeln!(
+                            out,
+                            "interrupted; progress checkpointed to {path} \
+                             (continue with: duop resume {path})"
+                        )?;
+                    }
+                    return Ok(false);
+                }
                 ("TMS2 (full automaton)", ok, detail)
             }
             other => {
@@ -877,7 +920,7 @@ fn shard(
         for (name, job) in list.iter().zip(per_criterion) {
             let (label, ok, detail) = match job {
                 None => {
-                    let (ok, detail) = tms2_automaton_detail(h, json);
+                    let (ok, detail, _) = tms2_automaton_detail(h, json);
                     ("TMS2 (full automaton)", ok, detail)
                 }
                 Some(j) => {

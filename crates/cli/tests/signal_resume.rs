@@ -150,58 +150,45 @@ fn sigterm_flushes_a_resumable_checkpoint() {
     let _ = std::fs::remove_file(&ck);
 }
 
-/// `duop shard` stops on SIGTERM: the coordinator stops dispatching,
-/// finishes every undecided job as interrupted and kills the worker still
-/// searching. Final-state opacity's search of this trace runs for
-/// minutes, so one second in, the worker is mid-search.
-#[test]
-fn sigterm_stops_a_sharded_check() {
-    use std::os::unix::process::CommandExt as _;
+/// A trace no serialization satisfies, whose final-state search without
+/// the prefilters and the planner must exhaust about 3·2^30 states to
+/// say so. T1 writes 1 and T2 writes 2 to both X0 and X1, and T3 reads
+/// X0 = 1 and X1 = 2, which no order of the two serves; thirty more
+/// writers of objects of their own overlap them all. The search learns
+/// that T3 can never be placed only by trying every subset of those
+/// writers with at most one of T1 and T2 placed.
+fn exponential_trace(path: &str) {
+    let mut writers: Vec<(u32, Vec<(u32, u32)>)> =
+        vec![(1, vec![(0, 1), (1, 1)]), (2, vec![(0, 2), (1, 2)])];
+    writers.extend((0..30).map(|k| (10 + k, vec![(2 + k, 1)])));
+    let mut trace = String::new();
+    for (t, writes) in &writers {
+        for (obj, value) in writes {
+            trace += &format!("T{t} write X{obj} {value}\nT{t} ok\n");
+        }
+    }
+    trace += "T3 read X0\nT3 val 1\nT3 read X1\nT3 val 2\n";
+    for (t, _) in &writers {
+        trace += &format!("T{t} tryc\nT{t} commit\n");
+    }
+    trace += "T3 tryc\nT3 commit\n";
+    std::fs::write(path, trace).expect("write trace");
+}
+
+/// Sends SIGTERM to `child` once it has run for a second (asserting it
+/// is still running then), and waits up to 10 s for it to exit, killing
+/// its process group if it does not. Returns whether it exited, and its
+/// output.
+fn terminate(mut child: std::process::Child) -> (bool, std::process::Output) {
     use std::time::{Duration, Instant};
-
-    let trace = temp_path("shard-trace.txt");
-    let out = Command::new(DUOP)
-        .args([
-            "generate",
-            "--mode",
-            "simulated",
-            "--txns",
-            "400",
-            "--concurrency",
-            "3",
-            "--objs",
-            "32",
-            "--seed",
-            "5",
-        ])
-        .output()
-        .expect("run duop generate");
-    assert!(out.status.success());
-    std::fs::write(&trace, &out.stdout).expect("write trace");
-
-    // Its own process group, so a coordinator that ignores the signal
-    // can be killed together with its workers.
-    let mut child = Command::new(DUOP)
-        .args([
-            "shard",
-            &trace,
-            "--workers",
-            "1",
-            "--criterion",
-            "final-state",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .process_group(0)
-        .spawn()
-        .expect("spawn duop shard");
     std::thread::sleep(Duration::from_secs(1));
+    let running = child.try_wait().expect("poll the child").is_none();
     let _ = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status();
     let signalled = Instant::now();
     let exited = loop {
-        if child.try_wait().expect("poll duop shard").is_some() {
+        if child.try_wait().expect("poll the child").is_some() {
             break true;
         }
         if signalled.elapsed() > Duration::from_secs(10) {
@@ -214,10 +201,84 @@ fn sigterm_stops_a_sharded_check() {
             .args(["-KILL", "--", &format!("-{}", child.id())])
             .status();
     }
-    let out = child.wait_with_output().expect("wait for duop shard");
+    let out = child.wait_with_output().expect("wait for the child");
+    assert!(
+        running,
+        "the check finished within a second: no search to interrupt"
+    );
+    (exited, out)
+}
+
+/// `duop shard` stops on SIGTERM: the coordinator stops dispatching,
+/// finishes every undecided job as interrupted and kills the worker still
+/// searching. The worker searches [`exponential_trace`] whole
+/// (`--no-decompose`), without the prefilters, so one second in it is
+/// mid-search.
+#[test]
+fn sigterm_stops_a_sharded_check() {
+    use std::os::unix::process::CommandExt as _;
+
+    let trace = temp_path("shard-trace.txt");
+    exponential_trace(&trace);
+    // Its own process group, so a coordinator that ignores the signal
+    // can be killed together with its workers.
+    let child = Command::new(DUOP)
+        .args([
+            "shard",
+            &trace,
+            "--workers",
+            "1",
+            "--criterion",
+            "final-state",
+            "--no-prelint",
+            "--no-saturate",
+            "--no-ladder",
+            "--no-decompose",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .process_group(0)
+        .spawn()
+        .expect("spawn duop shard");
+    let (exited, out) = terminate(child);
     let _ = std::fs::remove_file(&trace);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(exited, "duop shard still running 10 s after SIGTERM");
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("unknown (interrupted"), "{stdout}");
+}
+
+/// `duop check` stops on SIGTERM while the TMS2 automaton runs: the
+/// automaton polls the interrupt flag as the serialization search does,
+/// and its line reports the interrupt. Its search of the 150-transaction
+/// trace runs for far longer than a second.
+#[test]
+fn sigterm_stops_the_tms2_automaton() {
+    use std::os::unix::process::CommandExt as _;
+
+    let trace = temp_path("tms2-trace.txt");
+    slow_trace(&trace, 150);
+    let child = Command::new(DUOP)
+        .args([
+            "check",
+            &trace,
+            "--criterion",
+            "tms2-automaton",
+            "--threads",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .process_group(0)
+        .spawn()
+        .expect("spawn duop check");
+    let (exited, out) = terminate(child);
+    let _ = std::fs::remove_file(&trace);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(exited, "duop check still running 10 s after SIGTERM");
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("TMS2 (full automaton)        unknown (interrupted after "),
+        "{stdout}"
+    );
 }

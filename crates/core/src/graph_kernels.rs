@@ -12,7 +12,10 @@
 //! under which a read's value is lost only once every writer that could
 //! restore it is placed. [`check_plain_dead_ends`] and
 //! [`opacity_plain_dead_ends`] run the whole check pipeline with it, for
-//! the differential suite `tests/dead_end_pruning.rs`.
+//! the differential suite `tests/dead_end_pruning.rs`. So does its
+//! first-pass table: [`check_exact_only`] and [`opacity_exact_only`]
+//! search every criterion in one exact pass, for the differential suite
+//! `tests/eligible_first_pass.rs`.
 //!
 //! In debug builds the searcher checks its incremental memo key and its
 //! open-position frontier against their from-scratch definitions at
@@ -119,6 +122,27 @@ pub fn opacity_plain_dead_ends(h: &History, cfg: &SearchConfig) -> Verdict {
     })
 }
 
+/// Checks `h` against `criterion` as
+/// [`check_criterion_with_stats`](crate::check_criterion_with_stats)
+/// does, with every search in one exact pass: no eligible-writers pass
+/// first.
+pub fn check_exact_only(
+    h: &History,
+    criterion: PlanCriterion,
+    cfg: &SearchConfig,
+) -> (Verdict, SearchStats) {
+    let p = Prepared::new(h, criterion).with_exact_only();
+    crate::search::check_prepared(&p, criterion, cfg, None)
+}
+
+/// Checks `h` against opacity as [`crate::Opacity`] does, with every
+/// search of its prefix loop in one exact pass.
+pub fn opacity_exact_only(h: &History, cfg: &SearchConfig) -> Verdict {
+    crate::criteria::opacity_prefix_loop(h, |prefix| {
+        check_exact_only(prefix, PlanCriterion::FinalState, cfg).0
+    })
+}
+
 /// What [`dead_end_audit`] compared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeadEndAudit {
@@ -132,9 +156,13 @@ pub struct DeadEndAudit {
     /// Dead ends only the must-follow sets reveal, from which the plain
     /// search ran out of budget: no witness found, none ruled out.
     pub unconfirmed: u64,
-    /// Search roots (per component and pass) that are dead ends; the
-    /// walk skips them.
+    /// Search roots (per component and pass) that only the must-follow
+    /// sets find dead; the walk skips them.
     pub dead_roots: u64,
+    /// First-pass roots (per component) that both rules find dead: a
+    /// read no eligible writer can serve. The walk skips them, and the
+    /// search goes on to its exact pass.
+    pub dead_first_roots: u64,
 }
 
 /// Walks the search tree of `criterion`'s query over `h` component by
@@ -150,8 +178,11 @@ pub struct DeadEndAudit {
 /// * from a dead end only the searcher's rule finds, a plain-rule search
 ///   of up to `max_placements` states finds no witness.
 ///
-/// No root is dead by the plain rule, and from a dead root, too, the
-/// plain-rule search finds no witness.
+/// No root of an exact pass is dead by the plain rule, and from a dead
+/// root, too, the plain-rule search finds no witness. A first pass's
+/// root may be dead by design — some read has no eligible writer left
+/// to serve it — and then both rules must find it dead, and the search
+/// must go on to its exact pass.
 ///
 /// `Err` describes the first failure. A history the spec or the planner
 /// refutes has nothing to walk.
@@ -183,15 +214,28 @@ pub fn dead_end_audit(
         audit: &mut audit,
     };
     let passes = setup.passes();
+    let (&exact, first) = passes.split_last().expect("at least one pass");
     for comp in &plan.components {
         s.restrict(comp);
-        for &eligible_global in passes {
+        let mut dead_first_root = false;
+        for (k, &eligible_global) in passes.iter().enumerate() {
             s.eligible_global = eligible_global;
             if walker.plain_dead_end(&mut s) {
-                return Err(format!(
-                    "the plain rule finds the root of component {comp:?} dead \
-                     (eligible_global {eligible_global})"
-                ));
+                if k == first.len() {
+                    return Err(format!(
+                        "the plain rule finds the root of component {comp:?} dead \
+                         (exact pass, eligible_global {eligible_global})"
+                    ));
+                }
+                if !s.dead_end() {
+                    return Err(format!(
+                        "the plain rule finds the root of component {comp:?} dead in \
+                         pass {k}, the searcher's rule alive"
+                    ));
+                }
+                walker.audit.dead_first_roots += 1;
+                dead_first_root = true;
+                continue;
             }
             if s.dead_end() {
                 walker.audit.dead_roots += 1;
@@ -201,7 +245,14 @@ pub fn dead_end_audit(
             walker.budget = max_placements;
             walker.walk(&mut s)?;
         }
-        if !matches!(s.search(), Outcome::Found) {
+        let found = matches!(s.search(), Outcome::Found);
+        if dead_first_root && s.eligible_global != exact {
+            return Err(format!(
+                "component {comp:?}: the first pass's root is dead, yet the search \
+                 stopped before its exact pass"
+            ));
+        }
+        if !found {
             break;
         }
     }

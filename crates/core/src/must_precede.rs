@@ -269,11 +269,7 @@ pub(crate) fn supplier_sets(spec: &Spec, du: bool) -> Vec<BitSet> {
         .map(|r| {
             let mut s = BitSet::new(n);
             for &(j, v) in &spec.writers_on_obj[r.obj] {
-                let eligible = || {
-                    spec.txns[j]
-                        .try_commit_inv
-                        .is_some_and(|inv| inv < r.resp_index)
-                };
+                let eligible = || spec.txns[j].try_commit_invoked_before(r.resp_index);
                 if j != r.txn && v == r.value && (!du || eligible()) {
                     s.insert(j);
                 }

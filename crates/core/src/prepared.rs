@@ -40,6 +40,10 @@ pub(crate) struct Prepared<'h> {
     /// without must-follow sets: the test-only reference that
     /// [`crate::graph_kernels`] builds with [`Self::with_plain_dead_ends`].
     plain_dead_ends: bool,
+    /// The searchers of this query run one exact pass whatever the
+    /// criterion: the test-only reference that [`crate::graph_kernels`]
+    /// builds with [`Self::with_exact_only`].
+    exact_only: bool,
 }
 
 impl<'h> Prepared<'h> {
@@ -67,6 +71,7 @@ impl<'h> Prepared<'h> {
             rco: OnceLock::new(),
             tms2: OnceLock::new(),
             plain_dead_ends: false,
+            exact_only: false,
         }
     }
 
@@ -80,6 +85,19 @@ impl<'h> Prepared<'h> {
     /// Whether the searchers of this query use the plain dead-end rule.
     pub(crate) fn plain_dead_ends(&self) -> bool {
         self.plain_dead_ends
+    }
+
+    /// This query searched in one exact pass, without the
+    /// eligible-writers pass that du-opacity and the final-state family
+    /// run first.
+    pub(crate) fn with_exact_only(mut self) -> Self {
+        self.exact_only = true;
+        self
+    }
+
+    /// Whether the searchers of this query skip the eligible-writers pass.
+    pub(crate) fn exact_only(&self) -> bool {
+        self.exact_only
     }
 
     /// The history the query runs over.

@@ -67,6 +67,15 @@
 //! be dead as well — a read whose every writer must follow it — so each
 //! search pass checks its root before descending.
 //!
+//! Du-opacity, final-state opacity and strict serializability search in
+//! **two passes** ([`Setup::passes`]). The first cuts a read as soon as
+//! its value is gone and no *eligible* writer of it — one whose `tryC`
+//! was invoked before the read responded (Definition 3(3)) — is left to
+//! restore it, so it never cuts a serialization whose reads all take
+//! their value from eligible writers. Only if it exhausts does the exact
+//! second pass run. Either pass's witness is valid, so the verdict is
+//! exact (DESIGN.md §6, "Two search passes").
+//!
 //! When [`SearchConfig::threads`] asks for more than one worker the search
 //! is delegated to [`crate::parallel`], which fans out over conflict-graph
 //! components when there are several and otherwise splits the placement
@@ -305,6 +314,10 @@ pub(crate) struct Setup<'a> {
     /// Position of each transaction in `order`.
     rank: Vec<usize>,
     budget: Budget,
+    /// The test-only exact-only reference
+    /// ([`Prepared::with_exact_only`]): every criterion searches in one
+    /// exact pass.
+    exact_only: bool,
 }
 
 impl<'a> Setup<'a> {
@@ -358,6 +371,7 @@ impl<'a> Setup<'a> {
             order,
             rank,
             budget: Budget::resolve(cfg),
+            exact_only: p.exact_only(),
         }
     }
 
@@ -367,12 +381,16 @@ impl<'a> Setup<'a> {
     }
 
     /// The `eligible_global` setting of each pass of the search, in
-    /// order: du-opacity's two passes ([`Searcher::search`]), else one.
+    /// order ([`Searcher::search`]): the eligible-writers pass and then
+    /// the exact pass for du-opacity and the final-state family
+    /// (final-state opacity and strict serializability), one exact pass
+    /// for read-commit-order opacity and TMS2, whose states per query a
+    /// first pass raises.
     pub(crate) fn passes(&self) -> &'static [bool] {
-        if self.du() {
-            &[true, false]
-        } else {
-            &[false]
+        match self.criterion {
+            _ if self.exact_only => &[false],
+            PlanCriterion::Du | PlanCriterion::FinalState | PlanCriterion::Strict => &[true, false],
+            PlanCriterion::Rco | PlanCriterion::Tms2 => &[false],
         }
     }
 }
@@ -405,10 +423,12 @@ pub(crate) struct Searcher<'a> {
     /// after all its predecessors, so no member of `desc[i]` is ever placed
     /// before `i`, and none can supply a value `i` reads.
     pub(crate) desc: &'a [BitSet],
-    /// Du mode: prune as if only eligible writers could restore a read's
-    /// global value — the first pass of [`Self::search`], which finds
-    /// exactly the witnesses whose global writers are all eligible.
+    /// Prune as if only eligible writers could restore a read's global
+    /// value — the first pass of [`Self::search`], which never cuts a
+    /// witness whose global writers are all eligible.
     pub(crate) eligible_global: bool,
+    /// The `eligible_global` setting of each pass ([`Setup::passes`]).
+    passes: &'static [bool],
     /// Fail-first candidate order over *all* transactions: most successors
     /// in the precedence closure first, `priority` then index as
     /// tie-breakers (deterministic).
@@ -497,6 +517,7 @@ impl<'a> Searcher<'a> {
             writers: setup.writers,
             desc: &setup.desc,
             eligible_global: false,
+            passes: setup.passes(),
             order: &setup.order,
             rank: &setup.rank,
             scope: BitSet::full(n),
@@ -638,7 +659,9 @@ impl<'a> Searcher<'a> {
     /// follow the reader. The two writer sets differ: a non-eligible
     /// writer can still restore the global value even though it never
     /// enters the read's local serialization — unless
-    /// [`Self::eligible_global`] asks to ignore such witnesses.
+    /// [`Self::eligible_global`] asks to ignore such witnesses. Outside
+    /// du mode that first pass uses the plain rule: the global value is
+    /// lost once every unplaced writer of it is ineligible.
     ///
     /// This is the all-slot scan over the scope's read slots. Each search
     /// pass runs it on its root; below the root the search calls
@@ -675,42 +698,49 @@ impl<'a> Searcher<'a> {
         if self.placed.contains(r.txn) || !self.scope.contains(r.txn) {
             return false;
         }
-        let writers = if self.du && !self.eligible_global {
-            &self.writers[slot]
-        } else {
-            &self.suppliers[slot]
-        };
         let follow = &self.desc[r.txn];
-        if self.global_last[r.obj] != r.value && writers.is_subset_of_union(&self.placed, follow) {
-            return true;
+        if self.global_last[r.obj] != r.value {
+            let lost = match (self.du, self.eligible_global) {
+                // The final-state family's first pass: eligibility read
+                // off the plain suppliers, without must-follow sets
+                // (DESIGN.md §6, "Two search passes").
+                (false, true) => !self.suppliers[slot]
+                    .iter_difference(&self.placed)
+                    .any(|w| self.spec.txns[w].try_commit_invoked_before(r.resp_index)),
+                (true, false) => self.writers[slot].is_subset_of_union(&self.placed, follow),
+                _ => self.suppliers[slot].is_subset_of_union(&self.placed, follow),
+            };
+            if lost {
+                return true;
+            }
         }
         self.du
             && self.local_last[slot] != r.value
             && self.suppliers[slot].is_subset_of_union(&self.placed, follow)
     }
 
-    /// Searches the current scope for a serialization. Under du-opacity
-    /// this takes two passes. The first prunes with
-    /// [`Self::eligible_global`] set, so it explores only serializations
-    /// whose reads all take their global value from a `tryC`-eligible
-    /// writer; that pruning is strong, and typical histories are decided
-    /// there. Only if it exhausts does the exact second pass run, which
-    /// also finds witnesses where a read's global writer is not eligible
-    /// (DESIGN.md §12). Either pass's witness is valid, so the verdict is
-    /// exact, and the first witness found is the first-pass one whenever
-    /// one exists.
+    /// Searches the current scope for a serialization, in the passes of
+    /// [`Setup::passes`]. Under du-opacity and the final-state family the
+    /// first prunes with [`Self::eligible_global`] set, so it never cuts
+    /// a serialization whose reads all take their global value from a
+    /// `tryC`-eligible writer; that pruning is strong, and typical
+    /// histories are decided there. Only if it exhausts does the exact
+    /// second pass run, which also finds witnesses that need a writer
+    /// whose `tryC` follows the read (DESIGN.md §6, "Two search passes").
+    /// Either pass's witness is valid, so the verdict is exact, and the
+    /// first witness found is the first-pass one whenever one exists.
     pub(crate) fn search(&mut self) -> Outcome {
-        if !self.du {
-            return self.search_pass();
+        let (last, first) = self.passes.split_last().expect("at least one pass");
+        for &eligible_global in first {
+            self.eligible_global = eligible_global;
+            let outcome = self.search_pass();
+            if !matches!(outcome, Outcome::Exhausted) {
+                return outcome;
+            }
+            // First-pass failures are not exact failures.
+            self.clear_memo();
         }
-        self.eligible_global = true;
-        let first = self.search_pass();
-        self.eligible_global = false;
-        if !matches!(first, Outcome::Exhausted) {
-            return first;
-        }
-        // First-pass failures are not exact failures.
-        self.clear_memo();
+        self.eligible_global = *last;
         self.search_pass()
     }
 

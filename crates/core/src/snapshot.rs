@@ -1125,12 +1125,31 @@ mod tests {
         assert_eq!(flushes.load(Ordering::Relaxed), fired);
     }
 
+    /// Also the TMS2 automaton's poll of the flag, in the one test that
+    /// sets it.
     #[test]
     fn interrupt_flag_round_trip() {
+        use crate::tms2_automaton::{
+            check_tms2_automaton, check_tms2_automaton_interruptible, Tms2Verdict,
+        };
+        use crate::UnknownReason;
+        let h = HistoryBuilder::new()
+            .committed_writer(t(1), ObjId::new(0), Value::new(1))
+            .committed_reader(t(2), ObjId::new(0), Value::new(1))
+            .build();
         clear_interrupt();
         assert!(!interrupt_requested());
+        assert!(check_tms2_automaton_interruptible(&h, None).is_accepted());
         request_interrupt();
         assert!(interrupt_requested());
+        assert_eq!(
+            check_tms2_automaton_interruptible(&h, None),
+            Tms2Verdict::Unknown {
+                explored: 1,
+                reason: UnknownReason::Interrupted
+            }
+        );
+        assert!(check_tms2_automaton(&h, None).is_accepted());
         clear_interrupt();
         assert!(!interrupt_requested());
     }

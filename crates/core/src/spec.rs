@@ -38,6 +38,15 @@ pub(crate) struct TxnInfo {
     pub priority: usize,
 }
 
+impl TxnInfo {
+    /// Whether this transaction invoked `tryC` before the event at
+    /// `resp_index`: for a read responding there, whether it is an
+    /// eligible writer of Definition 3(3)'s local serialization.
+    pub(crate) fn try_commit_invoked_before(&self, resp_index: usize) -> bool {
+        self.try_commit_inv.is_some_and(|inv| inv < resp_index)
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// [`Spec::build`] calls on this thread, for the test that pins one

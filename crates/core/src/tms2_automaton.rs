@@ -30,7 +30,10 @@
 //! snapshot index `n` of a read is an existence check and needs no
 //! branching). Accepted histories come with a replayable
 //! [`Tms2Execution`] certificate, independently validated by [`replay`].
+//! [`check_tms2_automaton_interruptible`] also stops, `Unknown`, once
+//! SIGINT/SIGTERM requests it ([`crate::snapshot::request_interrupt`]).
 
+use crate::UnknownReason;
 use duop_history::{EventKind, History, ObjId, Op, Ret, TxnId, Value};
 use std::collections::HashMap;
 use std::error::Error;
@@ -57,10 +60,14 @@ pub enum Tms2Verdict {
         /// Number of search states explored.
         explored: u64,
     },
-    /// The search budget was exhausted.
+    /// The search stopped undecided.
     Unknown {
         /// Number of search states explored.
         explored: u64,
+        /// Why: [`UnknownReason::StateBudget`] when the state budget
+        /// ran out, [`UnknownReason::Interrupted`] when an interrupt was
+        /// requested.
+        reason: UnknownReason,
     },
 }
 
@@ -226,14 +233,18 @@ struct Searcher<'a> {
     h: &'a History,
     resp_op: Vec<Option<Op>>,
     max_states: Option<u64>,
+    /// Poll the process-wide interrupt flag.
+    interruptible: bool,
     explored: u64,
+    /// Why the search stopped, once [`StepOutcome::Stopped`] is returned.
+    stopped: UnknownReason,
     flushes: Vec<Vec<TxnId>>,
 }
 
 enum StepOutcome {
     Accepted,
     Rejected,
-    Budget,
+    Stopped,
 }
 
 impl Searcher<'_> {
@@ -241,8 +252,17 @@ impl Searcher<'_> {
         self.explored += 1;
         if let Some(max) = self.max_states {
             if self.explored > max {
-                return StepOutcome::Budget;
+                self.stopped = UnknownReason::StateBudget;
+                return StepOutcome::Stopped;
             }
+        }
+        // Sampled on the first state and every 1024 thereafter, as the
+        // serialization search samples it: an interrupt surfaces within
+        // that many states.
+        if self.interruptible && self.explored & 1023 == 1 && crate::snapshot::interrupt_requested()
+        {
+            self.stopped = UnknownReason::Interrupted;
+            return StepOutcome::Stopped;
         }
         if idx == self.h.len() {
             return StepOutcome::Accepted;
@@ -264,9 +284,9 @@ impl Searcher<'_> {
                 self.flushes[idx].push(txn);
                 match self.step(idx, &next) {
                     StepOutcome::Accepted => return StepOutcome::Accepted,
-                    StepOutcome::Budget => {
+                    StepOutcome::Stopped => {
                         self.flushes[idx].pop();
-                        return StepOutcome::Budget;
+                        return StepOutcome::Stopped;
                     }
                     StepOutcome::Rejected => {
                         self.flushes[idx].pop();
@@ -380,11 +400,25 @@ impl Searcher<'_> {
 /// assert!(replay(&h, exec).is_ok());
 /// ```
 pub fn check_tms2_automaton(h: &History, max_states: Option<u64>) -> Tms2Verdict {
+    run(h, max_states, false)
+}
+
+/// [`check_tms2_automaton`], stopping with
+/// [`UnknownReason::Interrupted`] once an interrupt is requested
+/// ([`crate::snapshot::request_interrupt`]; the CLI requests one on
+/// SIGINT/SIGTERM). The flag is polled every 1024 states.
+pub fn check_tms2_automaton_interruptible(h: &History, max_states: Option<u64>) -> Tms2Verdict {
+    run(h, max_states, true)
+}
+
+fn run(h: &History, max_states: Option<u64>, interruptible: bool) -> Tms2Verdict {
     let mut searcher = Searcher {
         h,
         resp_op: resp_ops(h),
         max_states,
+        interruptible,
         explored: 0,
+        stopped: UnknownReason::StateBudget,
         flushes: vec![Vec::new(); h.len() + 1],
     };
     let state = AutomatonState::new();
@@ -399,8 +433,9 @@ pub fn check_tms2_automaton(h: &History, max_states: Option<u64>) -> Tms2Verdict
         StepOutcome::Rejected => Tms2Verdict::Rejected {
             explored: searcher.explored,
         },
-        StepOutcome::Budget => Tms2Verdict::Unknown {
+        StepOutcome::Stopped => Tms2Verdict::Unknown {
             explored: searcher.explored,
+            reason: searcher.stopped,
         },
     }
 }
@@ -625,7 +660,10 @@ mod tests {
         let h = b.read(t(7), x(), v(9)).commit(t(7)).build();
         assert!(matches!(
             check_tms2_automaton(&h, Some(3)),
-            Tms2Verdict::Unknown { .. } | Tms2Verdict::Rejected { .. }
+            Tms2Verdict::Unknown {
+                reason: UnknownReason::StateBudget,
+                ..
+            } | Tms2Verdict::Rejected { .. }
         ));
     }
 

@@ -541,6 +541,9 @@ struct Tally {
     confirmed: u64,
     unconfirmed: u64,
     dead_roots: u64,
+    /// First-pass roots both rules find dead, after which the search ran
+    /// its exact pass.
+    dead_first_roots: u64,
 }
 
 /// The precedence graphs lint CY004 checks, with each one's
@@ -602,6 +605,7 @@ fn assert_equivalent(h: &History, label: &str, walk: u64, tally: &mut Tally) {
                 tally.confirmed += audit.confirmed;
                 tally.unconfirmed += audit.unconfirmed;
                 tally.dead_roots += audit.dead_roots;
+                tally.dead_first_roots += audit.dead_first_roots;
             }
             Err(e) => panic!("{label}: {criterion:?}: {e}"),
         }
@@ -721,6 +725,7 @@ fn adversarial_histories_match() {
     assert!(tally.cy004 > 0 && tally.an005 > 0, "{tally:?}");
     assert!(tally.certified > 0 && tally.dead_ends > 0, "{tally:?}");
     assert!(tally.dead_roots > 0 && tally.confirmed > 0, "{tally:?}");
+    assert!(tally.dead_first_roots > 0, "{tally:?}");
     assert_eq!(tally.unconfirmed, 0, "{tally:?}");
 }
 
@@ -731,6 +736,7 @@ fn anomaly_catalogue_matches() {
         assert_equivalent(&h, name, 2_000, &mut tally);
     }
     assert!(tally.cy004 > 0 && tally.certified > 0, "{tally:?}");
+    assert!(tally.dead_first_roots > 0, "{tally:?}");
 }
 
 #[test]
@@ -813,6 +819,7 @@ fn cyclic_histories_match() {
     );
     assert!(tally.graphs.downstream > 0, "{tally:?}");
     assert!(tally.dead_roots > 0 && tally.confirmed > 0, "{tally:?}");
+    assert!(tally.dead_first_roots > 0, "{tally:?}");
     assert_eq!(tally.unconfirmed, 0, "{tally:?}");
 }
 
