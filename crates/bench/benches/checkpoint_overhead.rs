@@ -70,9 +70,6 @@ fn base_snapshot(h: &History) -> CheckSnapshot {
         criteria: vec!["du".to_string()],
         format: "text".to_string(),
         escalate_milli: 2000,
-        ladder: true,
-        prelint: true,
-        decompose: true,
         ..CheckSnapshot::default()
     }
 }

@@ -18,7 +18,7 @@
 //! the comparison stays fair but slow). `--test` runs a quick smoke
 //! pass without touching the JSON.
 
-use duop_core::{available_threads, Verdict};
+use duop_core::{available_threads, SearchConfig, Verdict};
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::History;
 use duop_serve::ShutdownHandle;
@@ -116,7 +116,10 @@ fn local_cfg(workers: usize) -> ShardConfig {
     ShardConfig {
         workers,
         worker_cmd: worker_cmd(),
-        decompose: false,
+        search: SearchConfig {
+            decompose: false,
+            ..SearchConfig::default()
+        },
         ..ShardConfig::default()
     }
 }
@@ -125,7 +128,10 @@ fn remote_cfg(addrs: &[SocketAddr]) -> ShardConfig {
     ShardConfig {
         workers: 0,
         worker_cmd: worker_cmd(),
-        decompose: false,
+        search: SearchConfig {
+            decompose: false,
+            ..SearchConfig::default()
+        },
         connect: addrs.iter().map(|a| a.to_string()).collect(),
         secret: SECRET.to_vec(),
         ..ShardConfig::default()

@@ -20,7 +20,7 @@
 //! assertion is gated on `available_threads() >= 4`. `--test` runs a
 //! quick smoke pass without touching the JSON.
 
-use duop_core::{available_threads, PlanCriterion, Verdict};
+use duop_core::{available_threads, PlanCriterion, SearchConfig, Verdict};
 use duop_gen::{GenMode, HistoryGen, HistoryGenConfig};
 use duop_history::{Event, History, ObjId, TxnId};
 use duop_shard::{run_sharded, ShardConfig, ShardCriterion, ShardJob};
@@ -143,7 +143,10 @@ fn timed_run(jobs: Vec<ShardJob>, workers: usize, decompose: bool) -> (u64, usiz
     let cfg = ShardConfig {
         workers,
         worker_cmd: worker_cmd(),
-        decompose,
+        search: SearchConfig {
+            decompose,
+            ..SearchConfig::default()
+        },
         ..ShardConfig::default()
     };
     let start = Instant::now();

@@ -403,14 +403,7 @@ fn retryable(verdict: &Verdict) -> bool {
     )
 }
 
-/// The search deadline in whole milliseconds: the unit of `--deadline`,
-/// of checkpoints and of `ShardConfig`.
-fn deadline_ms(search: &SearchConfig) -> Option<u64> {
-    search.deadline.map(|d| d.as_millis() as u64)
-}
-
 fn base_snapshot(h: &History, list: &[CriterionName], opts: &CheckOpts) -> CheckSnapshot {
-    let search = &opts.search;
     CheckSnapshot {
         events: h.events().to_vec(),
         criteria: list
@@ -418,13 +411,7 @@ fn base_snapshot(h: &History, list: &[CriterionName], opts: &CheckOpts) -> Check
             .map(|c| criterion_token(*c).to_owned())
             .collect(),
         format: opts.format.clone(),
-        threads: search.effective_threads() as u64,
-        decompose: search.decompose,
-        prelint: search.prelint,
-        ladder: search.ladder,
-        saturate: search.saturate,
-        deadline_ms: deadline_ms(search).unwrap_or(0),
-        max_states: search.max_states.unwrap_or(0),
+        search: opts.search.clone(),
         retry: opts.retry,
         escalate_milli: opts.escalate_milli,
         attempt: 0,
@@ -434,9 +421,10 @@ fn base_snapshot(h: &History, list: &[CriterionName], opts: &CheckOpts) -> Check
 }
 
 fn search_config(opts: &CheckOpts, attempt: u64) -> SearchConfig {
+    // `--deadline` counts whole milliseconds, and so does escalation.
+    let deadline_ms = opts.search.deadline.map(|d| d.as_millis() as u64);
     SearchConfig {
-        deadline: escalated(deadline_ms(&opts.search), opts.escalate_milli, attempt)
-            .map(Duration::from_millis),
+        deadline: escalated(deadline_ms, opts.escalate_milli, attempt).map(Duration::from_millis),
         max_states: escalated(opts.search.max_states, opts.escalate_milli, attempt),
         interruptible: true,
         ..opts.search.clone()
@@ -878,12 +866,7 @@ fn shard(
             exe.to_string_lossy().into_owned(),
             "shard-worker".to_owned(),
         ],
-        decompose: opts.search.decompose,
-        prelint: opts.search.prelint,
-        ladder: opts.search.ladder,
-        saturate: opts.search.saturate,
-        max_states: opts.search.max_states,
-        deadline_ms: deadline_ms(opts.search),
+        search: opts.search.clone(),
         retry: opts.retry,
         min_task_txns: opts.min_chunk,
         connect: opts.connect.clone(),
@@ -986,16 +969,7 @@ fn resume_check(cs: CheckSnapshot, file: &str, out: &mut dyn Write) -> CmdResult
         .map(|tok| CriterionName::parse(tok))
         .collect::<Result<_, _>>()?;
     let opts = CheckOpts {
-        search: SearchConfig {
-            threads: Some((cs.threads as usize).max(1)),
-            decompose: cs.decompose,
-            prelint: cs.prelint,
-            ladder: cs.ladder,
-            saturate: cs.saturate,
-            deadline: (cs.deadline_ms > 0).then(|| Duration::from_millis(cs.deadline_ms)),
-            max_states: (cs.max_states > 0).then_some(cs.max_states),
-            ..SearchConfig::default()
-        },
+        search: cs.search,
         // `--certify` is a per-invocation display/validation choice, not
         // part of the resumable run state.
         certify: false,

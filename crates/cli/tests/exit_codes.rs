@@ -28,9 +28,6 @@ fn checkpoint_for(label: &str, trace: &str) -> String {
         events,
         criteria: vec!["du".to_string()],
         format: "text".to_string(),
-        decompose: true,
-        prelint: true,
-        ladder: true,
         escalate_milli: 2000,
         current: Some(InFlight {
             name: "du".to_string(),

@@ -17,9 +17,6 @@ fn good_checkpoint() -> String {
         events: h.events().to_vec(),
         criteria: vec!["du".to_string()],
         format: "text".to_string(),
-        decompose: true,
-        prelint: true,
-        ladder: true,
         escalate_milli: 2000,
         current: Some(InFlight {
             name: "du".to_string(),

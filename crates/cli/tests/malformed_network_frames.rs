@@ -5,6 +5,7 @@
 //! garbage-speaking listener must return, never hang. The network
 //! mirror of `malformed_shard_frames.rs`.
 
+use duop_core::SearchConfig;
 use duop_history::binary::{crc32, write_varint};
 use duop_shard::protocol::{
     auth_tag, decode_challenge, encode_auth, encode_hello, encode_task, FrameReader, TaskMsg,
@@ -82,12 +83,12 @@ fn sample_task_frame() -> Vec<u8> {
             task_id: 0,
             attempt: 0,
             criterion: "du".to_owned(),
-            prelint: false,
-            ladder: false,
-            decompose: true,
-            saturate: false,
-            max_states: 0,
-            deadline_ms: 0,
+            search: SearchConfig {
+                prelint: false,
+                ladder: false,
+                saturate: false,
+                ..SearchConfig::default()
+            },
             history: duop_history::binary::encode(&h),
         }),
     )
@@ -330,9 +331,14 @@ fn coordinator_never_hangs_on_a_garbage_speaking_listener() {
         ],
         connect: vec![addr.to_string()],
         secret: SECRET.to_vec(),
-        prelint: false, // force a real dispatched task: the prefilters
-        ladder: false,  // must not decide the history in-coordinator
-        saturate: false,
+        // Force a real dispatched task: the prefilters must not decide
+        // the history in-coordinator.
+        search: SearchConfig {
+            prelint: false,
+            ladder: false,
+            saturate: false,
+            ..SearchConfig::default()
+        },
         ..ShardConfig::default()
     };
     let verdicts = run_sharded(

@@ -4,6 +4,7 @@
 //! through [`run_worker_io`] or as the real `duop shard-worker`
 //! subprocess. The shard-protocol mirror of `malformed_binary.rs`.
 
+use duop_core::SearchConfig;
 use duop_history::binary::{crc32, write_varint, FRAME_END, FRAME_EVENTS, MAGIC, VERSION};
 use duop_history::{HistoryBuilder, ObjId, TxnId, Value};
 use duop_shard::protocol::{
@@ -43,12 +44,12 @@ fn sample_task() -> TaskMsg {
         task_id: 0,
         attempt: 0,
         criterion: "du".to_owned(),
-        prelint: false,
-        ladder: false,
-        decompose: true,
-        saturate: false,
-        max_states: 0,
-        deadline_ms: 0,
+        search: SearchConfig {
+            prelint: false,
+            ladder: false,
+            saturate: false,
+            ..SearchConfig::default()
+        },
         history: duop_history::binary::encode(&h),
     }
 }
@@ -138,12 +139,15 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
             b
         }),
         ("task-unknown-flag-bits", {
+            let history = sample_task().history;
             let mut payload = Vec::new();
             write_varint(&mut payload, 0); // task_id
             write_varint(&mut payload, 0); // attempt
             write_varint(&mut payload, 2); // criterion length
             payload.extend_from_slice(b"du");
-            payload.push(0b1000); // only bits 0-2 are defined
+            payload.push(0b1000_0000); // only bits 0-6 are defined
+            write_varint(&mut payload, history.len() as u64);
+            payload.extend_from_slice(&history);
             let mut b = hello();
             b.extend_from_slice(&good_frame(FRAME_TASK, &payload));
             b
@@ -205,6 +209,18 @@ fn every_corpus_entry_errors_in_process_without_panicking() {
             matches!(err, ProtocolError::Malformed { .. } | ProtocolError::Io(_)),
             "{label}: unexpected error shape {err:?}"
         );
+        if label == "task-unknown-flag-bits" {
+            assert!(
+                matches!(
+                    err,
+                    ProtocolError::Malformed {
+                        context: "task flags",
+                        ..
+                    }
+                ),
+                "{label}: the flags byte, not a later field, must be refused: {err:?}"
+            );
+        }
         let rendered = err.to_string();
         assert!(
             rendered.contains("malformed") || rendered.contains("i/o error"),

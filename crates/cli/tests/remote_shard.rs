@@ -171,9 +171,9 @@ fn all_remotes_dead_degrades_to_unknown_worker_death() {
     };
     let h = HistoryGen::new(HistoryGenConfig::medium_simulated().with_txns(20), 3).generate();
     let mut cfg = remote_config(&[dead_addr], 0);
-    cfg.prelint = false; // force a real dispatched task: the prefilters
-    cfg.ladder = false; //  must not decide the history in-coordinator
-    cfg.saturate = false;
+    cfg.search.prelint = false; // force a real dispatched task: the prefilters
+    cfg.search.ladder = false; //  must not decide the history in-coordinator
+    cfg.search.saturate = false;
     let verdicts = run_sharded(
         vec![ShardJob {
             history: h,

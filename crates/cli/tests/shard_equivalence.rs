@@ -19,6 +19,7 @@ use duop_history::History;
 use duop_shard::{
     run_sharded, ShardConfig, ShardCriterion, ShardJob, KILL_AFTER_HELLO_ENV, KILL_TASK_ENV,
 };
+use std::time::Duration;
 
 fn worker_cmd() -> Vec<String> {
     vec![
@@ -33,14 +34,27 @@ fn shard_config(workers: usize, pipeline: &SearchConfig) -> ShardConfig {
     ShardConfig {
         workers,
         worker_cmd: worker_cmd(),
-        decompose: pipeline.decompose,
-        prelint: pipeline.prelint,
-        saturate: pipeline.saturate,
-        ladder: pipeline.ladder,
-        max_states: pipeline.max_states,
-        deadline_ms: pipeline.deadline.map(|d| d.as_millis() as u64),
+        search: pipeline.clone(),
         ..ShardConfig::default()
     }
+}
+
+/// Whole-history pipelines whose budget is zero: no state to expand,
+/// and a deadline already expired. The task frame must carry a zero
+/// budget as such, not as "no budget".
+fn zero_budgets() -> [SearchConfig; 2] {
+    [
+        SearchConfig {
+            decompose: false,
+            max_states: Some(0),
+            ..SearchConfig::default()
+        },
+        SearchConfig {
+            decompose: false,
+            deadline: Some(Duration::ZERO),
+            ..SearchConfig::default()
+        },
+    ]
 }
 
 /// The pipelines the matrix compares, with and without decomposition:
@@ -49,7 +63,8 @@ fn shard_config(workers: usize, pipeline: &SearchConfig) -> ShardConfig {
 /// coordinator and ships component tasks with both off; a whole-history
 /// task carries the pipeline's own switches to the worker. The ladder
 /// only acts on an exhausted budget, and budgets bind per task, so it is
-/// compared on whole-history tasks under a budget the search trips.
+/// compared on whole-history tasks under a budget the search trips, and
+/// under [`zero_budgets`].
 fn pipelines() -> Vec<SearchConfig> {
     let mut out = Vec::new();
     for decompose in [true, false] {
@@ -81,6 +96,7 @@ fn pipelines() -> Vec<SearchConfig> {
             ..SearchConfig::default()
         });
     }
+    out.extend(zero_budgets());
     out
 }
 
@@ -167,19 +183,22 @@ fn distributed_matches_local_across_the_matrix() {
 #[test]
 fn opacity_ships_whole_histories_and_matches() {
     use duop_core::{Criterion, Opacity};
-    for h in sample_histories() {
-        let jobs = vec![ShardJob {
-            history: h.clone(),
-            criterion: ShardCriterion::Opacity,
-        }];
-        let pipeline = SearchConfig::default();
-        let verdicts =
-            run_sharded(jobs, &shard_config(2, &pipeline)).expect("sharded run completes");
-        let local = Opacity::with_config(pipeline).check(&h);
-        assert_eq!(
-            verdicts[0], local,
-            "opacity diverged on a whole-history job"
-        );
+    let mut pipelines = vec![SearchConfig::default()];
+    pipelines.extend(zero_budgets());
+    for pipeline in pipelines {
+        for h in sample_histories() {
+            let jobs = vec![ShardJob {
+                history: h.clone(),
+                criterion: ShardCriterion::Opacity,
+            }];
+            let verdicts =
+                run_sharded(jobs, &shard_config(2, &pipeline)).expect("sharded run completes");
+            let local = Opacity::with_config(pipeline.clone()).check(&h);
+            assert_eq!(
+                verdicts[0], local,
+                "opacity diverged on a whole-history job under {pipeline:?}"
+            );
+        }
     }
 }
 

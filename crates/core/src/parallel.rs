@@ -120,9 +120,6 @@ impl ShardedMemo {
 /// State shared by all workers of one parallel search.
 pub(crate) struct SharedSearch {
     memo: Option<ShardedMemo>,
-    /// Approximate shared-memo entry count, for the memo cap (duplicate
-    /// inserts may double-count; the cap is advisory, not exact).
-    memo_entries: AtomicUsize,
     /// Global count of expanded states, for the shared budget.
     pub(crate) explored: AtomicU64,
     /// Lowest task index that found a witness (`u64::MAX` = none yet).
@@ -133,20 +130,16 @@ pub(crate) struct SharedSearch {
     pub(crate) panicked: AtomicBool,
     /// Global state budget (copied from [`SearchConfig::max_states`]).
     pub(crate) max_states: Option<u64>,
-    /// Global memo-entry cap ([`SearchConfig::max_memo_entries`]).
-    max_memo_entries: Option<usize>,
 }
 
 impl SharedSearch {
     fn new(cfg: &SearchConfig) -> Self {
         SharedSearch {
             memo: cfg.memo.then(ShardedMemo::new),
-            memo_entries: AtomicUsize::new(0),
             explored: AtomicU64::new(0),
             winner: AtomicU64::new(u64::MAX),
             panicked: AtomicBool::new(false),
             max_states: cfg.max_states,
-            max_memo_entries: cfg.max_memo_entries,
         }
     }
 
@@ -156,14 +149,7 @@ impl SharedSearch {
 
     pub(crate) fn memo_insert(&self, key: u128) {
         if let Some(m) = &self.memo {
-            if self
-                .max_memo_entries
-                .is_some_and(|cap| self.memo_entries.load(Ordering::Relaxed) >= cap)
-            {
-                return;
-            }
             m.insert(key);
-            self.memo_entries.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -144,13 +144,6 @@ pub struct SearchConfig {
     /// thousand expansions), so overruns are bounded by a handful of node
     /// expansions. `None` means no deadline.
     pub deadline: Option<Duration>,
-    /// Approximate cap on failed-state memo entries (each entry is a
-    /// 16-byte key plus table overhead). At the cap the search stops
-    /// *inserting* — existing entries keep pruning and the verdict is
-    /// unaffected; only time-to-verdict degrades. With multiple threads
-    /// the cap is global but approximate (racing workers may overshoot by
-    /// a few entries). `None` means uncapped.
-    pub max_memo_entries: Option<usize>,
     /// On budget exhaustion, fall back through the sound degradation
     /// ladder (lint refutation, the Theorem 11 unique-writes fast path
     /// where applicable) before settling for [`Verdict::Unknown`], and
@@ -177,7 +170,6 @@ impl Default for SearchConfig {
             prelint: true,
             saturate: true,
             deadline: None,
-            max_memo_entries: None,
             ladder: true,
             interruptible: false,
         }
@@ -202,8 +194,6 @@ pub struct Budget {
     pub max_states: Option<u64>,
     /// Absolute wall-clock cutoff (`None` = no deadline).
     pub deadline: Option<Instant>,
-    /// Approximate cap on failed-state memo entries (`None` = uncapped).
-    pub max_memo_entries: Option<usize>,
 }
 
 impl Budget {
@@ -212,7 +202,6 @@ impl Budget {
         Budget {
             max_states: cfg.max_states,
             deadline: cfg.deadline.map(|d| Instant::now() + d),
-            max_memo_entries: cfg.max_memo_entries,
         }
     }
 
@@ -480,8 +469,8 @@ pub(crate) struct Searcher<'a> {
     pub(crate) explored: u64,
     pub(crate) memo_hits: u64,
     pub(crate) dead_ends: u64,
-    /// Resolved resource limits (state budget, absolute deadline, memo
-    /// cap) this search runs under.
+    /// Resolved resource limits (state budget, absolute deadline) this
+    /// search runs under.
     pub(crate) budget: Budget,
     /// Why the search gave up, when [`Outcome::Budget`] was returned.
     pub(crate) unknown: Option<UnknownReason>,
@@ -1002,16 +991,7 @@ impl<'a> Searcher<'a> {
             match self.shared {
                 Some(shared) => shared.memo_insert(key),
                 None => {
-                    // At the memo cap the search degrades gracefully:
-                    // existing entries keep pruning, new failed states are
-                    // simply re-explored when revisited.
-                    if self
-                        .budget
-                        .max_memo_entries
-                        .is_none_or(|cap| self.memo.len() < cap)
-                    {
-                        self.memo.insert(key);
-                    }
+                    self.memo.insert(key);
                 }
             }
         }
@@ -1283,33 +1263,6 @@ mod tests {
             ..SearchConfig::default()
         };
         assert!(check(&h, PlanCriterion::Du, &cfg).is_satisfied());
-    }
-
-    #[test]
-    fn memo_cap_preserves_verdict_and_bounds_entries() {
-        // Enough concurrent commit-pending writers to force backtracking
-        // (and memo inserts) without the cap dominating runtime.
-        let mut b = HistoryBuilder::new();
-        for k in 1..=6u32 {
-            b = b
-                .inv_write(t(k), x(), v(u64::from(k)))
-                .resp_ok(t(k))
-                .inv_try_commit(t(k));
-        }
-        let h = b
-            .read(t(7), x(), v(3))
-            .read(t(8), x(), v(5))
-            .commit(t(7))
-            .commit(t(8))
-            .build();
-        let baseline = check(&h, PlanCriterion::Du, &SearchConfig::default());
-        let capped_cfg = SearchConfig {
-            max_memo_entries: Some(2),
-            ..SearchConfig::default()
-        };
-        let (capped, stats) = crate::plan::check_planned(&h, PlanCriterion::Du, &capped_cfg, None);
-        assert_eq!(baseline.is_satisfied(), capped.is_satisfied());
-        assert!(stats.peak_memo_entries <= 2, "cap exceeded: {stats:?}");
     }
 
     #[test]

@@ -38,6 +38,7 @@ use serde::{Content, DeError, Deserialize as _};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Format version of the snapshot file; [`load`] rejects anything else.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -143,6 +144,12 @@ pub struct InFlight {
 }
 
 /// Checkpoint of a `duop check` run.
+///
+/// Of [`Self::search`] the file records `threads`, the four stage
+/// switches and both budgets, each under its version-1 key; the deadline
+/// in whole milliseconds as `deadline_ms`. A `0` thread count or budget
+/// means none, so a zero budget reads back as `None`. `memo` and
+/// `interruptible` are not recorded and read back as their defaults.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckSnapshot {
     /// The full input trace (resume does not need the original file).
@@ -151,20 +158,8 @@ pub struct CheckSnapshot {
     pub criteria: Vec<String>,
     /// Output format (`text` or `json`).
     pub format: String,
-    /// Worker threads (`0` = sequential default).
-    pub threads: u64,
-    /// Planner enabled.
-    pub decompose: bool,
-    /// Lint prefilter enabled.
-    pub prelint: bool,
-    /// Certifying saturation prefilter enabled.
-    pub saturate: bool,
-    /// Degradation ladder enabled.
-    pub ladder: bool,
-    /// Per-criterion deadline in milliseconds (`0` = none).
-    pub deadline_ms: u64,
-    /// State budget (`0` = unlimited).
-    pub max_states: u64,
+    /// The pipeline of the run's first attempt.
+    pub search: SearchConfig,
     /// Remaining escalation retries.
     pub retry: u64,
     /// Escalation factor, in thousandths (e.g. `2000` = 2.0×).
@@ -412,18 +407,22 @@ impl serde::Deserialize for OnlineStats {
 
 impl serde::Serialize for CheckSnapshot {
     fn to_content(&self) -> Content {
+        let search = &self.search;
+        let threads = search.threads.unwrap_or(0) as u64;
+        let deadline_ms = search.deadline.map_or(0, |d| d.as_millis() as u64);
+        let max_states = search.max_states.unwrap_or(0);
         Content::Map(vec![
             ("kind".into(), s("check")),
             ("events".into(), self.events.to_content()),
             ("criteria".into(), self.criteria.to_content()),
             ("format".into(), s(self.format.clone())),
-            ("threads".into(), Content::U64(self.threads)),
-            ("decompose".into(), Content::Bool(self.decompose)),
-            ("prelint".into(), Content::Bool(self.prelint)),
-            ("saturate".into(), Content::Bool(self.saturate)),
-            ("ladder".into(), Content::Bool(self.ladder)),
-            ("deadline_ms".into(), Content::U64(self.deadline_ms)),
-            ("max_states".into(), Content::U64(self.max_states)),
+            ("threads".into(), Content::U64(threads)),
+            ("decompose".into(), Content::Bool(search.decompose)),
+            ("prelint".into(), Content::Bool(search.prelint)),
+            ("saturate".into(), Content::Bool(search.saturate)),
+            ("ladder".into(), Content::Bool(search.ladder)),
+            ("deadline_ms".into(), Content::U64(deadline_ms)),
+            ("max_states".into(), Content::U64(max_states)),
             ("retry".into(), Content::U64(self.retry)),
             ("escalate_milli".into(), Content::U64(self.escalate_milli)),
             ("attempt".into(), Content::U64(self.attempt)),
@@ -436,21 +435,25 @@ impl serde::Serialize for CheckSnapshot {
 impl serde::Deserialize for CheckSnapshot {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let m = fields(content, "check snapshot")?;
+        let nonzero = |key| u64::from_content(field(m, key)?).map(|n| (n > 0).then_some(n));
         Ok(CheckSnapshot {
             events: Vec::<Event>::from_content(field(m, "events")?)?,
             criteria: Vec::<String>::from_content(field(m, "criteria")?)?,
             format: String::from_content(field(m, "format")?)?,
-            threads: u64::from_content(field(m, "threads")?)?,
-            decompose: bool::from_content(field(m, "decompose")?)?,
-            prelint: bool::from_content(field(m, "prelint")?)?,
-            // Absent in checkpoints written before the saturation pass.
-            saturate: match field(m, "saturate") {
-                Ok(v) => bool::from_content(v)?,
-                Err(_) => true,
+            search: SearchConfig {
+                threads: nonzero("threads")?.map(|n| n as usize),
+                decompose: bool::from_content(field(m, "decompose")?)?,
+                prelint: bool::from_content(field(m, "prelint")?)?,
+                // Absent in checkpoints written before the saturation pass.
+                saturate: match field(m, "saturate") {
+                    Ok(v) => bool::from_content(v)?,
+                    Err(_) => true,
+                },
+                ladder: bool::from_content(field(m, "ladder")?)?,
+                deadline: nonzero("deadline_ms")?.map(Duration::from_millis),
+                max_states: nonzero("max_states")?,
+                ..SearchConfig::default()
             },
-            ladder: bool::from_content(field(m, "ladder")?)?,
-            deadline_ms: u64::from_content(field(m, "deadline_ms")?)?,
-            max_states: u64::from_content(field(m, "max_states")?)?,
             retry: u64::from_content(field(m, "retry")?)?,
             escalate_milli: u64::from_content(field(m, "escalate_milli")?)?,
             attempt: u64::from_content(field(m, "attempt")?)?,
@@ -795,13 +798,11 @@ mod tests {
             events: h.events().to_vec(),
             criteria: vec!["du".into(), "rco".into()],
             format: "text".into(),
-            threads: 0,
-            decompose: true,
-            prelint: true,
-            saturate: true,
-            ladder: true,
-            deadline_ms: 250,
-            max_states: 1000,
+            search: SearchConfig {
+                deadline: Some(Duration::from_millis(250)),
+                max_states: Some(1000),
+                ..SearchConfig::default()
+            },
             retry: 3,
             escalate_milli: 2000,
             attempt: 1,
@@ -833,6 +834,47 @@ mod tests {
         save(&path, &snap).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded, snap);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Pins the version-1 bytes of a check checkpoint, pipeline keys
+    /// included: changing them needs a new `SNAPSHOT_VERSION`.
+    #[test]
+    fn check_snapshot_bytes_keep_the_version_1_layout() {
+        let snap = CheckSnapshot {
+            search: SearchConfig {
+                threads: Some(2),
+                decompose: false,
+                saturate: false,
+                ..sample_check_snapshot().search
+            },
+            ..sample_check_snapshot()
+        };
+        let expected = concat!(
+            r#"{"version":1,"hash":"4ce063367d36adea86d18b9c57b051c4","#,
+            r#""payload":{"kind":"check","events":[{"txn":1,"kind":{"Inv":{"Write":[0,1]}}},"#,
+            r#"{"txn":1,"kind":{"Resp":"Ok"}},{"txn":1,"kind":{"Inv":"TryCommit"}},{"txn":1,"#,
+            r#""kind":{"Resp":"Committed"}},{"txn":2,"kind":{"Inv":{"Read":0}}},{"txn":2,"#,
+            r#""kind":{"Resp":{"Value":1}}},{"txn":2,"kind":{"Inv":"TryCommit"}},{"txn":2,"#,
+            r#""kind":{"Resp":"Committed"}}],"criteria":["du","rco"],"format":"text","#,
+            r#""threads":2,"decompose":false,"prelint":true,"saturate":false,"ladder":true,"#,
+            r#""deadline_ms":250,"max_states":1000,"retry":3,"escalate_milli":2000,"#,
+            r#""attempt":1,"completed":[{"name":"du","ok":true,"#,
+            r#""line":"du-opacity                   satisfied; witness: \"T1\" < T2"}],"#,
+            r#""current":{"name":"rco","explored":42,"fragments":[{"members":[1,2],"#,
+            r#""placements":[[1,true],[2,true]]}]}}}"#,
+            "\n"
+        );
+        let snap = Snapshot::Check(snap);
+        assert_eq!(to_file_string(&snap), expected);
+        let path = std::env::temp_dir().join(format!(
+            "duop-snap-v1-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let path = path.to_str().unwrap().to_owned();
+        std::fs::write(&path, expected).unwrap();
+        assert_eq!(load(&path).unwrap(), snap);
         std::fs::remove_file(&path).ok();
     }
 

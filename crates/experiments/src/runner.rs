@@ -952,7 +952,7 @@ fn e17_kill_resume(samples: u64, threads: usize, base: &SearchConfig) -> Experim
                     events: h.events().to_vec(),
                     criteria: vec!["du".to_string()],
                     format: "text".to_string(),
-                    max_states: budget,
+                    search: cfg(Some(budget)),
                     escalate_milli: 2000,
                     current: Some(InFlight {
                         name: "du".to_string(),
@@ -1642,9 +1642,9 @@ fn e22_remote_shard(samples: u64) -> ExperimentResult {
         .local_addr()
         .expect("local addr");
     let mut dead_cfg = remote_cfg(&[dead_addr]);
-    dead_cfg.prelint = false;
-    dead_cfg.ladder = false;
-    dead_cfg.saturate = false;
+    dead_cfg.search.prelint = false;
+    dead_cfg.search.ladder = false;
+    dead_cfg.search.saturate = false;
     let dead_ok = run_sharded(
         vec![ShardJob {
             history: sample.clone(),

@@ -89,25 +89,17 @@ pub struct ShardConfig {
     pub worker_cmd: Vec<String>,
     /// Extra environment for workers (fault-injection hooks in tests).
     pub worker_env: Vec<(String, String)>,
-    /// Decompose histories into components (the point of sharding).
-    /// `false` mirrors `--no-decompose`: one whole-history task per job,
-    /// monolithic search in the worker.
-    pub decompose: bool,
-    /// Run the lint prefilter (coordinator-side for decomposed jobs,
-    /// worker-side for whole-history tasks).
-    pub prelint: bool,
-    /// Run the certifying saturation prefilter (coordinator-side for
-    /// decomposed jobs, worker-side for whole-history tasks). `false`
-    /// mirrors `--no-saturate`.
-    pub saturate: bool,
-    /// Run the verdict-degradation ladder on merged `Unknown` verdicts.
-    pub ladder: bool,
-    /// Per-task state budget (`None` = unlimited).
-    pub max_states: Option<u64>,
-    /// Per-task wall-clock deadline in milliseconds (`None` = none).
-    /// Note this is per task, not per job: a sharded run restarts the
-    /// clock for every component chunk.
-    pub deadline_ms: Option<u64>,
+    /// The pipeline the run mirrors, as `duop check` runs it. With
+    /// `decompose` on (the point of sharding), the coordinator runs the
+    /// prefilters on each whole history, ships its components with the
+    /// prefilters and ladder off, and runs the ladder on the merged
+    /// verdict; with it off (`--no-decompose`), and for opacity, each
+    /// job is one whole-history task that runs this pipeline as is.
+    /// Budgets bind per task, not per job: each task starts its own
+    /// state count and clock. `threads` and `interruptible` stay
+    /// process-local and never reach a worker: workers search
+    /// sequentially, and each process polls its own interrupt flag.
+    pub search: SearchConfig,
     /// Worker deaths tolerated per task before it is recorded as
     /// undecided ([`UnknownReason::WorkerDeath`]).
     pub retry: u64,
@@ -131,12 +123,7 @@ impl Default for ShardConfig {
             workers: available_threads(),
             worker_cmd: Vec::new(),
             worker_env: Vec::new(),
-            decompose: true,
-            prelint: true,
-            saturate: true,
-            ladder: true,
-            max_states: None,
-            deadline_ms: None,
+            search: SearchConfig::default(),
             retry: 2,
             min_task_txns: 8,
             connect: Vec::new(),
@@ -444,21 +431,6 @@ fn reader_loop(worker: usize, input: impl Read, tx: Sender<Event>) {
 // Planner
 // ---------------------------------------------------------------------------
 
-/// The in-process pipeline a run mirrors: `cfg`'s stage switches and
-/// per-task budgets. Whole-history tasks carry it to the worker as is;
-/// for decomposed jobs the coordinator runs its prefilters and ladder.
-fn run_pipeline(cfg: &ShardConfig) -> SearchConfig {
-    SearchConfig {
-        decompose: cfg.decompose,
-        prelint: cfg.prelint,
-        saturate: cfg.saturate,
-        ladder: cfg.ladder,
-        max_states: cfg.max_states,
-        deadline: cfg.deadline_ms.map(Duration::from_millis),
-        ..SearchConfig::default()
-    }
-}
-
 fn plan_jobs(
     jobs: Vec<ShardJob>,
     pipeline: &SearchConfig,
@@ -712,8 +684,6 @@ fn merge_job(job: &JobState, tasks: &HashMap<u64, TaskState>, pipeline: &SearchC
 
 struct Coordinator<'a> {
     cfg: &'a ShardConfig,
-    /// The run's pipeline, [`run_pipeline`] of `cfg`.
-    pipeline: SearchConfig,
     tx: Sender<Event>,
     workers: Vec<WorkerHandle>,
     idle: Vec<usize>,
@@ -785,7 +755,7 @@ impl Coordinator<'_> {
             (None, None) => false,
         };
         if complete {
-            let verdict = merge_job(job, &self.tasks, &self.pipeline);
+            let verdict = merge_job(job, &self.tasks, &self.cfg.search);
             self.results[job_index] = Some(verdict);
             self.completed += 1;
         }
@@ -879,20 +849,26 @@ impl Coordinator<'_> {
 
     fn dispatch_to(&mut self, worker: usize, task_id: u64) -> Result<(), String> {
         let task = self.tasks.get_mut(&task_id).expect("known task");
-        let (run, whole) = (&self.pipeline, task.spec.whole);
+        let run = &self.cfg.search;
         // A whole-history task runs the run's pipeline in the worker. For
         // a component task the coordinator already linted and saturated
         // the whole history and owns the ladder for the merged verdict.
+        let search = if task.spec.whole {
+            run.clone()
+        } else {
+            SearchConfig {
+                decompose: true,
+                prelint: false,
+                saturate: false,
+                ladder: false,
+                ..run.clone()
+            }
+        };
         let msg = TaskMsg {
             task_id,
             attempt: task.deaths,
             criterion: task.spec.criterion.to_owned(),
-            prelint: whole && run.prelint,
-            ladder: whole && run.ladder,
-            decompose: !whole || run.decompose,
-            saturate: whole && run.saturate,
-            max_states: run.max_states.unwrap_or(0),
-            deadline_ms: run.deadline.map_or(0, |d| d.as_millis() as u64),
+            search,
             history: task.spec.payload.clone(),
         };
         // Register the assignment before touching the pipe: a failed
@@ -1231,10 +1207,8 @@ pub fn run_sharded(jobs: Vec<ShardJob>, cfg: &ShardConfig) -> Result<Vec<Verdict
     let total = jobs.len();
     let (tx, rx) = channel::<Event>();
 
-    let pipeline = run_pipeline(cfg);
     let mut coordinator = Coordinator {
         cfg,
-        pipeline: pipeline.clone(),
         tx: tx.clone(),
         workers: Vec::new(),
         idle: Vec::new(),
@@ -1269,7 +1243,7 @@ pub fn run_sharded(jobs: Vec<ShardJob>, cfg: &ShardConfig) -> Result<Vec<Verdict
         spawn_connector(addr.clone(), cfg.secret.clone(), tx.clone(), false);
     }
 
-    let min_task_txns = cfg.min_task_txns;
+    let (pipeline, min_task_txns) = (cfg.search.clone(), cfg.min_task_txns);
     let planner_tx = tx.clone();
     let planner =
         std::thread::spawn(move || plan_jobs(jobs, &pipeline, min_task_txns, &planner_tx));
@@ -1384,7 +1358,6 @@ mod tests {
 
         let mut coordinator = Coordinator {
             cfg: &cfg,
-            pipeline: run_pipeline(&cfg),
             tx,
             workers: vec![WorkerHandle {
                 link: WorkerLink::Local {

@@ -16,7 +16,7 @@
 //! | type | direction | payload |
 //! |------|-----------|---------|
 //! | `H`  | both      | `DUOS` magic + version varint (handshake) |
-//! | `T`  | coord → worker | task id, attempt, criterion token, flags, budgets, `.duob` sub-history |
+//! | `T`  | coord → worker | task id, attempt, criterion token, pipeline flags, budgets, `.duob` sub-history |
 //! | `V`  | worker → coord | task id, explored counter, JSON verdict |
 //! | `S`  | coord → worker | empty (orderly shutdown) |
 //! | `C`  | daemon → coord | magic + version + per-connection nonce (TCP auth challenge) |
@@ -27,17 +27,20 @@
 //! structured [`ProtocolError`] the worker turns into exit code 2,
 //! mirroring the `.duob` ingestion contract.
 
-use duop_core::Verdict;
+use duop_core::{SearchConfig, Verdict};
 use duop_history::binary::{crc32, decode_varint, write_varint, Crc32};
 use std::fmt;
 use std::io::{Read, Write};
+use std::time::Duration;
 
 /// Handshake magic, distinguishing the shard protocol from a stray
 /// `.duob` file (`DUOB`).
 pub const MAGIC: &[u8; 4] = b"DUOS";
 /// Protocol version sent (and required) in the handshake. Version 2
-/// carries verdicts as JSON; a version-1 peer fails at the handshake.
-pub const VERSION: u64 = 2;
+/// carries verdicts as JSON; version 3 carries a task's whole pipeline
+/// (`memo` and optional budgets beside the stage switches). A peer of
+/// another version fails at the handshake.
+pub const VERSION: u64 = 3;
 
 /// Frame type: handshake.
 pub const FRAME_HELLO: u8 = b'H';
@@ -434,8 +437,14 @@ pub fn decode_auth(payload: &[u8]) -> Result<[u8; TAG_LEN], ProtocolError> {
 // Task frames
 // ---------------------------------------------------------------------------
 
-/// One unit of work shipped to a worker: a criterion token plus a
-/// `.duob`-encoded (sub-)history and the search budgets to apply.
+/// One unit of work shipped to a worker: a criterion token, a
+/// `.duob`-encoded (sub-)history and the pipeline to check it with.
+///
+/// The frame carries every [`SearchConfig`] field that can change a
+/// worker's verdict or counters, losslessly: the four stage switches,
+/// `memo` and both budgets. `threads` and `interruptible` stay
+/// process-local and decode as their defaults: a worker searches
+/// sequentially, and each process polls its own interrupt flag.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskMsg {
     /// Coordinator-assigned task id, echoed in the verdict frame.
@@ -446,42 +455,48 @@ pub struct TaskMsg {
     /// Criterion token (`du`, `final-state`, `rco`, `tms2`, `strict`,
     /// `opacity`).
     pub criterion: String,
-    /// Run the lint prefilter in the worker (off for component tasks —
-    /// the coordinator already linted the whole history).
-    pub prelint: bool,
-    /// Run the verdict-degradation ladder in the worker (off for
-    /// component tasks — the coordinator applies it to the merged
-    /// verdict).
-    pub ladder: bool,
-    /// Run the search planner in the worker (always on for component
-    /// tasks; mirrors `--no-decompose` for whole-history tasks).
-    pub decompose: bool,
-    /// Run the certifying saturation prefilter in the worker (off for
-    /// component tasks — the coordinator already saturated the whole
-    /// history; mirrors `--no-saturate` for whole-history tasks).
-    pub saturate: bool,
-    /// State budget, `0` = unlimited.
-    pub max_states: u64,
-    /// Wall-clock deadline in milliseconds, `0` = none.
-    pub deadline_ms: u64,
+    /// The pipeline the worker runs on this task.
+    pub search: SearchConfig,
     /// The `.duob`-encoded history to check.
     pub history: Vec<u8>,
 }
 
+/// Task flag bits 0-4: the stage switches and `memo`.
+const FLAG_PRELINT: u8 = 1;
+const FLAG_LADDER: u8 = 1 << 1;
+const FLAG_DECOMPOSE: u8 = 1 << 2;
+const FLAG_SATURATE: u8 = 1 << 3;
+const FLAG_MEMO: u8 = 1 << 4;
+/// Task flag bits 5-6: a state budget, then a deadline, follows the
+/// flags byte. Bit 7 is undefined.
+const FLAG_MAX_STATES: u8 = 1 << 5;
+const FLAG_DEADLINE: u8 = 1 << 6;
+const TASK_FLAGS: u8 = 0x7F;
+
 /// Encodes a task payload.
 pub fn encode_task(msg: &TaskMsg) -> Vec<u8> {
+    let search = &msg.search;
     let mut out = Vec::with_capacity(msg.history.len() + 64);
     write_varint(&mut out, msg.task_id);
     write_varint(&mut out, msg.attempt);
     put_bytes(&mut out, msg.criterion.as_bytes());
+    let flag = |on: bool, bit: u8| if on { bit } else { 0 };
     out.push(
-        u8::from(msg.prelint)
-            | (u8::from(msg.ladder) << 1)
-            | (u8::from(msg.decompose) << 2)
-            | (u8::from(msg.saturate) << 3),
+        flag(search.prelint, FLAG_PRELINT)
+            | flag(search.ladder, FLAG_LADDER)
+            | flag(search.decompose, FLAG_DECOMPOSE)
+            | flag(search.saturate, FLAG_SATURATE)
+            | flag(search.memo, FLAG_MEMO)
+            | flag(search.max_states.is_some(), FLAG_MAX_STATES)
+            | flag(search.deadline.is_some(), FLAG_DEADLINE),
     );
-    write_varint(&mut out, msg.max_states);
-    write_varint(&mut out, msg.deadline_ms);
+    if let Some(max_states) = search.max_states {
+        write_varint(&mut out, max_states);
+    }
+    if let Some(deadline) = search.deadline {
+        write_varint(&mut out, deadline.as_secs());
+        write_varint(&mut out, u64::from(deadline.subsec_nanos()));
+    }
     put_bytes(&mut out, &msg.history);
     out
 }
@@ -493,23 +508,43 @@ pub fn decode_task(payload: &[u8]) -> Result<TaskMsg, ProtocolError> {
     let attempt = get_varint(payload, &mut pos, "task")?;
     let criterion = get_str(payload, &mut pos, "task criterion")?;
     let flags = get_u8(payload, &mut pos, "task flags")?;
-    if flags & !0b1111 != 0 {
+    if flags & !TASK_FLAGS != 0 {
         return Err(malformed("task flags", format!("unknown bits {flags:#x}")));
     }
-    let max_states = get_varint(payload, &mut pos, "task budget")?;
-    let deadline_ms = get_varint(payload, &mut pos, "task deadline")?;
+    let max_states = if flags & FLAG_MAX_STATES != 0 {
+        Some(get_varint(payload, &mut pos, "task budget")?)
+    } else {
+        None
+    };
+    let deadline = if flags & FLAG_DEADLINE != 0 {
+        let secs = get_varint(payload, &mut pos, "task deadline")?;
+        let nanos = get_varint(payload, &mut pos, "task deadline")?;
+        if nanos >= 1_000_000_000 {
+            return Err(malformed(
+                "task deadline",
+                format!("{nanos} ns is not under a second"),
+            ));
+        }
+        Some(Duration::new(secs, nanos as u32))
+    } else {
+        None
+    };
     let history = get_bytes(payload, &mut pos, "task history")?.to_vec();
     expect_end(payload, pos, "task")?;
     Ok(TaskMsg {
         task_id,
         attempt,
         criterion,
-        prelint: flags & 0b0001 != 0,
-        ladder: flags & 0b0010 != 0,
-        decompose: flags & 0b0100 != 0,
-        saturate: flags & 0b1000 != 0,
-        max_states,
-        deadline_ms,
+        search: SearchConfig {
+            prelint: flags & FLAG_PRELINT != 0,
+            ladder: flags & FLAG_LADDER != 0,
+            decompose: flags & FLAG_DECOMPOSE != 0,
+            saturate: flags & FLAG_SATURATE != 0,
+            memo: flags & FLAG_MEMO != 0,
+            max_states,
+            deadline,
+            ..SearchConfig::default()
+        },
         history,
     })
 }
@@ -634,26 +669,74 @@ mod tests {
         bad[4] = 99;
         assert!(decode_hello(&bad).is_err());
         assert!(decode_hello(b"DUOB\x01").is_err());
-        // A version-1 peer speaks the binary verdict codec: rejected at
-        // the hello instead of misreading verdict frames.
+        // A version-1 peer speaks the binary verdict codec, a version-2
+        // peer the task frame without `memo` and optional budgets: both
+        // are rejected at the hello instead of misreading frames.
         assert!(decode_hello(b"DUOS\x01").is_err());
+        assert!(decode_hello(b"DUOS\x02").is_err());
+    }
+
+    /// Every combination of the stage switches and `memo`, under every
+    /// budget shape: absent, zero, one, and the largest.
+    #[test]
+    fn task_round_trips() {
+        let states = [None, Some(0), Some(1), Some(u64::MAX)];
+        let deadlines = [
+            None,
+            Some(Duration::ZERO),
+            Some(Duration::from_millis(1)),
+            Some(Duration::MAX),
+        ];
+        for bits in 0u8..32 {
+            for max_states in states {
+                for deadline in deadlines {
+                    let msg = TaskMsg {
+                        task_id: 42,
+                        attempt: 1,
+                        criterion: "du".to_owned(),
+                        search: SearchConfig {
+                            prelint: bits & 1 != 0,
+                            ladder: bits & 2 != 0,
+                            decompose: bits & 4 != 0,
+                            saturate: bits & 8 != 0,
+                            memo: bits & 16 != 0,
+                            max_states,
+                            deadline,
+                            ..SearchConfig::default()
+                        },
+                        history: vec![1, 2, 3, 4, 5],
+                    };
+                    assert_eq!(decode_task(&encode_task(&msg)).unwrap(), msg);
+                }
+            }
+        }
     }
 
     #[test]
-    fn task_round_trips() {
+    fn task_rejects_a_deadline_fraction_of_a_second_or_more() {
         let msg = TaskMsg {
-            task_id: 42,
-            attempt: 1,
+            task_id: 0,
+            attempt: 0,
             criterion: "du".to_owned(),
-            prelint: false,
-            ladder: true,
-            decompose: true,
-            saturate: true,
-            max_states: 10_000,
-            deadline_ms: 0,
-            history: vec![1, 2, 3, 4, 5],
+            search: SearchConfig {
+                deadline: Some(Duration::from_secs(u64::MAX)),
+                ..SearchConfig::default()
+            },
+            history: Vec::new(),
         };
-        assert_eq!(decode_task(&encode_task(&msg)).unwrap(), msg);
+        let mut wire = encode_task(&msg);
+        // The deadline's nanosecond varint is the one `0` byte before the
+        // empty history's `0` length.
+        let at = wire.len() - 2;
+        assert_eq!(wire[at], 0);
+        wire.splice(at..=at, [0x80, 0x94, 0xEB, 0xDC, 0x03]); // 10^9
+        assert!(matches!(
+            decode_task(&wire),
+            Err(ProtocolError::Malformed {
+                context: "task deadline",
+                ..
+            })
+        ));
     }
 
     #[test]

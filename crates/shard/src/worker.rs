@@ -5,18 +5,17 @@
 //! over its standard streams: handshake, then task frames in, verdict
 //! frames out, until a shutdown frame or end-of-stream.
 //!
-//! Workers are deliberately dumb: one task at a time, sequential search
-//! (`threads = 1`), planner decomposition on, lint prefilter and verdict
-//! ladder controlled by the task flags (off for component tasks — the
-//! coordinator owns both ends of that pipeline). All scheduling
-//! intelligence lives in the coordinator.
+//! Workers are deliberately dumb: one task at a time, sequential search,
+//! the pipeline the task frame carries (for component tasks the
+//! coordinator owns the prefilters and the ladder, so the frame has them
+//! off). All scheduling intelligence lives in the coordinator.
 
 use crate::protocol::{
     decode_hello, decode_task, encode_hello, encode_verdict_msg, write_frame, FrameReader,
     ProtocolError, TaskMsg, VerdictMsg, FRAME_HEARTBEAT, FRAME_HELLO, FRAME_SHUTDOWN, FRAME_TASK,
     FRAME_VERDICT,
 };
-use duop_core::{check_criterion_with_stats, Criterion, Opacity, PlanCriterion, SearchConfig};
+use duop_core::{check_criterion_with_stats, Criterion, Opacity, PlanCriterion};
 use duop_history::binary;
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -39,32 +38,18 @@ pub const KILL_AFTER_HELLO_ENV: &str = "DUOP_SHARD_KILL_AFTER_HELLO";
 /// Exit code of an injected worker death (distinct from real failures).
 pub const KILL_EXIT_CODE: i32 = 83;
 
-fn search_config(task: &TaskMsg) -> SearchConfig {
-    SearchConfig {
-        threads: Some(1),
-        decompose: task.decompose,
-        prelint: task.prelint,
-        ladder: task.ladder,
-        saturate: task.saturate,
-        max_states: (task.max_states > 0).then_some(task.max_states),
-        deadline: (task.deadline_ms > 0).then(|| Duration::from_millis(task.deadline_ms)),
-        ..SearchConfig::default()
-    }
-}
-
-fn decide(task: &TaskMsg) -> Result<VerdictMsg, ProtocolError> {
+fn decide(task: TaskMsg) -> Result<VerdictMsg, ProtocolError> {
     let history = binary::decode(&task.history).map_err(|e| ProtocolError::Malformed {
         context: "task history",
         detail: e.to_string(),
     })?;
-    let cfg = search_config(task);
     let (verdict, explored) = if task.criterion == "opacity" {
         // Opacity is not prefix-decomposable by connected component (every
         // prefix must be final-state opaque), so it ships whole histories
         // and runs the dedicated prefix checker.
-        (Opacity::with_config(cfg).check(&history), 0)
+        (Opacity::with_config(task.search).check(&history), 0)
     } else if let Some(criterion) = PlanCriterion::parse(&task.criterion) {
-        check_criterion_with_stats(&history, criterion, &cfg)
+        check_criterion_with_stats(&history, criterion, &task.search)
     } else {
         return Err(ProtocolError::Malformed {
             context: "task criterion",
@@ -128,7 +113,7 @@ pub fn run_worker_io(input: impl Read, mut output: impl Write) -> Result<(), Pro
                     // stderr clean for the coordinator's diagnostics.
                     std::process::exit(KILL_EXIT_CODE);
                 }
-                let msg = decide(&task)?;
+                let msg = decide(task)?;
                 let encoded = encode_verdict_msg(&msg)?;
                 write_frame(&mut output, FRAME_VERDICT, &encoded)?;
                 output.flush()?;
@@ -163,10 +148,20 @@ pub fn worker_main() -> i32 {
 mod tests {
     use super::*;
     use crate::protocol::{decode_verdict_msg, encode_task};
-    use duop_core::Verdict;
+    use duop_core::{SearchConfig, Verdict};
     use duop_gen::{HistoryGen, HistoryGenConfig};
 
     type Frames = Vec<(u8, Vec<u8>)>;
+
+    /// The pipeline of a component task: prefilters and ladder off.
+    fn component_search() -> SearchConfig {
+        SearchConfig {
+            prelint: false,
+            ladder: false,
+            saturate: false,
+            ..SearchConfig::default()
+        }
+    }
 
     fn run(frames: &[(u8, Vec<u8>)]) -> (Result<(), ProtocolError>, Frames) {
         let mut input = Vec::new();
@@ -197,12 +192,7 @@ mod tests {
             task_id: 11,
             attempt: 0,
             criterion: "du".to_owned(),
-            prelint: false,
-            ladder: false,
-            decompose: true,
-            saturate: false,
-            max_states: 0,
-            deadline_ms: 0,
+            search: component_search(),
             history: binary::encode(&h),
         };
         let (result, replies) = run(&[
@@ -234,12 +224,7 @@ mod tests {
             task_id: 0,
             attempt: 0,
             criterion: "bogus".to_owned(),
-            prelint: false,
-            ladder: false,
-            decompose: true,
-            saturate: false,
-            max_states: 0,
-            deadline_ms: 0,
+            search: component_search(),
             history: binary::encode(&duop_history::History::empty()),
         };
         let (result, _) = run(&[(FRAME_TASK, encode_task(&task))]);
@@ -258,12 +243,7 @@ mod tests {
             task_id: 0,
             attempt: 0,
             criterion: "du".to_owned(),
-            prelint: false,
-            ladder: false,
-            decompose: true,
-            saturate: false,
-            max_states: 0,
-            deadline_ms: 0,
+            search: component_search(),
             history: vec![0xFF; 32],
         };
         let (result, _) = run(&[(FRAME_TASK, encode_task(&task))]);
