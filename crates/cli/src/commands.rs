@@ -1410,20 +1410,20 @@ fn resume_monitor(ms: MonitorSnapshot, file: &str, out: &mut dyn Write) -> CmdRe
     // stale checkpoint can cost a recheck but cannot forge a verdict.
     // Violations are prefix-final (Corollary 2), so checking the whole
     // done-prefix rediscovers any recorded one.
-    let violated = ms
-        .violated_at
-        .is_some()
-        .then(|| DuOpacity::new().check(&prefix))
-        .filter(|v| v.is_violated());
-    let violated_at = violated.is_some().then(|| ms.violated_at.unwrap_or(0));
-    let witness = ms.witness.clone();
+    let recorded = ms.violated_at;
     let mut mon = OnlineChecker::resume(
         prefix,
-        witness,
-        violated.clone(),
+        ms.witness.clone(),
+        |prefix| {
+            recorded
+                .is_some()
+                .then(|| DuOpacity::new().check(prefix))
+                .filter(Verdict::is_violated)
+        },
         ms.stats,
         SearchConfig::default(),
     );
+    let violated_at = mon.violation().is_some().then(|| recorded.unwrap_or(0));
     mon.preload_fragments(ms.fragments);
     writeln!(
         out,

@@ -40,7 +40,7 @@
 
 use crate::plan::{ComponentCache, PlanCriterion};
 use crate::prepared::Prepared;
-use crate::search::decide_spec;
+use crate::search::{check_prepared, decide_spec};
 use crate::snapshot::Fragment;
 use crate::verdict::committed_in_s;
 use crate::witness_check::{latest_writes, own_write_before, positions};
@@ -137,20 +137,25 @@ impl OnlineChecker {
     ///
     /// Nothing from the checkpoint is trusted: the witness is revalidated
     /// against the history before reuse (a stale or corrupt witness costs
-    /// one fallback search, never a wrong verdict), and `violated` is
-    /// expected to be a verdict the *caller* recomputed from the history
-    /// itself — `duop resume` re-checks the prefix where the checkpoint
-    /// says the violation occurred rather than deserializing a violation
-    /// object.
+    /// one fallback search, never a wrong verdict), and a violation is
+    /// re-derived from the history itself by `recheck` rather than
+    /// deserialized — `duop resume` re-checks the prefix where the
+    /// checkpoint says the violation occurred. `recheck` runs only when
+    /// no witness validates: a valid du witness proves there is no
+    /// violation.
     pub fn resume(
         history: History,
         witness: Option<Witness>,
-        violated: Option<Verdict>,
+        recheck: impl FnOnce(&History) -> Option<Verdict>,
         stats: OnlineStats,
         cfg: SearchConfig,
     ) -> Self {
         let witness =
             witness.filter(|w| check_witness(&history, w, CriterionKind::DuOpacity).is_ok());
+        let violated = match witness {
+            Some(_) => None,
+            None => recheck(&history),
+        };
         let mut stats = stats;
         stats.retained_events = history.len();
         stats.peak_resident_events = stats.peak_resident_events.max(history.len());
@@ -203,6 +208,24 @@ impl OnlineChecker {
     /// (Corollary 2 makes it final).
     pub fn violation(&self) -> Option<&Verdict> {
         self.violated.as_ref()
+    }
+
+    /// The batch du-opacity verdict of the retained history: exactly the
+    /// verdict, witness included, that
+    /// `DuOpacity::with_config(cfg).check(self.history())` returns, with
+    /// `cfg` this monitor's configuration. When the monitor's witness is
+    /// certified for exactly the retained history, the check is told so,
+    /// and its prefilter skips the lint and saturation stages that
+    /// witness settles (DESIGN.md §12, "Witness-gated prefilter"). A
+    /// witness left by an `Unknown` push or from before a violation
+    /// certifies a shorter prefix only and is not passed on.
+    pub fn batch_verdict(&self) -> Verdict {
+        let mut p = Prepared::new(&self.history, PlanCriterion::Du);
+        let certified = self.certified_len == self.history.len();
+        if let Some(w) = self.witness.as_ref().filter(|_| certified) {
+            p = p.with_du_witness(w);
+        }
+        check_prepared(&p, PlanCriterion::Du, &self.cfg, None).0
     }
 
     /// Exports the component cache's serialization fragments for
@@ -825,7 +848,7 @@ mod tests {
         let mut mon = OnlineChecker::resume(
             h,
             Some(w),
-            None,
+            |_| None,
             OnlineStats::default(),
             crate::SearchConfig::default(),
         );
@@ -1084,6 +1107,113 @@ mod tests {
                 );
                 assert_eq!(a.is_violated(), b.is_violated(), "divergence on {ev}");
             }
+        }
+    }
+
+    /// Prefilter stages the certified witness let a batch verdict skip,
+    /// as `(lint, saturation)` counts on this thread.
+    fn skips() -> (usize, usize) {
+        use crate::search::{LINT_SKIPS, SATURATION_SKIPS};
+        (
+            LINT_SKIPS.with(std::cell::Cell::get),
+            SATURATION_SKIPS.with(std::cell::Cell::get),
+        )
+    }
+
+    /// The `stream-serve` benchmark's GETs: its 40 traces (128-transaction
+    /// simulated, seeds 0–39), a GET after every second 32-event POST and
+    /// at the end. The monitor's witness settles both prefilter stages at
+    /// nearly every one.
+    #[test]
+    fn certified_witness_skips_the_prefilter_on_stream_serve_gets() {
+        use duop_gen::{HistoryGen, HistoryGenConfig};
+        let (mut gets, mut skipped) = (0usize, 0usize);
+        for seed in 0..40 {
+            let cfg = HistoryGenConfig::medium_simulated().with_txns(128);
+            let h = HistoryGen::new(cfg, seed).generate();
+            let mut mon = OnlineChecker::new();
+            for (i, &ev) in h.events().iter().enumerate() {
+                mon.push(ev).unwrap();
+                if (i + 1) % 64 == 0 || i + 1 == h.len() {
+                    let before = skips();
+                    mon.batch_verdict();
+                    let after = skips();
+                    gets += 1;
+                    skipped += usize::from(after.0 > before.0 && after.1 > before.1);
+                }
+            }
+        }
+        assert!(gets > 500, "{gets} GETs");
+        assert!(
+            skipped * 100 >= gets * 99,
+            "skipped on {skipped} of {gets} GETs"
+        );
+    }
+
+    /// A history fully ordered by real time: the monitor's witness has no
+    /// swappable pair, so saturation still runs, and it decides with its
+    /// own witness, which is the batch verdict's.
+    #[test]
+    fn saturation_runs_and_decides_without_a_swappable_pair() {
+        let h = HistoryBuilder::new()
+            .committed_writer(t(1), x(), v(1))
+            .read(t(2), x(), v(1))
+            .write(t(2), x(), v(2))
+            .inv_try_commit(t(2))
+            .build();
+        let mut mon = OnlineChecker::new();
+        for &ev in h.events() {
+            assert!(mon.push(ev).unwrap().is_satisfied());
+        }
+        let Some(Verdict::Satisfied(saturated)) =
+            crate::saturate::saturate_verdict(&h, PlanCriterion::Du)
+        else {
+            panic!("saturation decides a history ordered by real time");
+        };
+        assert_ne!(mon.witness(), Some(&saturated), "the witnesses differ");
+
+        let before = skips();
+        let verdict = mon.batch_verdict();
+        let after = skips();
+        assert_eq!(verdict, Verdict::Satisfied(saturated));
+        assert_eq!(verdict, DuOpacity::new().check(&h));
+        assert_eq!(after.0, before.0 + 1, "lint is skipped");
+        assert_eq!(after.1, before.1, "saturation runs");
+    }
+
+    /// A witness certified for an older prefix only — after an `Unknown`
+    /// push, or from before a violation — is not passed on.
+    #[test]
+    fn stale_witnesses_skip_nothing() {
+        let mut starved = OnlineChecker::with_config(crate::SearchConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..crate::SearchConfig::default()
+        });
+        for ev in [
+            Event::inv(t(1), Op::Write(x(), v(1))),
+            Event::resp(t(1), Ret::Ok),
+            Event::inv(t(1), Op::TryCommit),
+            Event::inv(t(2), Op::Read(x())),
+            Event::resp(t(2), Ret::Value(v(1))),
+        ] {
+            starved.push(ev).unwrap();
+        }
+        let stale = HistoryBuilder::new()
+            .committed_writer(t(1), x(), v(1))
+            .read(t(2), x(), v(0))
+            .commit(t(2))
+            .build();
+        let mut violated = OnlineChecker::new();
+        for &ev in stale.events() {
+            violated.push(ev).unwrap();
+        }
+        for mon in [starved, violated] {
+            assert!(mon.witness().is_some());
+            let before = skips();
+            let verdict = mon.batch_verdict();
+            assert_eq!(skips(), before, "{verdict:?}");
+            let batch = DuOpacity::with_config(mon.cfg.clone()).check(mon.history());
+            assert_eq!(verdict, batch);
         }
     }
 

@@ -19,7 +19,7 @@ use crate::bitset::BitSet;
 use crate::must_precede::{self, AntiDep, CommitEdge};
 use crate::plan::PlanCriterion;
 use crate::spec::Spec;
-use crate::Violation;
+use crate::{Violation, Witness};
 use duop_history::History;
 use std::sync::OnceLock;
 
@@ -44,6 +44,9 @@ pub(crate) struct Prepared<'h> {
     /// criterion: the test-only reference that [`crate::graph_kernels`]
     /// builds with [`Self::with_exact_only`].
     exact_only: bool,
+    /// A du witness certified for exactly this history, which settles
+    /// what the prefilter's stages could find ([`Self::with_du_witness`]).
+    du_witness: Option<&'h Witness>,
 }
 
 impl<'h> Prepared<'h> {
@@ -72,6 +75,7 @@ impl<'h> Prepared<'h> {
             tms2: OnceLock::new(),
             plain_dead_ends: false,
             exact_only: false,
+            du_witness: None,
         }
     }
 
@@ -98,6 +102,20 @@ impl<'h> Prepared<'h> {
     /// Whether the searchers of this query skip the eligible-writers pass.
     pub(crate) fn exact_only(&self) -> bool {
         self.exact_only
+    }
+
+    /// This query told that `w` is a du witness certified for exactly its
+    /// history: a du query's prefilter skips the stages `w` settles
+    /// (DESIGN.md §12, "Witness-gated prefilter"). Only the online
+    /// monitor's batch verdict passes one.
+    pub(crate) fn with_du_witness(mut self, w: &'h Witness) -> Self {
+        self.du_witness = Some(w);
+        self
+    }
+
+    /// The du witness certified for this history, if the caller passed one.
+    pub(crate) fn du_witness(&self) -> Option<&'h Witness> {
+        self.du_witness
     }
 
     /// The history the query runs over.

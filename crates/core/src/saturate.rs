@@ -484,6 +484,25 @@ pub(crate) fn gated(n: usize) -> bool {
     n == 0 || n > MAX_TXNS
 }
 
+/// Whether du witness `w` of `h` has an adjacent pair that real time
+/// leaves unordered and that touch disjoint objects (a transaction
+/// touches each object it invokes a read or a write on). Swapping such a
+/// pair gives a second du witness, so no sound rule orders the two: the
+/// closure is not total, and du saturation of `h` cannot decide it
+/// (DESIGN.md §12, "Witness-gated prefilter").
+pub(crate) fn has_swappable_pair(h: &History, w: &Witness) -> bool {
+    let objs = |t: TxnId| {
+        h.txn(t)
+            .into_iter()
+            .flat_map(|v| v.ops())
+            .filter_map(|o| o.op.obj())
+    };
+    w.order().windows(2).any(|pair| {
+        let (a, b) = (pair[0], pair[1]);
+        !h.precedes_rt(a, b) && !h.precedes_rt(b, a) && !objs(a).any(|x| objs(b).any(|y| x == y))
+    })
+}
+
 /// As [`saturate`], over a prepared query. The size gate comes first,
 /// so a gated query builds no spec here.
 pub(crate) fn saturate_prepared(p: &Prepared<'_>, criterion: PlanCriterion) -> SaturationOutcome {

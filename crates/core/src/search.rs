@@ -1080,20 +1080,56 @@ pub(crate) fn decide_spec(
     crate::plan::planned_search(p, criterion, cfg, cache.filter(|_| cfg.decompose))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Lint and saturation stages the prefilter skipped on this thread
+    /// because a certified du witness settles them.
+    pub(crate) static LINT_SKIPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static SATURATION_SKIPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The polynomial stages ahead of the planner, per `cfg`: the lint
 /// prefilter, then saturation. `Some` is the verdict of the first stage
 /// that decides.
+///
+/// A du query whose history carries a certified du witness
+/// ([`Prepared::with_du_witness`]) skips lint, which the witness shows
+/// cannot refute, and saturation when the witness has a swappable pair,
+/// which shows it can neither refute nor decide (DESIGN.md §12,
+/// "Witness-gated prefilter"). Debug builds still run each skipped stage
+/// and assert that it does not decide.
 pub(crate) fn prefilter(
     p: &Prepared<'_>,
     criterion: PlanCriterion,
     cfg: &SearchConfig,
 ) -> Option<Verdict> {
+    let certified = p.du_witness().filter(|_| criterion == PlanCriterion::Du);
     if cfg.prelint {
-        if let Some(v) = crate::lint::prelint(p, criterion) {
+        if certified.is_some() {
+            #[cfg(test)]
+            LINT_SKIPS.with(|c| c.set(c.get() + 1));
+            debug_assert!(
+                crate::lint::prelint(p, criterion).is_none(),
+                "lint refuted a history with a certified du witness"
+            );
+        } else if let Some(v) = crate::lint::prelint(p, criterion) {
             return Some(Verdict::Violated(v));
         }
     }
     if cfg.saturate {
+        if certified.is_some_and(|w| crate::saturate::has_swappable_pair(p.history(), w)) {
+            #[cfg(test)]
+            SATURATION_SKIPS.with(|c| c.set(c.get() + 1));
+            debug_assert!(
+                crate::saturate::verdict_of(
+                    crate::saturate::saturate_prepared(p, criterion),
+                    criterion
+                )
+                .is_none(),
+                "saturation decided a history whose du witness has a swappable pair"
+            );
+            return None;
+        }
         let outcome = crate::saturate::saturate_prepared(p, criterion);
         return crate::saturate::verdict_of(outcome, criterion);
     }
@@ -1167,7 +1203,8 @@ pub(crate) fn ladder_fallback(
     let h = p.history();
     let mut tiers: Vec<&'static str> = vec!["exact-search"];
     if cfg.prelint {
-        // The prefilter already ran the lint tier and found nothing.
+        // The prefilter already ran the lint tier and found nothing, or
+        // skipped it because a certified du witness shows it cannot refute.
         tiers.push("lint");
     } else if let Some(v) = crate::lint::prelint(p, criterion) {
         return Verdict::Violated(v);

@@ -29,8 +29,9 @@ pub const KILL_EXIT_CODE: i32 = 83;
 /// acknowledgement, so everything past the last flush is lost.
 pub const KILL_INGEST_ENV: &str = "DUOP_SERVE_KILL_INGEST";
 /// `DUOP_SERVE_KILL_CHECKPOINT=N`: die immediately before the Nth
-/// checkpoint write (mid-checkpoint crash; the atomic temp-file+rename
-/// save means the previous checkpoint must survive intact).
+/// checkpoint write, once the N−1 earlier writes have finished
+/// (mid-checkpoint crash; the atomic temp-file+rename save means the
+/// previous checkpoint must survive intact).
 pub const KILL_CHECKPOINT_ENV: &str = "DUOP_SERVE_KILL_CHECKPOINT";
 /// `DUOP_SERVE_DROP_CONN=N`: drop the Nth accepted connection on the
 /// floor without reading or answering it.
@@ -136,7 +137,10 @@ struct State {
     /// Per-peer request windows for `peer_rps` throttling.
     peers: Mutex<HashMap<IpAddr, PeerWindow>>,
     conns: AtomicU64,
+    /// Checkpoint saves numbered so far, and those finished (written or
+    /// failed); saves on different sessions run concurrently.
     checkpoints: AtomicU64,
+    checkpoints_done: AtomicU64,
     kill_ingest: Option<u64>,
     kill_checkpoint: Option<u64>,
     drop_conn: Option<u64>,
@@ -184,6 +188,7 @@ impl Server {
             peers: Mutex::new(HashMap::new()),
             conns: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            checkpoints_done: AtomicU64::new(0),
             kill_ingest: env_u64(KILL_INGEST_ENV),
             kill_checkpoint: env_u64(KILL_CHECKPOINT_ENV),
             drop_conn: env_u64(DROP_CONN_ENV),
@@ -240,8 +245,9 @@ impl Server {
         out.flush().ok();
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut last_reap = Instant::now();
+        let mut idle = Duration::ZERO;
         loop {
-            match listener::poll_accept(&self.listener, &self.shutdown) {
+            match listener::poll_accept(&self.listener, &self.shutdown, &mut idle) {
                 Ok(Accepted::Shutdown) => break,
                 Ok(Accepted::Idle) => {}
                 Ok(Accepted::Conn(stream, peer)) => {
@@ -348,10 +354,18 @@ fn checkpoint_session(state: &State, session: &mut Session) -> bool {
     if state.kill_checkpoint == Some(nth) {
         // Fault hook: die mid-checkpoint. The atomic save (temp file +
         // rename) has not started, so the previous checkpoint survives.
+        // Saves numbered earlier may still be writing on other
+        // connection threads. Wait for them, so their files exist: a
+        // numbered save takes no further lock, so this cannot deadlock.
+        while state.checkpoints_done.load(Ordering::SeqCst) < nth - 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         std::process::exit(KILL_EXIT_CODE);
     }
     let snap = Snapshot::Session(session.snapshot());
-    if snapshot::save(&session_path(dir, session.id), &snap).is_ok() {
+    let saved = snapshot::save(&session_path(dir, session.id), &snap).is_ok();
+    state.checkpoints_done.fetch_add(1, Ordering::SeqCst);
+    if saved {
         session.dirty_posts = 0;
         state
             .metrics

@@ -141,13 +141,16 @@ impl Session {
 
     /// The session's current du-opacity verdict.
     ///
-    /// For a healthy session this is a fresh batch check of the retained
-    /// history with the default configuration — on an uncompacted session
-    /// that is, byte for byte, the verdict `duop check --criterion du`
-    /// computes for the same trace. A degraded session that has not
-    /// violated reports `Unknown{state-budget, partial}` (events were
-    /// dropped, so no sound positive verdict exists); a violation stays
-    /// reportable forever because violations are prefix-final.
+    /// For a healthy session this is the monitor's batch verdict
+    /// ([`OnlineChecker::batch_verdict`]): a batch check of the retained
+    /// history with the default configuration, which skips the prefilter
+    /// stages the monitor's certified witness settles. On an uncompacted
+    /// session that is, byte for byte, the verdict `duop check
+    /// --criterion du` computes for the same trace. A degraded session
+    /// that has not violated reports `Unknown{state-budget, partial}`
+    /// (events were dropped, so no sound positive verdict exists); a
+    /// violation stays reportable forever because violations are
+    /// prefix-final.
     pub fn verdict(&mut self) -> Verdict {
         self.last_activity = Instant::now();
         if self.degraded && !self.violated() {
@@ -157,7 +160,7 @@ impl Session {
                 partial: Some(PartialProgress::components(0, 1)),
             };
         }
-        DuOpacity::with_config(SearchConfig::default()).check(self.checker.history())
+        self.checker.batch_verdict()
     }
 
     /// The checker's work counters.
@@ -184,9 +187,10 @@ impl Session {
 
     /// Rebuilds a session from a checkpoint. The retained history is
     /// revalidated (`History::new` re-checks well-formedness), the
-    /// witness is revalidated by [`OnlineChecker::resume`], and any
-    /// violation is re-derived by checking the retained events — a
-    /// tampered snapshot can cost a recheck, never forge a verdict.
+    /// witness is revalidated by [`OnlineChecker::resume`], and when it
+    /// does not validate, any violation is re-derived by checking the
+    /// retained events — a tampered snapshot can cost a recheck, never
+    /// forge a verdict.
     ///
     /// # Errors
     ///
@@ -194,17 +198,17 @@ impl Session {
     /// do not form a valid history.
     pub fn resume(snap: SessionSnapshot) -> Result<Self, MalformedHistoryError> {
         let history = History::new(snap.events)?;
-        let violated = Some(DuOpacity::with_config(SearchConfig::default()).check(&history))
-            .filter(|v| v.is_violated());
-        let witness = snap.witness;
         let budget = match snap.budget {
             0 => None,
             b => Some(b as usize),
         };
         let mut checker = OnlineChecker::resume(
             history,
-            witness,
-            violated,
+            snap.witness,
+            |h| {
+                Some(DuOpacity::with_config(SearchConfig::default()).check(h))
+                    .filter(Verdict::is_violated)
+            },
             snap.stats,
             SearchConfig::default(),
         );

@@ -322,8 +322,9 @@ impl ShardServer {
         out.flush().ok();
         let mut conns = 0u64;
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut idle = Duration::ZERO;
         loop {
-            match poll_accept(&self.listener, &self.shutdown)? {
+            match poll_accept(&self.listener, &self.shutdown, &mut idle)? {
                 Accepted::Shutdown => break,
                 Accepted::Idle => {}
                 Accepted::Conn(stream, peer) => {
